@@ -29,15 +29,12 @@ from .single_target import (
     update_distribution,
 )
 from .engine import (
-    Association,
     DegenerateUpdateError,
     FilterState,
     Hypothesis,
     ObservationPath,
     Track,
-    association_weight,
     compatible,
-    enumerate_associations,
     init_filter,
     is_consistent,
     newborn_path,
@@ -63,7 +60,13 @@ from .estimation import (
     map_hypothesis,
     point_estimate,
 )
-from .oracles import oracle_consistent_subsets, oracle_joint_posterior
+from .oracles import (
+    Association,
+    association_weight,
+    enumerate_associations,
+    oracle_consistent_subsets,
+    oracle_joint_posterior,
+)
 from .config import ConfigError, ScenarioConfig, load_config
 from .simulation import GroundTruth, TruthTarget, simulate
 from .runner import RunReport, ScanRecord, filter_scans, metrics, run
@@ -87,15 +90,12 @@ __all__ = [
     "birth_posterior",
     "predict_distribution",
     "update_distribution",
-    "Association",
     "DegenerateUpdateError",
     "FilterState",
     "Hypothesis",
     "ObservationPath",
     "Track",
-    "association_weight",
     "compatible",
-    "enumerate_associations",
     "init_filter",
     "is_consistent",
     "newborn_path",
@@ -116,6 +116,9 @@ __all__ = [
     "extract_tracks",
     "map_hypothesis",
     "point_estimate",
+    "Association",
+    "association_weight",
+    "enumerate_associations",
     "oracle_consistent_subsets",
     "oracle_joint_posterior",
     "ConfigError",

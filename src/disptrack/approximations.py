@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .engine import FilterState, Hypothesis, ObservationPath, Track, compatible
+from .engine import FilterState, Track, fold_rows, keep_tracks, padded_rows, row_offsets
 from .models import (
     AugmentedDistribution,
     GaussianComponent,
@@ -76,35 +77,23 @@ DEFAULT_PIPELINE = ApproximationConfig(
 )
 
 
-def _existence_table(state: FilterState) -> dict[ObservationPath, float]:
-    alpha = {p: 0.0 for p in state.tracks}
-    for h in state.hypotheses:
-        for p in h.tracks:
-            alpha[p] += h.weight
-    return alpha
-
-
-def _marginalize(state: FilterState, victims: set[ObservationPath]) -> FilterState:
-    """Drop tracks and merge hypotheses that become identical."""
-    if not victims:
+def _marginalize(state: FilterState, victims: np.ndarray) -> FilterState:
+    """Drop the tracks flagged in ``victims`` and merge hypotheses that become identical."""
+    if not victims.any():
         return state
-    merged: dict[tuple[ObservationPath, ...], float] = {}
-    for h in state.hypotheses:
-        reduced = tuple(p for p in h.tracks if p not in victims)
-        merged[reduced] = merged.get(reduced, 0.0) + h.weight
-    hypotheses = [Hypothesis(tracks, w) for tracks, w in merged.items()]
-    tracks = {p: t for p, t in state.tracks.items() if p not in victims}
-    return FilterState(state.scan, tracks, hypotheses)
+    kept_entry = ~victims[state.indices]
+    indptr = row_offsets(kept_entry)[state.indptr]
+    tracks, indices = keep_tracks(state.tracks, state.indices[kept_entry], ~victims)
+    indptr, indices, weights = fold_rows(indptr, indices, state.weights)
+    return FilterState.from_table(state.scan, tracks, indptr, indices, weights)
 
 
 def _drop_orphans(state: FilterState) -> FilterState:
-    referenced: set[ObservationPath] = set()
-    for h in state.hypotheses:
-        referenced.update(h.tracks)
-    if len(referenced) == len(state.tracks):
+    referenced = np.bincount(state.indices, minlength=len(state.tracks)) > 0
+    if referenced.all():
         return state
-    tracks = {p: t for p, t in state.tracks.items() if p in referenced}
-    return FilterState(state.scan, tracks, state.hypotheses)
+    tracks, indices = keep_tracks(state.tracks, state.indices, referenced)
+    return FilterState.from_table(state.scan, tracks, state.indptr, indices, state.weights)
 
 
 def prune_by_presence(state: FilterState, threshold: float) -> FilterState:
@@ -115,8 +104,8 @@ def prune_by_presence(state: FilterState, threshold: float) -> FilterState:
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"presence threshold must lie in [0, 1], got {threshold}")
-    victims = {p for p, t in state.tracks.items() if t.dist.presence < threshold}
-    return _marginalize(state, victims)
+    presence = np.array([t.dist.presence for t in state.tracks.values()], dtype=float)
+    return _marginalize(state, presence < threshold)
 
 
 def prune_by_existence(
@@ -129,20 +118,19 @@ def prune_by_existence(
     Track removal marginalizes the hypotheses; hypothesis removal does not
     renormalize the survivors (the weights sum back to one at the next
     update), and tracks orphaned by it are dropped. The heaviest hypothesis
-    always survives.
+    (canonically earliest among equals) always survives.
     """
     for v in (track_threshold, hyp_threshold):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"existence thresholds must lie in [0, 1], got {v}")
     if track_threshold > 0.0:
-        alpha = _existence_table(state)
-        state = _marginalize(state, {p for p, a in alpha.items() if a < track_threshold})
+        state = _marginalize(state, state.existence() < track_threshold)
     if hyp_threshold > 0.0:
-        kept = [h for h in state.hypotheses if h.weight >= hyp_threshold]
-        if not kept:
-            kept = [max(state.hypotheses, key=lambda h: h.weight)]
-        if len(kept) != len(state.hypotheses):
-            state = _drop_orphans(FilterState(state.scan, state.tracks, kept))
+        kept = state.weights >= hyp_threshold
+        if not kept.any():
+            kept[state.top_rows(1)] = True
+        if not kept.all():
+            state = _drop_orphans(state.with_rows(kept))
     return state
 
 
@@ -158,16 +146,14 @@ def cap_counts(
     as the threshold prunes; hypothesis weights are not renormalized.
     """
     if max_tracks is not None and len(state.tracks) > max_tracks:
-        alpha = _existence_table(state)
-        ranked = sorted(state.tracks, key=lambda p: (-alpha[p], p))
-        state = _marginalize(state, set(ranked[max_tracks:]))
-    if max_hypotheses is not None and len(state.hypotheses) > max_hypotheses:
-        ranked_h = sorted(
-            state.hypotheses, key=lambda h: (-h.weight, (len(h.tracks), h.tracks))
-        )
-        keep = set(id(h) for h in ranked_h[:max_hypotheses])
-        kept = [h for h in state.hypotheses if id(h) in keep]
-        state = _drop_orphans(FilterState(state.scan, state.tracks, kept))
+        ranked = np.argsort(-state.existence(), kind="stable")
+        victims = np.zeros(len(state.tracks), dtype=bool)
+        victims[ranked[max_tracks:]] = True
+        state = _marginalize(state, victims)
+    if max_hypotheses is not None and len(state.weights) > max_hypotheses:
+        kept = np.zeros(len(state.weights), dtype=bool)
+        kept[state.top_rows(max_hypotheses)] = True
+        state = _drop_orphans(state.with_rows(kept))
     return state
 
 
@@ -216,6 +202,17 @@ def _merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float) -> Track:
     return Track(a.path, AugmentedDistribution(presence, spatial), a.displayed)
 
 
+def _cooccurrence(state: FilterState) -> np.ndarray:
+    """(tracks, tracks) boolean matrix: True where two tracks share a hypothesis."""
+    n = len(state.tracks)
+    pad = padded_rows(state.indptr, state.indices, n)
+    co = np.zeros((n + 1, n + 1), dtype=bool)
+    for i, j in combinations(range(pad.shape[1]), 2):
+        co[pad[:, i], pad[:, j]] = True
+    co = co[:n, :n]
+    return co | co.T
+
+
 def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     """Collapse near-identical tracks that never co-occur in a hypothesis.
 
@@ -225,41 +222,37 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     most once per pass. The merged track keeps the path and display status
     of the higher-existence member; its presence and spatial mixture are the
     existence-weighted combination of the pair. A pair is skipped when the
-    substitution would put incompatible paths into one hypothesis.
+    substitution would put incompatible paths into one hypothesis, counting
+    the substitutions made earlier in the pass.
     """
     if d_threshold < 0.0:
         raise ValueError(f"merge threshold must be nonnegative, got {d_threshold}")
-    alpha = _existence_table(state)
-    paths = sorted(state.tracks)
-    candidates = []
-    for i, a in enumerate(paths):
-        if not state.tracks[a].dist.spatial:
-            continue
-        for b in paths[i + 1:]:
-            if state.tracks[b].dist.spatial:
-                candidates.append((-(alpha[a] + alpha[b]), a, b))
-    candidates.sort()
+    alpha = state.existence()
+    tracks = list(state.tracks.values())
+    n = len(tracks)
+    spatial = np.array([bool(t.dist.spatial) for t in tracks], dtype=bool)
+    first, second = np.triu_indices(n, 1)
+    eligible = spatial[first] & spatial[second]
+    first, second = first[eligible], second[eligible]
+    order = np.lexsort((second, first, -(alpha[first] + alpha[second])))
+    co = _cooccurrence(state)
+    obs_bit: dict = {}
+    obs_mask = [
+        sum(1 << obs_bit.setdefault(o, len(obs_bit)) for o in p.detections) for p in state.tracks
+    ]
+    moments: dict[int, GaussianComponent] = {}
 
-    def membership() -> dict[ObservationPath, set[int]]:
-        out: dict[ObservationPath, set[int]] = {p: set() for p in state.tracks}
-        for hi, h in enumerate(state.hypotheses):
-            for p in h.tracks:
-                out[p].add(hi)
-        return out
+    def matched(i: int) -> GaussianComponent:
+        if i not in moments:
+            moments[i] = moment_match(tracks[i].dist.spatial)
+        return moments[i]
 
-    member = membership()
-    moments: dict[ObservationPath, GaussianComponent] = {}
-
-    def matched(p: ObservationPath) -> GaussianComponent:
-        if p not in moments:
-            moments[p] = moment_match(state.tracks[p].dist.spatial)
-        return moments[p]
-
-    consumed: set[ObservationPath] = set()
-    for _, a, b in candidates:
-        if a in consumed or b in consumed or a not in state.tracks or b not in state.tracks:
-            continue
-        if not member[a].isdisjoint(member[b]):
+    # Each track id stands for itself until a merge folds it into another.
+    stands_for = list(range(n))
+    merged: dict[int, Track] = {}
+    consumed = np.zeros(n, dtype=bool)
+    for a, b in zip(first[order].tolist(), second[order].tolist()):
+        if consumed[a] or consumed[b] or co[a, b]:
             continue
         ca, cb = matched(a), matched(b)
         total = alpha[a] + alpha[b]
@@ -275,30 +268,22 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
         if alpha[b] > alpha[a]:
             a, b = b, a
         # The kept path must stay compatible inside every hypothesis that
-        # held the dropped one.
-        ok = True
-        for hi in member[b]:
-            h = state.hypotheses[hi]
-            if any(p != b and not compatible(a, p) for p in h.tracks):
-                ok = False
-                break
-        if not ok:
+        # held the dropped one, as earlier merges have relabelled it.
+        held_with_b = 0
+        for p in np.flatnonzero(co[b]).tolist():
+            held_with_b |= obs_mask[stands_for[p]]
+        if held_with_b & obs_mask[a]:
             continue
-        merged = _merged_track(state.tracks[a], state.tracks[b], alpha[a], alpha[b])
-        new_hyps: dict[tuple[ObservationPath, ...], float] = {}
-        for h in state.hypotheses:
-            members = tuple(sorted(a if p == b else p for p in h.tracks))
-            new_hyps[members] = new_hyps.get(members, 0.0) + h.weight
-        tracks = {p: t for p, t in state.tracks.items() if p != b}
-        tracks[a] = merged
-        state = FilterState(state.scan, tracks, [Hypothesis(k, w) for k, w in new_hyps.items()])
-        alpha = _existence_table(state)
-        member = membership()
-        moments.pop(a, None)
-        moments.pop(b, None)
-        consumed.add(a)
-        consumed.add(b)
-    return state
+        merged[a] = _merged_track(tracks[a], tracks[b], alpha[a], alpha[b])
+        stands_for[b] = a
+        consumed[a] = consumed[b] = True
+    if not merged:
+        return state
+    stands = np.array(stands_for)
+    table = {p: merged.get(i, t) for i, (p, t) in enumerate(state.tracks.items())}
+    table, indices = keep_tracks(table, stands[state.indices], stands == np.arange(n))
+    indptr, indices, weights = fold_rows(state.indptr, indices, state.weights)
+    return FilterState.from_table(state.scan, table, indptr, indices, weights)
 
 
 def apply_pipeline(state: FilterState, cfg: ApproximationConfig) -> FilterState:

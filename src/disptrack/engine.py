@@ -13,14 +13,36 @@ Track identity is the observation path itself: two association schemes
 producing the same path share one track object, which is what makes the
 hypothesis set a set over shared tracks rather than a tree of private
 copies.
+
+State layout:
+
+- ``FilterState.tracks`` holds the tracks in canonical path order, and a
+  track's integer id is its rank in that order.
+- The hypotheses are the rows of one CSR table over those ids: hypothesis
+  ``r`` is the sorted id row ``indices[indptr[r]:indptr[r + 1]]`` with
+  weight ``weights[r]``. Since ids follow path order, id rows compare like
+  the path tuples they stand for.
+- ``state.hypotheses`` is a read-only view that builds each
+  :class:`Hypothesis` when asked and caches nothing. Building a state from a
+  list of hypotheses, ``FilterState(scan, tracks, hypotheses)``, is the
+  validated entry point; the recursion and the passes build states from
+  arrays with :meth:`FilterState.from_table`.
+
+The update keeps the per-track work in Python (one miss child, one child per
+admissible observation, one newborn per birthable observation) and builds
+the child rows with one numpy join over all parent rows, one track position
+at a time: each partial row is paired with its next track's options, and a
+per-row observation bitmask drops pairings that reuse an observation. A last
+join adds births over the birthable observations left free.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,6 +66,9 @@ from .single_target import (
 )
 
 NEG_INF = -math.inf
+ID_DTYPE = np.int32  # track ids inside hypothesis rows
+_WORD_BITS = 64  # observations per bitmask word
+_VIEW_CHUNK = 1 << 16  # rows converted per batch when iterating the view
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -115,45 +140,206 @@ class Hypothesis(NamedTuple):
     weight: float
 
 
-def hypothesis_key(tracks: Sequence[ObservationPath]) -> tuple:
-    """Canonical comparison key: fewest tracks first, then lexicographic paths."""
-    ordered = tuple(sorted(tracks))
-    return (len(ordered), ordered)
+def row_offsets(lengths: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
 
 
-@dataclass
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ``counts[i]`` items in slot ``i``: each item's slot and its rank within the slot."""
+    slot = np.repeat(np.arange(len(counts)), counts)
+    rank = np.arange(len(slot)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return slot, rank
+
+
+def _take_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """The CSR table restricted to ``rows``, in that order: (indptr, indices)."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    slot, rank = _ragged(lengths)
+    return row_offsets(lengths), indices[indptr[rows][slot] + rank]
+
+
+def padded_rows(indptr: np.ndarray, indices: np.ndarray, fill: int) -> np.ndarray:
+    """The CSR rows as one 2-D array, short rows filled with ``fill``."""
+    lengths = np.diff(indptr)
+    out = np.full((len(lengths), int(lengths.max(initial=0))), fill, dtype=ID_DTYPE)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = indices
+    return out
+
+
+def fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
+    """Sort every row, then merge identical rows by adding their weights.
+
+    Merged rows keep the position of their first occurrence. Returns
+    ``(indptr, indices, weights)``.
+    """
+    fill = np.iinfo(ID_DTYPE).max
+    pad = padded_rows(indptr, indices, fill)
+    pad.sort(axis=1)
+    uniq, first, inverse = np.unique(pad, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    folded = np.bincount(inverse.reshape(-1), weights=weights, minlength=len(uniq))
+    uniq = uniq[order]
+    real = uniq != fill
+    return row_offsets(real.sum(axis=1)), uniq[real], folded[order]
+
+
+def keep_tracks(tracks: Mapping, indices: np.ndarray, keep: np.ndarray):
+    """Restrict a track table to the ids flagged in ``keep``: (tracks, renumbered indices).
+
+    Entries naming dropped ids must already be gone from ``indices``.
+    """
+    new_id = (np.cumsum(keep) - 1).astype(ID_DTYPE)
+    kept = {p: t for (p, t), k in zip(tracks.items(), keep.tolist()) if k}
+    return kept, new_id[indices]
+
+
+class HypothesisView(Sequence):
+    """Read-only sequence of a state's hypotheses, built from its table on request."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: "FilterState"):
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.weights)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        s = self._state
+        paths = list(s.tracks)
+        ids = s.indices[s.indptr[i]:s.indptr[i + 1]].tolist()
+        return Hypothesis(tuple(paths[k] for k in ids), float(s.weights[i]))
+
+    def __iter__(self):
+        s = self._state
+        get = list(s.tracks).__getitem__
+        # tuple.__new__ skips the generated named-tuple constructor, which
+        # would dominate iterating a large table.
+        new = tuple.__new__
+        for start in range(0, len(self), _VIEW_CHUNK):
+            stop = min(start + _VIEW_CHUNK, len(self))
+            ptr = (s.indptr[start:stop + 1] - s.indptr[start]).tolist()
+            ids = s.indices[s.indptr[start]:s.indptr[stop]].tolist()
+            for r, w in enumerate(s.weights[start:stop].tolist()):
+                yield new(Hypothesis, (tuple(map(get, ids[ptr[r]:ptr[r + 1]])), w))
+
+
 class FilterState:
-    """Immutable-by-convention snapshot: scan index, track table, hypothesis set."""
+    """Immutable-by-convention snapshot: scan index, track table, hypothesis table.
 
-    scan: int
-    tracks: dict[ObservationPath, Track]
-    hypotheses: list[Hypothesis]
-
-    def total_weight(self) -> float:
-        return math.fsum(h.weight for h in self.hypotheses)
-
-
-@dataclass(frozen=True)
-class Association:
-    """One admissible way of explaining a scan for a given prior hypothesis.
-
-    ``detected`` pairs each detected track with the observation it produced
-    (the bijection lives here); ``birth_obs`` lists the observations
-    attributed to appearing targets; every remaining scan observation is a
-    false alarm.
+    ``FilterState(scan, tracks, hypotheses)`` sorts the track table into
+    canonical order and converts the hypothesis list into the CSR table. It
+    raises ``ValueError`` when a hypothesis names a track missing from
+    ``tracks``, repeats a track, or lists its tracks out of canonical order.
     """
 
-    detected: tuple[tuple[ObservationPath, Observation], ...]
-    birth_obs: tuple[Observation, ...]
+    __slots__ = ("scan", "tracks", "indptr", "indices", "weights")
+
+    def __init__(
+        self,
+        scan: int,
+        tracks: Mapping[ObservationPath, Track],
+        hypotheses: Iterable[Hypothesis],
+    ):
+        paths = sorted(tracks)
+        rank = {p: i for i, p in enumerate(paths)}
+        lengths: list[int] = []
+        ids: list[int] = []
+        weights: list[float] = []
+        for h in hypotheses:
+            missing = [str(p) for p in h.tracks if p not in rank]
+            if missing:
+                raise ValueError(f"hypothesis names tracks {missing} missing from the track table")
+            row = [rank[p] for p in h.tracks]
+            for a, b in zip(row, row[1:]):
+                if a == b:
+                    raise ValueError(f"hypothesis repeats track {paths[a]}")
+                if a > b:
+                    raise ValueError(
+                        f"hypothesis tracks {[str(p) for p in h.tracks]} are not in canonical order"
+                    )
+            lengths.append(len(row))
+            ids += row
+            weights.append(float(h.weight))
+        self._assign(
+            scan,
+            {p: tracks[p] for p in paths},
+            row_offsets(np.array(lengths, dtype=np.int64)),
+            np.array(ids, dtype=ID_DTYPE),
+            np.array(weights, dtype=float),
+        )
+
+    @classmethod
+    def from_table(
+        cls,
+        scan: int,
+        tracks: dict[ObservationPath, Track],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+    ) -> "FilterState":
+        """Unchecked constructor: ``tracks`` in canonical order, rows sorted and over its ids."""
+        state = object.__new__(cls)
+        state._assign(scan, tracks, indptr, indices, weights)
+        return state
+
+    def _assign(self, scan, tracks, indptr, indices, weights) -> None:
+        self.scan = scan
+        self.tracks = tracks
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=ID_DTYPE)
+        self.weights = np.asarray(weights, dtype=float)
+        for a in (self.indptr, self.indices, self.weights):
+            a.flags.writeable = False
+
+    @property
+    def hypotheses(self) -> HypothesisView:
+        return HypothesisView(self)
+
+    def total_weight(self) -> float:
+        return float(np.sum(self.weights))
+
+    def existence(self) -> np.ndarray:
+        """Per track id, the total weight of the hypotheses holding the track."""
+        entry_weight = np.repeat(self.weights, np.diff(self.indptr))
+        return np.bincount(self.indices, weights=entry_weight, minlength=len(self.tracks))
+
+    def top_rows(self, k: int) -> np.ndarray:
+        """The ``k`` heaviest rows, ties at the cut broken toward canonical order.
+
+        Canonical hypothesis order is fewest tracks first, then lexicographic
+        ids. Rows above the cut weight come first, in table order, then the
+        tied rows in canonical order.
+        """
+        w = self.weights
+        if k >= len(w):
+            return np.arange(len(w))
+        cut = np.partition(w, len(w) - k)[len(w) - k]
+        above = np.flatnonzero(w > cut)
+        tied = np.flatnonzero(w == cut)
+        if len(above) + len(tied) > k:
+            indptr, indices = _take_rows(self.indptr, self.indices, tied)
+            pad = padded_rows(indptr, indices, -1)
+            tied = tied[np.lexsort((*pad.T[::-1], np.diff(indptr)))]
+        return np.concatenate([above, tied[:k - len(above)]])
+
+    def with_rows(self, keep: np.ndarray) -> "FilterState":
+        """Same tracks, only the rows flagged in ``keep`` (order and weights kept)."""
+        indptr, indices = _take_rows(self.indptr, self.indices, np.flatnonzero(keep))
+        return FilterState.from_table(self.scan, self.tracks, indptr, indices, self.weights[keep])
 
 
-GatePredicate = Callable[[Optional[ObservationPath], Observation], bool]
 DistGate = Callable[[AugmentedDistribution, Observation], bool]
 
 
 def init_filter() -> FilterState:
     """Pre-data state: no tracks, the single empty hypothesis with weight one."""
-    return FilterState(scan=-1, tracks={}, hypotheses=[Hypothesis((), 1.0)])
+    return FilterState.from_table(-1, {}, [0, 0], [], [1.0])
 
 
 def predict(state: FilterState, motion: MotionModel) -> FilterState:
@@ -166,87 +352,14 @@ def predict(state: FilterState, motion: MotionModel) -> FilterState:
         path: Track(path, predict_distribution(tr.dist, motion), tr.displayed)
         for path, tr in state.tracks.items()
     }
-    return FilterState(scan=state.scan, tracks=tracks, hypotheses=list(state.hypotheses))
+    return FilterState.from_table(state.scan, tracks, state.indptr, state.indices, state.weights)
 
 
 def track_existence(state: FilterState, track_id: ObservationPath) -> float:
     """Total weight of the hypotheses containing the track: its credibility."""
     if track_id not in state.tracks:
         raise KeyError(f"unknown track {track_id}")
-    return math.fsum(h.weight for h in state.hypotheses if track_id in h.tracks)
-
-
-def enumerate_associations(
-    h: Hypothesis,
-    n: int,
-    scan_obs: Sequence[Observation],
-    gate: GatePredicate | None = None,
-) -> list[Association]:
-    """All admissible associations for prior hypothesis ``h`` and ``n`` births.
-
-    Enumerates every choice of detected-track subset, detection bijection
-    and birth-observation subset of size exactly ``n``; observations left
-    unassigned are false alarms. A gate predicate, when supplied, drops
-    associations pairing a track (or an appearing target, signalled by a
-    ``None`` path) with an implausible observation. Deterministic order:
-    detected subsets in track order, bijections and birth subsets in
-    lexicographic observation order.
-    """
-    if n < 0:
-        raise ValueError("birth count must be nonnegative")
-    obs = sorted(scan_obs, key=lambda o: o.id)
-    members = tuple(sorted(h.tracks))
-    out: list[Association] = []
-    for d_size in range(min(len(members), len(obs)) + 1):
-        for h_d in combinations(members, d_size):
-            for chosen in permutations(obs, d_size):
-                if gate is not None and any(
-                    not gate(y, z) for y, z in zip(h_d, chosen)
-                ):
-                    continue
-                used = {z.id for z in chosen}
-                rest = [z for z in obs if z.id not in used]
-                if n > len(rest):
-                    continue
-                for born in combinations(rest, n):
-                    if gate is not None and any(not gate(None, z) for z in born):
-                        continue
-                    out.append(Association(tuple(zip(h_d, chosen)), born))
-    return out
-
-
-def association_weight(
-    h: Hypothesis,
-    assoc: Association,
-    scan_obs: Sequence[Observation],
-    birth: BirthModel,
-    sensor: SensorModel,
-    state: FilterState,
-) -> float:
-    """Log weight of one association scheme (before the cardinality and prior factors).
-
-    Product, in log domain, of the detection predictive masses for detected
-    tracks and birth observations, the miss mass for every undetected
-    track, and the false-alarm odds for every scan observation. Returns
-    ``-inf`` for zero-probability schemes.
-    """
-    detected = dict(assoc.detected)
-    logw = 0.0
-    for path, z in assoc.detected:
-        logw += log_predictive_likelihood(state.tracks[path].dist, z, sensor)
-    for path in h.tracks:
-        if path not in detected:
-            mass = missdetection_mass(state.tracks[path].dist, sensor)
-            logw += math.log(mass) if mass > 0.0 else NEG_INF
-    for z in assoc.birth_obs:
-        logw += log_predictive_likelihood(birth.spatial, z, sensor)
-    assigned = len(assoc.detected) + len(assoc.birth_obs)
-    n_fa = len(scan_obs) - assigned
-    if assigned:
-        logw += assigned * math.log1p(-sensor.p_fa)
-    if n_fa:
-        logw += n_fa * math.log(sensor.p_fa) if sensor.p_fa > 0.0 else NEG_INF
-    return logw
+    return float(state.existence()[list(state.tracks).index(track_id)])
 
 
 def _validate_scan_obs(obs: Sequence[Observation], scan: int, sensor: SensorModel) -> None:
@@ -268,13 +381,112 @@ def _validate_scan_obs(obs: Sequence[Observation], scan: int, sensor: SensorMode
         seen_values.add(key)
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    m = a if a > b else b
-    return m + math.log(math.exp(a - m) + math.exp(b - m))
+class _Options(NamedTuple):
+    """One row per way a single track (or a newborn) can explain the scan."""
+
+    child: np.ndarray  # child track id
+    logl: np.ndarray  # log factor: miss mass or predictive likelihood
+    word: np.ndarray  # bitmask word of the consumed observation (0 for a miss)
+    bit: np.ndarray  # bit of the consumed observation in that word (0 for a miss)
+    det: np.ndarray  # 1 if the option consumes an observation
+
+
+class _Partials(NamedTuple):
+    """Child rows under construction, one entry per (parent row, choices so far)."""
+
+    row: np.ndarray  # parent row
+    logw: np.ndarray  # log weight accumulated so far
+    used: np.ndarray  # (n, words) bitmask of the observations consumed so far
+    ids: np.ndarray  # (n, k) child ids chosen so far
+    ndet: np.ndarray  # observations consumed so far, by tracks and newborns
+
+    def take(self, sel) -> "_Partials":
+        return _Partials(*(a[sel] for a in self))
+
+
+def _extend(parts: _Partials, first: np.ndarray, count: np.ndarray, opts: _Options):
+    """Pair every partial row with options ``first .. first + count - 1`` of its own.
+
+    Pairings that reuse an observation are dropped. Returns the extended
+    partials and the option each one took.
+    """
+    src, rank = _ragged(count)
+    o = first[src] + rank
+    word, bit = opts.word[o], opts.bit[o]
+    free = (parts.used[src, word] & bit) == 0
+    src, o, word, bit = src[free], o[free], word[free], bit[free]
+    used = parts.used[src]
+    used[np.arange(len(src)), word] |= bit
+    out = _Partials(
+        parts.row[src],
+        parts.logw[src] + opts.logl[o],
+        used,
+        np.column_stack((parts.ids[src], opts.child[o])),
+        parts.ndet[src] + opts.det[o],
+    )
+    return out, o
+
+
+def _child_options(state, obs, birth, sensor, gate, max_components):
+    """Per-track work: every candidate child track and the option that makes it.
+
+    Returns the children in canonical path order (a child's id is its
+    index), the options, and offsets ``ptr`` such that track ``t``'s options
+    are ``ptr[t]:ptr[t + 1]`` and the newborns' are ``ptr[-2]:ptr[-1]``.
+    """
+    children: list[Track] = []
+    owner: list[int] = []  # track id; newborns use len(state.tracks)
+    consumed: list[int] = []  # observation index, -1 for a miss
+    logl: list[float] = []
+    for i, (path, tr) in enumerate(state.tracks.items()):
+        mass = missdetection_mass(tr.dist, sensor)
+        if mass > 0.0:
+            missed = update_distribution(tr.dist, MISSED, sensor, max_components)
+            children.append(Track(path, missed, tr.displayed))
+            owner.append(i)
+            consumed.append(-1)
+            logl.append(math.log(mass))
+        for j, o in enumerate(obs):
+            if gate is not None and not gate(tr.dist, o):
+                continue
+            lv = log_predictive_likelihood(tr.dist, o, sensor)
+            if lv == NEG_INF:
+                continue
+            children.append(
+                Track(
+                    path.extended(o.id),
+                    update_distribution(tr.dist, o, sensor, max_components),
+                    tr.displayed,
+                )
+            )
+            owner.append(i)
+            consumed.append(j)
+            logl.append(lv)
+    if birth.max_births >= 1:
+        for j, o in enumerate(obs):
+            if gate is not None and not gate(birth.spatial, o):
+                continue
+            lv = log_predictive_likelihood(birth.spatial, o, sensor)
+            if lv == NEG_INF:
+                continue
+            children.append(
+                Track(newborn_path(o.id), birth_posterior(birth, o, sensor, max_components), False)
+            )
+            owner.append(len(state.tracks))
+            consumed.append(j)
+            logl.append(lv)
+
+    order = sorted(range(len(children)), key=lambda k: children[k].path)
+    child = np.empty(len(children), dtype=ID_DTYPE)
+    child[order] = np.arange(len(children), dtype=ID_DTYPE)
+    j = np.array(consumed, dtype=np.int64)
+    det = j >= 0
+    bit = np.zeros(len(j), dtype=np.uint64)
+    bit[det] = np.uint64(1) << (j[det] % _WORD_BITS).astype(np.uint64)
+    word = np.maximum(j, 0) // _WORD_BITS
+    opts = _Options(child, np.array(logl, dtype=float), word, bit, det.astype(np.int64))
+    ptr = np.searchsorted(np.array(owner, dtype=np.int64), np.arange(len(state.tracks) + 2))
+    return [children[k] for k in order], opts, ptr
 
 
 def update(
@@ -292,263 +504,80 @@ def update(
     each by prior * cardinality * association likelihood, and normalizing
     once over everything produced. Child tracks are deduplicated across
     hypotheses by path, newborn tracks start undisplayed, and surviving
-    tracks inherit their parent's display status.
+    tracks inherit their parent's display status. The track table keeps the
+    children some hypothesis holds.
 
     Associations that would condition a track on a zero-probability event
     (detection of an absent target, miss of a surely detected one) are
     skipped: their posterior is undefined and their weight is zero anyway.
-    Raises :class:`DegenerateUpdateError` when nothing admissible has
-    positive probability.
+    Every other association yields a row, at weight zero when its prior,
+    cardinality or false-alarm factor is zero. Raises
+    :class:`DegenerateUpdateError` when nothing admissible has positive
+    probability.
     """
     scan = state.scan + 1
     obs = sorted(scan_obs, key=lambda o: o.id)
     _validate_scan_obs(obs, scan, sensor)
-    prior_total = math.fsum(h.weight for h in state.hypotheses)
+    prior_total = state.total_weight()
     if not (0.0 < prior_total <= 1.0 + 1e-6):
         raise ValueError(f"prior hypothesis weights must sum into (0, 1], got {prior_total}")
 
-    parents = sorted(state.tracks)
-    parent_tracks = [state.tracks[p] for p in parents]
-    parent_index = {p: i for i, p in enumerate(parents)}
+    children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate, max_components)
+    n_opts = len(children)
+
     nz = len(obs)
-    n_max = birth.max_births
     lcard = [math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality]
-    p_fa = sensor.p_fa
-    lpfa = math.log(p_fa) if p_fa > 0.0 else NEG_INF
-    l1mpfa = math.log1p(-p_fa)
+    l1mpfa = math.log1p(-sensor.p_fa)
+    lpfa = math.log(sensor.p_fa) if sensor.p_fa > 0.0 else NEG_INF
+    out_ids: list[np.ndarray] = []
+    out_logw: list[np.ndarray] = []
 
-    # Candidate children. Ids are assigned in canonical path order so child
-    # hypotheses can be deduplicated and emitted on sorted integer keys.
-    had_skip = False
-    cand_paths: list[ObservationPath] = []
-    cand_tracks: list[Track] = []
+    def finish(parts: _Partials) -> None:
+        """Add 0..max_births newborns to complete rows and emit them with their weights."""
+        first = np.full(len(parts.row), opt_ptr[-2])
+        for n in range(birth.max_births + 1):
+            if n:
+                parts, took = _extend(parts, first, n_opts - first, opts)
+                first = took + 1
+            if not len(parts.row):
+                return
+            n_fa = nz - parts.ndet
+            fa = n_fa * lpfa if lpfa > NEG_INF else np.where(n_fa > 0, NEG_INF, 0.0)
+            out_logw.append(parts.logw + lcard[n] + parts.ndet * l1mpfa + fa)
+            out_ids.append(np.sort(parts.ids, axis=1))
 
-    miss_l: list[float] = []
-    miss_child: list[Track | None] = []
-    for p, tr in zip(parents, parent_tracks):
-        mass = missdetection_mass(tr.dist, sensor)
-        if mass > 0.0:
-            miss_l.append(math.log(mass))
-            miss_child.append(
-                Track(p, update_distribution(tr.dist, MISSED, sensor, max_components), tr.displayed)
-            )
-        else:
-            had_skip = True
-            miss_l.append(NEG_INF)
-            miss_child.append(None)
+    lengths = np.diff(state.indptr)
+    n_rows = len(lengths)
+    with np.errstate(divide="ignore"):
+        prior_logw = np.log(state.weights)
+    words = max(1, -(-nz // _WORD_BITS))
+    parts = _Partials(
+        np.arange(n_rows),
+        prior_logw,
+        np.zeros((n_rows, words), dtype=np.uint64),
+        np.zeros((n_rows, 0), dtype=ID_DTYPE),
+        np.zeros(n_rows, dtype=np.int64),
+    )
+    k = 0
+    while len(parts.row):
+        done = lengths[parts.row] == k
+        if done.any():
+            finish(parts.take(done))
+            parts = parts.take(~done)
+        t = state.indices[state.indptr[parts.row] + k]
+        parts, _ = _extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts)
+        k += 1
 
-    det_opts_raw: list[list[tuple[int, float, Track]]] = [[] for _ in parents]
-    for i, tr in enumerate(parent_tracks):
-        for j, o in enumerate(obs):
-            if gate is not None and not gate(tr.dist, o):
-                continue
-            lv = log_predictive_likelihood(tr.dist, o, sensor)
-            if lv == NEG_INF:
-                had_skip = True
-                continue
-            child = Track(
-                parents[i].extended(o.id),
-                update_distribution(tr.dist, o, sensor, max_components),
-                tr.displayed,
-            )
-            det_opts_raw[i].append((j, lv, child))
-
-    birth_l = [NEG_INF] * nz
-    birth_child: list[Track | None] = [None] * nz
-    if n_max >= 1:
-        for j, o in enumerate(obs):
-            if gate is not None and not gate(birth.spatial, o):
-                continue
-            lv = log_predictive_likelihood(birth.spatial, o, sensor)
-            if lv == NEG_INF:
-                continue
-            birth_l[j] = lv
-            birth_child[j] = Track(
-                newborn_path(o.id), birth_posterior(birth, o, sensor, max_components), False
-            )
-
-    for i, tr in enumerate(miss_child):
-        if tr is not None:
-            cand_paths.append(tr.path)
-            cand_tracks.append(tr)
-    for opts in det_opts_raw:
-        for _, _, tr in opts:
-            cand_paths.append(tr.path)
-            cand_tracks.append(tr)
-    for tr in birth_child:
-        if tr is not None:
-            cand_paths.append(tr.path)
-            cand_tracks.append(tr)
-    order = sorted(range(len(cand_paths)), key=cand_paths.__getitem__)
-    children: list[Track] = [cand_tracks[k] for k in order]
-    child_rank = {cand_tracks[k].path: rank for rank, k in enumerate(order)}
-
-    miss_id = [child_rank[t.path] if t is not None else -1 for t in miss_child]
-    det_opts: list[list[tuple[int, float, int]]] = [
-        [(j, lv, child_rank[t.path]) for j, lv, t in opts] for opts in det_opts_raw
-    ]
-    birth_id = [child_rank[t.path] if t is not None else -1 for t in birth_child]
-    birthable = [j for j in range(nz) if birth_id[j] >= 0]
-
-    acc: dict[tuple[int, ...], float] = {}
-    zero_pfa = p_fa == 0.0
-    # Per-track single-detection assignments, prebuilt for the common case.
-    det_single = [
-        tuple(((j,), lv, (cid,)) for j, lv, cid in opts) for opts in det_opts
-    ]
-    acc_get = acc.get
-    _sorted = sorted
-    _combinations = combinations
-
-    for hyp in state.hypotheses:
-        base = math.log(hyp.weight) if hyp.weight > 0.0 else NEG_INF
-        idxs = [parent_index[p] for p in hyp.tracks]
-        # Tracks with no admissible observation are missed in every entry;
-        # only the rest take part in the detected-subset enumeration.
-        pool = [i for i in idxs if det_opts[i]]
-        fixed = [i for i in idxs if not det_opts[i]]
-        if any(miss_child[i] is None for i in fixed):
-            had_skip = True
-            continue
-        fixed_sum = sum(miss_l[i] for i in fixed)
-        fixed_ids = [miss_id[i] for i in fixed]
-        base += fixed_sum
-        # Build (detected subset, bijection) entries once, then replay them
-        # for each birth count in ascending order.
-        entries: list[tuple[float, tuple[int, ...], tuple[int, ...], int]] = []
-        for d_size in range(min(len(pool), nz) + 1):
-            for h_d in _combinations(pool, d_size):
-                miss_sum = 0.0
-                bad = False
-                miss_ids = list(fixed_ids)
-                for i in pool:
-                    if i not in h_d:
-                        if miss_child[i] is None:
-                            bad = True
-                            break
-                        miss_sum += miss_l[i]
-                        miss_ids.append(miss_id[i])
-                if bad:
-                    had_skip = True
-                    continue
-                if d_size == 0:
-                    assigns = _EMPTY_ASSIGNMENT
-                elif d_size == 1:
-                    assigns = det_single[h_d[0]]
-                elif d_size == 2:
-                    o1, o2 = det_opts[h_d[0]], det_opts[h_d[1]]
-                    assigns = [
-                        ((j1, j2), lv1 + lv2, (c1, c2))
-                        for j1, lv1, c1 in o1
-                        for j2, lv2, c2 in o2
-                        if j1 != j2
-                    ]
-                elif d_size == 3:
-                    o1, o2, o3 = det_opts[h_d[0]], det_opts[h_d[1]], det_opts[h_d[2]]
-                    assigns = [
-                        ((j1, j2, j3), lv1 + lv2 + lv3, (c1, c2, c3))
-                        for j1, lv1, c1 in o1
-                        for j2, lv2, c2 in o2
-                        if j1 != j2
-                        for j3, lv3, c3 in o3
-                        if j3 != j1 and j3 != j2
-                    ]
-                else:
-                    assigns = _assignments(h_d, det_opts)
-                n_free = nz - d_size
-                head = base + miss_sum + d_size * l1mpfa
-                if not zero_pfa:
-                    head += n_free * lpfa
-                for js, det_sum, det_ids in assigns:
-                    base_ids = tuple(_sorted(miss_ids + list(det_ids)))
-                    rem_b = tuple(j for j in birthable if j not in js)
-                    entries.append((head + det_sum, base_ids, rem_b, n_free))
-        for n in range(n_max + 1):
-            lc = lcard[n]
-            if n == 0:
-                fa_dead = zero_pfa and nz > 0
-                for partial, base_ids, rem_b, n_free in entries:
-                    logw = NEG_INF if fa_dead and n_free else partial + lc
-                    prev = acc_get(base_ids)
-                    acc[base_ids] = logw if prev is None else _logaddexp(prev, logw)
-                continue
-            b_gain = lc + n * (l1mpfa if zero_pfa else l1mpfa - lpfa)
-            # Newborn paths start at the current scan, so their ids rank
-            # after every surviving-track child: appended keys stay sorted.
-            if n == 1:
-                for partial, base_ids, rem_b, n_free in entries:
-                    head = partial + b_gain
-                    if zero_pfa and n_free > 1:
-                        head = NEG_INF
-                    for j in rem_b:
-                        key_ids = base_ids + (birth_id[j],)
-                        logw = head + birth_l[j]
-                        prev = acc_get(key_ids)
-                        acc[key_ids] = logw if prev is None else _logaddexp(prev, logw)
-                continue
-            for partial, base_ids, rem_b, n_free in entries:
-                if n > len(rem_b):
-                    continue
-                dead = zero_pfa and n_free - n > 0
-                for born in _combinations(rem_b, n):
-                    logw = partial + b_gain
-                    for j in born:
-                        logw += birth_l[j]
-                    if dead:
-                        logw = NEG_INF
-                    key_ids = base_ids + tuple(birth_id[j] for j in born)
-                    prev = acc_get(key_ids)
-                    acc[key_ids] = logw if prev is None else _logaddexp(prev, logw)
-
-    if not acc:
+    if not out_logw:
         raise DegenerateUpdateError("no admissible association has a defined posterior")
-    logs = np.fromiter(acc.values(), dtype=float, count=len(acc))
-    m = float(np.max(logs))
+    logw = np.concatenate(out_logw)
+    m = float(np.max(logw))
     if m == NEG_INF:
         raise DegenerateUpdateError("all association weights are zero")
-    w = np.exp(logs - m)
+    w = np.exp(logw - m)
     w /= w.sum()
-
-    get_path = [t.path for t in children].__getitem__
-    # tuple.__new__ skips the generated named-tuple constructor; this loop
-    # runs once per posterior hypothesis and dominates large exact updates.
-    _new, _H, _tuple, _map = tuple.__new__, Hypothesis, tuple, map
-    hypotheses = [
-        _new(_H, (_tuple(_map(get_path, key)), wi))
-        for key, wi in zip(acc.keys(), w.tolist())
-    ]
-    if had_skip:
-        referenced: set[int] = set()
-        for key in acc.keys():
-            referenced.update(key)
-        table = {children[i].path: children[i] for i in sorted(referenced)}
-    else:
-        table = {t.path: t for t in children}
-    return FilterState(scan=scan, tracks=table, hypotheses=hypotheses)
-
-
-_EMPTY_ASSIGNMENT = (((), 0.0, ()),)
-
-
-def _assignments(
-    h_d: tuple[int, ...],
-    det_opts: list[list[tuple[int, float, int]]],
-) -> list[tuple[tuple[int, ...], float, tuple[int, ...]]]:
-    """Every bijection from the detected tracks to distinct allowed observations.
-
-    Returns (used observation indexes, summed log likelihood, child ids).
-    """
-    out: list[tuple[tuple[int, ...], float, tuple[int, ...]]] = []
-    if not h_d:
-        return list(_EMPTY_ASSIGNMENT)
-
-    def rec(pos: int, used: tuple[int, ...], acc_sum: float, acc_ids: tuple[int, ...]) -> None:
-        if pos == len(h_d):
-            out.append((used, acc_sum, acc_ids))
-            return
-        for j, lv, cid in det_opts[h_d[pos]]:
-            if j not in used:
-                rec(pos + 1, used + (j,), acc_sum + lv, acc_ids + (cid,))
-
-    rec(0, (), 0.0, ())
-    return out
+    indptr = row_offsets(np.concatenate([np.full(len(r), r.shape[1]) for r in out_ids]))
+    indices = np.concatenate([r.ravel() for r in out_ids])
+    referenced = np.bincount(indices, minlength=n_opts) > 0
+    tracks, indices = keep_tracks({t.path: t for t in children}, indices, referenced)
+    return FilterState.from_table(scan, tracks, indptr, indices, w)

@@ -53,9 +53,9 @@ def map_hypothesis(state: FilterState) -> Hypothesis:
     Ties break deterministically toward the canonically smallest hypothesis
     (fewest tracks, then lexicographic track order).
     """
-    if not state.hypotheses:
+    if not len(state.weights):
         raise ValueError("hypothesis set is empty: invalid filter state")
-    return min(state.hypotheses, key=lambda h: (-h.weight, len(h.tracks), h.tracks))
+    return state.hypotheses[state.top_rows(1)[0]]
 
 
 def point_estimate(track: Track, space: StateSpace) -> np.ndarray:
@@ -88,21 +88,16 @@ def extract_tracks(
     """
     best = map_hypothesis(state)
     member = set(best.tracks)
-    alphas = {p: 0.0 for p in member}
-    for h in state.hypotheses:
-        for p in h.tracks:
-            if p in alphas:
-                alphas[p] += h.weight
+    alphas = state.existence().tolist()
 
     new_tracks: dict[ObservationPath, Track] = {}
     estimates: list[TrackEstimate] = []
-    for path, tr in state.tracks.items():
+    for (path, tr), alpha in zip(state.tracks.items(), alphas):
         if path not in member:
             if tr.displayed:
                 tr = Track(tr.path, tr.dist, False)
             new_tracks[path] = tr
             continue
-        alpha = alphas[path]
         extract = False
         displayed = tr.displayed
         if alpha > cfg.confirm_threshold:
@@ -126,5 +121,5 @@ def extract_tracks(
                 )
             )
     estimates.sort(key=lambda e: e.track_id)
-    out = FilterState(state.scan, new_tracks, list(state.hypotheses))
+    out = FilterState.from_table(state.scan, new_tracks, state.indptr, state.indices, state.weights)
     return out, estimates

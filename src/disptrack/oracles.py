@@ -1,23 +1,33 @@
 """Brute-force reference computations for validating the recursion.
 
-Both oracles deliberately share no association or weighting code with the
-engine: consistent subsets come from raw power-set enumeration, and the
-joint posterior from a direct walk over every association history with
-plain linear-domain arithmetic and scipy densities. They exist to catch
-engine bugs, so they stay simple and exponential, with hard input limits.
+The oracles deliberately share no association or weighting code with the
+engine: consistent subsets come from raw power-set enumeration, the joint
+posterior from a direct walk over every association history with plain
+linear-domain arithmetic and scipy densities, and one scan's associations
+from explicit subset, bijection and birth-subset enumeration with a
+per-association weight. They exist to catch engine bugs, so they stay
+simple and exponential; the two posterior oracles have hard input limits.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from .engine import ObservationPath, newborn_path
-from .models import BirthModel, MotionModel, Observation, SensorModel
+from .engine import FilterState, Hypothesis, ObservationPath, newborn_path
+from .models import (
+    BirthModel,
+    MotionModel,
+    Observation,
+    SensorModel,
+    log_predictive_likelihood,
+    missdetection_mass,
+)
 
 MAX_ORACLE_PATHS = 20
 MAX_ORACLE_SCANS = 2
@@ -25,6 +35,94 @@ MAX_ORACLE_OBS_PER_SCAN = 2
 MAX_ORACLE_BIRTHS = 2
 
 HypKey = tuple[ObservationPath, ...]
+GatePredicate = Callable[[Optional[ObservationPath], Observation], bool]
+
+
+@dataclass(frozen=True)
+class Association:
+    """One admissible way of explaining a scan for a given prior hypothesis.
+
+    ``detected`` pairs each detected track with the observation it produced
+    (the bijection lives here); ``birth_obs`` lists the observations
+    attributed to appearing targets; every remaining scan observation is a
+    false alarm.
+    """
+
+    detected: tuple[tuple[ObservationPath, Observation], ...]
+    birth_obs: tuple[Observation, ...]
+
+
+def enumerate_associations(
+    h: Hypothesis,
+    n: int,
+    scan_obs: Sequence[Observation],
+    gate: GatePredicate | None = None,
+) -> list[Association]:
+    """All admissible associations for prior hypothesis ``h`` and ``n`` births.
+
+    Enumerates every choice of detected-track subset, detection bijection
+    and birth-observation subset of size exactly ``n``; observations left
+    unassigned are false alarms. A gate predicate, when supplied, drops
+    associations pairing a track (or an appearing target, signalled by a
+    ``None`` path) with an implausible observation. Deterministic order:
+    detected subsets in track order, bijections and birth subsets in
+    lexicographic observation order.
+    """
+    if n < 0:
+        raise ValueError("birth count must be nonnegative")
+    obs = sorted(scan_obs, key=lambda o: o.id)
+    members = tuple(sorted(h.tracks))
+    out: list[Association] = []
+    for d_size in range(min(len(members), len(obs)) + 1):
+        for h_d in combinations(members, d_size):
+            for chosen in permutations(obs, d_size):
+                if gate is not None and any(
+                    not gate(y, z) for y, z in zip(h_d, chosen)
+                ):
+                    continue
+                used = {z.id for z in chosen}
+                rest = [z for z in obs if z.id not in used]
+                if n > len(rest):
+                    continue
+                for born in combinations(rest, n):
+                    if gate is not None and any(not gate(None, z) for z in born):
+                        continue
+                    out.append(Association(tuple(zip(h_d, chosen)), born))
+    return out
+
+
+def association_weight(
+    h: Hypothesis,
+    assoc: Association,
+    scan_obs: Sequence[Observation],
+    birth: BirthModel,
+    sensor: SensorModel,
+    state: FilterState,
+) -> float:
+    """Log weight of one association scheme (before the cardinality and prior factors).
+
+    Product, in log domain, of the detection predictive masses for detected
+    tracks and birth observations, the miss mass for every undetected
+    track, and the false-alarm odds for every scan observation. Returns
+    ``-inf`` for zero-probability schemes.
+    """
+    detected = dict(assoc.detected)
+    logw = 0.0
+    for path, z in assoc.detected:
+        logw += log_predictive_likelihood(state.tracks[path].dist, z, sensor)
+    for path in h.tracks:
+        if path not in detected:
+            mass = missdetection_mass(state.tracks[path].dist, sensor)
+            logw += math.log(mass) if mass > 0.0 else -math.inf
+    for z in assoc.birth_obs:
+        logw += log_predictive_likelihood(birth.spatial, z, sensor)
+    assigned = len(assoc.detected) + len(assoc.birth_obs)
+    n_fa = len(scan_obs) - assigned
+    if assigned:
+        logw += assigned * math.log1p(-sensor.p_fa)
+    if n_fa:
+        logw += n_fa * math.log(sensor.p_fa) if sensor.p_fa > 0.0 else -math.inf
+    return logw
 
 
 def oracle_consistent_subsets(paths: Iterable[ObservationPath]) -> set[HypKey]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from disptrack import (
@@ -12,7 +14,12 @@ from disptrack import (
     Observation,
     SensorModel,
     StateSpace,
+    association_weight,
+    enumerate_associations,
+    missdetection_mass,
+    newborn_path,
 )
+from disptrack.models import log_predictive_likelihood
 
 
 def comp(weight: float, mean: float, var: float) -> GaussianComponent:
@@ -54,3 +61,47 @@ def random_scans(rng: np.random.Generator, counts: list[int], spread: float = 5.
         [obs(t, k, float(rng.uniform(-spread, spread))) for k in range(c)]
         for t, c in enumerate(counts)
     ]
+
+
+def reference_update(state, scan_obs, birth, sensor, gate=None):
+    """Slow reference update: explicit association enumeration plus per-association weights.
+
+    Returns {child hypothesis: normalized weight}, or {} when no admissible
+    association has positive weight. Associations that condition a track on
+    a zero-probability event (a miss of a surely detected target, a
+    detection the target cannot produce) have no posterior and yield no
+    child. ``gate`` is the engine's (distribution, observation) predicate.
+    """
+    path_gate = None
+    if gate is not None:
+        def path_gate(path, z):
+            return gate(birth.spatial if path is None else state.tracks[path].dist, z)
+
+    raw = {}
+    for h in state.hypotheses:
+        base = math.log(h.weight) if h.weight > 0 else -math.inf
+        for n, c in enumerate(birth.cardinality):
+            lc = math.log(c) if c > 0 else -math.inf
+            for assoc in enumerate_associations(h, n, scan_obs, path_gate):
+                detected = dict(assoc.detected)
+                if any(
+                    missdetection_mass(state.tracks[p].dist, sensor) <= 0
+                    for p in h.tracks
+                    if p not in detected
+                ) or any(
+                    log_predictive_likelihood(state.tracks[p].dist, z, sensor) == -math.inf
+                    for p, z in assoc.detected
+                ):
+                    continue
+                members = [p.extended(detected[p].id) if p in detected else p for p in h.tracks]
+                members += [newborn_path(z.id) for z in assoc.birth_obs]
+                key = tuple(sorted(members))
+                w = base + lc + association_weight(h, assoc, scan_obs, birth, sensor, state)
+                prev = raw.get(key)
+                raw[key] = w if prev is None else np.logaddexp(prev, w)
+    if not raw or max(raw.values()) == -math.inf:
+        return {}
+    m = max(raw.values())
+    lin = {k: math.exp(v - m) for k, v in raw.items()}
+    total = sum(lin.values())
+    return {k: v / total for k, v in lin.items()}

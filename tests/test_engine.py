@@ -18,7 +18,6 @@ from disptrack import (
     enumerate_associations,
     init_filter,
     is_consistent,
-    newborn_path,
     predict,
     predictive_likelihood,
     track_existence,
@@ -26,7 +25,7 @@ from disptrack import (
     update_distribution,
 )
 
-from helpers import birth_1d, motion_1d, obs, sensor_1d, unit_dist
+from helpers import birth_1d, motion_1d, obs, reference_update, sensor_1d, unit_dist
 
 
 def path(birth, *ids):
@@ -219,7 +218,7 @@ class TestUpdate:
             for t, c in enumerate(counts):
                 scan = [obs(t, k, float(rng.uniform(-4, 4))) for k in range(c)]
                 state = predict(state, motion)
-                ref = _reference_update(state, scan, birth, sensor)
+                ref = reference_update(state, scan, birth, sensor)
                 state = update(state, scan, birth, sensor)
                 got = {h.tracks: h.weight for h in state.hypotheses}
                 assert set(got) == set(ref)
@@ -344,43 +343,3 @@ class TestTrackExistence:
         with pytest.raises(KeyError):
             track_existence(state, path(5, (5, 0)))
 
-
-def _reference_update(state, scan_obs, birth, sensor):
-    """Slow reference: explicit Adm enumeration plus per-association weights."""
-    raw = {}
-    scan = state.scan + 1
-    for h in state.hypotheses:
-        base = math.log(h.weight) if h.weight > 0 else -math.inf
-        for n in range(len(birth.cardinality)):
-            lc = (
-                math.log(birth.cardinality[n])
-                if birth.cardinality[n] > 0
-                else -math.inf
-            )
-            for assoc in enumerate_associations(h, n, scan_obs):
-                lw = association_weight(h, assoc, scan_obs, birth, sensor, state)
-                detected = dict(assoc.detected)
-                members = []
-                skip = False
-                for p in h.tracks:
-                    if p in detected:
-                        members.append(p.extended(detected[p].id))
-                    else:
-                        from disptrack import missdetection_mass
-
-                        if missdetection_mass(state.tracks[p].dist, sensor) <= 0:
-                            skip = True
-                            break
-                        members.append(p)
-                if skip:
-                    continue
-                for z in assoc.birth_obs:
-                    members.append(newborn_path(z.id))
-                key = tuple(sorted(members))
-                w = base + lc + lw
-                prev = raw.get(key)
-                raw[key] = w if prev is None else np.logaddexp(prev, w)
-    m = max(raw.values())
-    lin = {k: math.exp(v - m) for k, v in raw.items()}
-    total = sum(lin.values())
-    return {k: v / total for k, v in lin.items()}

@@ -1,0 +1,146 @@
+"""The integer hypothesis table: the update against the reference enumeration,
+observation bitmasks past one word, and the validated list boundary."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from disptrack import (
+    DegenerateUpdateError,
+    FilterState,
+    Hypothesis,
+    ObservationPath,
+    Track,
+    init_filter,
+    make_gate,
+    predict,
+    update,
+)
+
+from helpers import birth_1d, motion_1d, obs, reference_update, sensor_1d, unit_dist
+
+
+def assert_matches_reference(state, ref):
+    got = [(h.tracks, h.weight) for h in state.hypotheses]
+    keys = [k for k, _ in got]
+    assert len(set(keys)) == len(keys), "duplicate hypothesis rows"
+    assert set(keys) == set(ref)
+    for key, w in got:
+        assert abs(w - ref[key]) <= 1e-12 * ref[key], (key, w, ref[key])
+
+
+@st.composite
+def scenarios(draw):
+    """Small random models and scans, biased toward the edge cases of the join."""
+    counts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+    counts.append(draw(st.integers(1, 3)))
+    values = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    scans = []
+    for t, c in enumerate(counts):
+        scan_values = draw(st.lists(values, min_size=c, max_size=c, unique=True))
+        scans.append([obs(t, k, v) for k, v in enumerate(scan_values)])
+    # p_d = 1 with p_s = 1 gives tracks whose miss mass is 0.
+    p_d, p_s = draw(st.sampled_from([(1.0, 1.0), (0.6, 0.8), (0.9, 1.0)]))
+    p_fa = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    card = np.array(draw(st.lists(st.sampled_from([0.0, 0.2, 0.5]), min_size=1, max_size=3)))
+    card[0] += card.sum() == 0.0
+    gate_threshold = draw(st.sampled_from([None, 1.0, 6.0]))
+    sensor = sensor_1d(p_d=p_d, p_fa=p_fa)
+    return scans, motion_1d(p_s=p_s, q=0.3), sensor, birth_1d(card / card.sum()), gate_threshold
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scenarios())
+def test_update_matches_reference_enumeration(scenario):
+    scans, motion, sensor, birth, gate_threshold = scenario
+    gate = None if gate_threshold is None else make_gate(sensor, gate_threshold)
+    state = init_filter()
+    for scan in scans:
+        state = predict(state, motion)
+        ref = reference_update(state, scan, birth, sensor, gate)
+        if not ref:
+            with pytest.raises(DegenerateUpdateError):
+                update(state, scan, birth, sensor, gate=gate)
+            return
+        state = update(state, scan, birth, sensor, gate=gate)
+        assert_matches_reference(state, ref)
+
+
+def test_zero_factor_rows_are_kept():
+    # p_fa = 0 with a zero in the birth cardinality: most children have
+    # weight 0 but a defined posterior, so they stay in the table.
+    birth = birth_1d([0.3, 0.4, 0.3])
+    sensor = sensor_1d(p_d=0.8, p_fa=0.0)
+    motion = motion_1d(p_s=0.9, q=0.2)
+    state = init_filter()
+    for t, values in enumerate([[0.5, -1.0], [0.7, -0.8]]):
+        state = predict(state, motion)
+        ref = reference_update(state, [obs(t, k, v) for k, v in enumerate(values)], birth, sensor)
+        state = update(state, [obs(t, k, v) for k, v in enumerate(values)], birth, sensor)
+        assert_matches_reference(state, ref)
+    weights = [h.weight for h in state.hypotheses]
+    assert len(weights) == 34
+    assert sum(w == 0.0 for w in weights) == 27
+
+
+def test_more_observations_than_one_mask_word():
+    # Two tracks near observations 64 and 66 of a 70-observation scan; the
+    # narrow gate keeps the reference enumeration small while detections,
+    # births and their conflicts cross the 64-bit word boundary.
+    sensor = sensor_1d(p_d=0.8, p_fa=0.2, r=0.05)
+    motion = motion_1d(p_s=0.95, q=0.01)
+    gate = make_gate(sensor, 9.0)
+    state = update(
+        predict(init_filter(), motion),
+        [obs(0, 0, 7.5), obs(0, 1, 8.0)],
+        birth_1d([0.4, 0.3, 0.3]),
+        sensor,
+        gate=gate,
+    )
+    assert any(len(h.tracks) == 2 for h in state.hypotheses)
+    state = predict(state, motion)
+    scan = [obs(1, k, 0.25 * k - 8.5) for k in range(70)]
+    birth = birth_1d([0.6, 0.4])
+    ref = reference_update(state, scan, birth, sensor, gate)
+    state = update(state, scan, birth, sensor, gate=gate)
+    assert_matches_reference(state, ref)
+    late = {(1, k) for k in range(64, 70)}
+    assert any(p.detections[-1] in late and p.birth_scan == 0 for p in state.tracks)
+    assert any(p.detections[0] in late and p.birth_scan == 1 for p in state.tracks)
+
+
+P1 = ObservationPath(0, ((0, 0),))
+P2 = ObservationPath(0, ((0, 1),))
+
+
+def tracks_of(*paths):
+    return {p: Track(p, unit_dist(), False) for p in paths}
+
+
+class TestBoundary:
+    def test_unknown_track_rejected(self):
+        with pytest.raises(ValueError, match="missing"):
+            FilterState(0, tracks_of(P1), [Hypothesis((P2,), 1.0)])
+
+    def test_repeated_track_rejected(self):
+        with pytest.raises(ValueError, match="repeats"):
+            FilterState(0, tracks_of(P1), [Hypothesis((P1, P1), 1.0)])
+
+    def test_non_canonical_order_rejected(self):
+        with pytest.raises(ValueError, match="canonical order"):
+            FilterState(0, tracks_of(P1, P2), [Hypothesis((P2, P1), 1.0)])
+
+    def test_table_layout_and_view(self):
+        hypotheses = [Hypothesis((P1, P2), 0.5), Hypothesis((), 0.2), Hypothesis((P2,), 0.3)]
+        state = FilterState(3, tracks_of(P2, P1), hypotheses)
+        assert list(state.tracks) == [P1, P2]
+        assert state.indptr.tolist() == [0, 2, 2, 3]
+        assert state.indices.tolist() == [0, 1, 1]
+        assert state.weights.tolist() == [0.5, 0.2, 0.3]
+        assert not state.weights.flags.writeable
+        view = state.hypotheses
+        assert len(view) == 3
+        assert view[-1] == Hypothesis((P2,), 0.3)
+        assert list(view) == [view[0], view[1], view[2]]
+        rebuilt = FilterState(state.scan, state.tracks, view)
+        assert np.array_equal(rebuilt.indices, state.indices)
