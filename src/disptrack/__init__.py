@@ -47,7 +47,6 @@ from .approximations import (
     DEFAULT_PIPELINE,
     apply_pipeline,
     cap_counts,
-    gate,
     make_gate,
     merge_tracks,
     prune_by_existence,
@@ -106,7 +105,6 @@ __all__ = [
     "DEFAULT_PIPELINE",
     "apply_pipeline",
     "cap_counts",
-    "gate",
     "make_gate",
     "merge_tracks",
     "prune_by_existence",

@@ -12,6 +12,7 @@ sum back to one at the next update.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from .models import (
     SensorModel,
     moment_match,
     tidy_mixture,
+    _innovation,
 )
 
 
@@ -50,16 +52,18 @@ class ApproximationConfig:
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("max_tracks", "max_hypotheses"):
+        for name, low in (("max_tracks", 1), ("max_hypotheses", 1), ("birth_cap", 0)):
             v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+            if v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < low:
+                raise ValueError(f"{name} must be >= {low}, got {v}")
         for name in ("gate_threshold", "merge_threshold"):
             v = getattr(self, name)
             if v is not None and v < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
-        if self.birth_cap is not None and self.birth_cap < 0:
-            raise ValueError(f"birth_cap must be >= 0, got {self.birth_cap}")
 
 
 # Documented defaults for running all passes together: conservative
@@ -159,32 +163,18 @@ def cap_counts(
 
 def mahalanobis_sq(dist: AugmentedDistribution, obs: Observation, sensor: SensorModel) -> float:
     """Smallest squared Mahalanobis distance of ``obs`` over the mixture components."""
-    z = obs.value
     best = math.inf
     for c in dist.spatial:
-        S = sensor.H @ c.cov @ sensor.H.T + sensor.R
-        diff = z - sensor.H @ c.mean
-        d2 = float(diff @ np.linalg.solve(S, diff))
-        if d2 < best:
-            best = d2
+        S, resid = _innovation(c, obs.value, sensor)
+        best = min(best, float(resid @ np.linalg.solve(S, resid)))
     return best
 
 
-def gate(dist: AugmentedDistribution, obs: Observation, sensor: SensorModel) -> bool:
-    """Keep the pairing iff the observation falls inside the sensor gate."""
-    if sensor.gate_threshold is None:
-        raise ValueError("sensor.gate_threshold is not configured")
-    return mahalanobis_sq(dist, obs, sensor) <= sensor.gate_threshold
-
-
-def make_gate(sensor: SensorModel, threshold: float | None = None):
+def make_gate(sensor: SensorModel, threshold: float):
     """Build the gate predicate used by the update for tracks and births alike."""
-    thr = sensor.gate_threshold if threshold is None else threshold
-    if thr is None:
-        raise ValueError("no gate threshold configured")
 
     def _gate(dist: AugmentedDistribution, obs: Observation) -> bool:
-        return mahalanobis_sq(dist, obs, sensor) <= thr
+        return mahalanobis_sq(dist, obs, sensor) <= threshold
 
     return _gate
 
@@ -196,10 +186,9 @@ def _merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float) -> Track:
     else:
         wa = wb = 0.5
     presence = min(1.0, max(0.0, wa * a.dist.presence + wb * b.dist.presence))
-    comps = [GaussianComponent(wa * c.weight, c.mean, c.cov) for c in a.dist.spatial]
-    comps += [GaussianComponent(wb * c.weight, c.mean, c.cov) for c in b.dist.spatial]
-    spatial = tidy_mixture(comps) if comps else ()
-    return Track(a.path, AugmentedDistribution(presence, spatial), a.displayed)
+    comps = [(wa * c.weight, c.mean, c.cov) for c in a.dist.spatial]
+    comps += [(wb * c.weight, c.mean, c.cov) for c in b.dist.spatial]
+    return Track(a.path, AugmentedDistribution(presence, tidy_mixture(comps)), a.displayed)
 
 
 def _cooccurrence(state: FilterState) -> np.ndarray:

@@ -104,17 +104,13 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"F is {motion.dim}-dimensional but the state space is {space.dim}")
 
         sensor_raw = _block(raw, "sensor")
-        _reject_unknown(sensor_raw, {"H", "R", "p_d", "p_fa", "gate_threshold"}, "sensor")
+        _reject_unknown(sensor_raw, {"H", "R", "p_d", "p_fa"}, "sensor")
         _require(sensor_raw, {"H", "R", "p_d", "p_fa"}, "sensor")
         sensor = SensorModel(
             np.asarray(sensor_raw["H"], dtype=float),
             np.asarray(sensor_raw["R"], dtype=float),
             float(sensor_raw["p_d"]),
             float(sensor_raw["p_fa"]),
-            gate_threshold=(
-                None if sensor_raw.get("gate_threshold") is None
-                else float(sensor_raw["gate_threshold"])
-            ),
         )
         if sensor.state_dim != space.dim:
             raise ConfigError(

@@ -5,6 +5,13 @@ an :class:`AugmentedDistribution`: a scalar probability of presence plus a
 normalized Gaussian-mixture spatial density over the in-scene state space.
 The absent state is never materialized as a vector; all linear algebra stays
 on the in-scene space and absence is carried by the presence complement.
+
+Every innovation (S = H P H' + R and the residual z - H m of one component)
+comes from one helper, shared by the gate, the predictive likelihood and the
+Kalman update. S is factorised with a Cholesky decomposition wherever a
+density is needed; no explicit inverse is formed. Components built from
+derived quantities go through :func:`tidy_mixture`, which constructs each
+one exactly once.
 """
 
 from __future__ import annotations
@@ -194,7 +201,6 @@ class SensorModel:
     R: np.ndarray
     p_d: DetectionProbability
     p_fa: float
-    gate_threshold: float | None = None
 
     def __post_init__(self):
         H = _as_matrix(self.H, "H")
@@ -209,8 +215,6 @@ class SensorModel:
         p_fa = float(self.p_fa)
         if not 0.0 <= p_fa < 1.0:
             raise ModelConfigError(f"p_fa must lie in [0, 1), got {p_fa}")
-        if self.gate_threshold is not None and self.gate_threshold < 0.0:
-            raise ModelConfigError("gate_threshold must be nonnegative")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "p_fa", p_fa)
@@ -281,10 +285,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def innovation_cov(component: GaussianComponent, sensor: SensorModel) -> np.ndarray:
-    """Predicted observation covariance H P H' + R for one component."""
+def _innovation(
+    comp: GaussianComponent, z: np.ndarray, sensor: SensorModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Innovation covariance S = H P H' + R and residual z - H m of one component.
+
+    S is left as computed: the Cholesky factorisation reads one triangle
+    only, and a general solve does not need symmetry.
+    """
     H = sensor.H
-    return symmetrize(H @ component.cov @ H.T + sensor.R)
+    return H @ comp.cov @ H.T + sensor.R, z - H @ comp.mean
+
+
+def _log_gauss(chol: np.ndarray, white: np.ndarray) -> float:
+    """log N(r; 0, S) from the Cholesky factor L of S and the whitened residual L^-1 r."""
+    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+    return -0.5 * (white.shape[0] * LOG_2PI + logdet + float(white @ white))
 
 
 def log_predictive_likelihood(
@@ -292,17 +308,17 @@ def log_predictive_likelihood(
 ) -> float:
     """Log of the detection predictive mass, -inf when structurally zero.
 
-    Log-domain counterpart of :func:`predictive_likelihood`; the association
-    machinery uses this form so that products of many small likelihoods do
-    not underflow.
+    The log of presence * sum_i w_i * p_d(m_i) * N(z; H m_i, H P_i H' + R),
+    so that products of many small likelihoods do not underflow; -inf
+    whenever presence is zero (an absent target produces nothing).
     """
-    if dist.presence <= 0.0:
-        return -math.inf
     z = obs.value
     if z.shape[0] != sensor.obs_dim:
         raise ModelConfigError(
             f"observation dim {z.shape[0]} does not match sensor output dim {sensor.obs_dim}"
         )
+    if dist.presence <= 0.0:
+        return -math.inf
     if dist.dim != sensor.state_dim:
         raise ModelConfigError(
             f"state dim {dist.dim} does not match sensor input dim {sensor.state_dim}"
@@ -312,41 +328,21 @@ def log_predictive_likelihood(
         pd = sensor.detection_probability(comp.mean)
         if comp.weight <= 0.0 or pd <= 0.0:
             continue
-        S = innovation_cov(comp, sensor)
-        terms.append(math.log(comp.weight) + math.log(pd) + _gauss_logpdf(z, sensor.H @ comp.mean, S))
+        S, resid = _innovation(comp, z, sensor)
+        chol = np.linalg.cholesky(S)
+        white = np.linalg.solve(chol, resid)
+        terms.append(math.log(comp.weight) + math.log(pd) + _log_gauss(chol, white))
     if not terms:
         return -math.inf
     m = max(terms)
     return math.log(dist.presence) + m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
 
-def _gauss_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    d = x.shape[0]
-    chol = np.linalg.cholesky(cov)
-    diff = x - mean
-    sol = np.linalg.solve(chol, diff)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (d * LOG_2PI + logdet + float(sol @ sol))
-
-
 def predictive_likelihood(
     dist: AugmentedDistribution, obs: Observation, sensor: SensorModel
 ) -> float:
-    """Predictive mass of observing ``obs`` from a target described by ``dist``.
-
-    Returns presence * sum_i w_i * p_d(m_i) * N(z; H m_i, H P_i H' + R);
-    zero whenever presence is zero (an absent target produces nothing).
-    """
-    if dist.presence <= 0.0:
-        # Still validate dimensions so misconfiguration surfaces early.
-        if obs.value.shape[0] != sensor.obs_dim:
-            raise ModelConfigError(
-                f"observation dim {obs.value.shape[0]} does not match sensor "
-                f"output dim {sensor.obs_dim}"
-            )
-        return 0.0
-    lw = log_predictive_likelihood(dist, obs, sensor)
-    return 0.0 if lw == -math.inf else math.exp(lw)
+    """Predictive mass of observing ``obs``: exp of :func:`log_predictive_likelihood`."""
+    return math.exp(log_predictive_likelihood(dist, obs, sensor))
 
 
 def missdetection_mass(dist: AugmentedDistribution, sensor: SensorModel) -> float:
@@ -389,16 +385,20 @@ def moment_match(components: Sequence[GaussianComponent]) -> GaussianComponent:
 
 
 def tidy_mixture(
-    components: Sequence[GaussianComponent],
+    components: Sequence[tuple[float, np.ndarray, np.ndarray]],
     max_components: int = DEFAULT_MAX_COMPONENTS,
 ) -> tuple[GaussianComponent, ...]:
-    """Apply mixture hygiene: drop floor-weight components, cap count, renormalize."""
-    comps = [c for c in components if c.weight > WEIGHT_FLOOR]
+    """Build a mixture from raw ``(weight, mean, cov)`` triples, one component each.
+
+    Mixture hygiene on the way: floor-weight triples are dropped, the count
+    is capped by lowest-weight drop, and the weights are renormalized.
+    """
+    comps = [c for c in components if c[0] > WEIGHT_FLOOR]
     if not comps:
         # Keep the single heaviest component rather than returning nothing.
-        comps = [max(components, key=lambda c: c.weight)]
+        comps = [max(components, key=lambda c: c[0])]
     if len(comps) > max_components:
-        comps.sort(key=lambda c: c.weight, reverse=True)
+        comps.sort(key=lambda c: c[0], reverse=True)
         comps = comps[:max_components]
-    total = math.fsum(c.weight for c in comps)
-    return tuple(GaussianComponent(c.weight / total, c.mean, c.cov) for c in comps)
+    total = math.fsum(w for w, _, _ in comps)
+    return tuple(GaussianComponent(w / total, mean, cov) for w, mean, cov in comps)

@@ -50,11 +50,8 @@ def filter_scans(
 ) -> tuple[RunReport, FilterState]:
     """Run the filter over pre-collected observation scans."""
     gate = None
-    gate_threshold = cfg.approx.gate_threshold
-    if gate_threshold is None:
-        gate_threshold = cfg.sensor.gate_threshold
-    if gate_threshold is not None:
-        gate = make_gate(cfg.sensor, gate_threshold)
+    if cfg.approx.gate_threshold is not None:
+        gate = make_gate(cfg.sensor, cfg.approx.gate_threshold)
 
     state = init_filter()
     records: list[ScanRecord] = []

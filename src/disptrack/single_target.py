@@ -7,9 +7,11 @@ Two operations act on :class:`~disptrack.models.AugmentedDistribution`:
   component moves through the linear-Gaussian in-scene kernel.
 * :func:`update_distribution` conditions on one observation outcome, either
   a concrete detection or :data:`MISSED`. Detection pins presence to one
-  and applies a per-component Kalman update; a miss shrinks presence by the
-  closed-form posterior odds and (for constant detection probability)
-  leaves the spatial part untouched.
+  and applies a per-component Kalman update in factorised form (one
+  Cholesky factor of the innovation covariance gives the gain, the
+  posterior covariance and the component's density alike); a miss shrinks
+  presence by the closed-form posterior odds and, for constant detection
+  probability, returns the spatial mixture itself, untouched.
 
 :func:`birth_posterior` is the detection update applied to the shared
 appearing-target prior, producing a newborn track distribution with
@@ -34,7 +36,8 @@ from .models import (
     SensorModel,
     symmetrize,
     tidy_mixture,
-    _gauss_logpdf,
+    _innovation,
+    _log_gauss,
 )
 
 
@@ -76,38 +79,35 @@ def _kalman_posterior(
 ) -> tuple[GaussianComponent, ...]:
     """Per-component conjugate update, weights rescaled by predictive density.
 
+    With L the Cholesky factor of S, one solve against L gives the
+    whitened residual w = L^-1 (z - H m) and G = L^-1 H P; the posterior is
+    m + G'w with covariance P - G'G, and w and diag(L) give the density.
     Component weights are renormalized in log domain so that far-away
     observations cannot underflow the whole mixture to zero.
     """
     z = obs.value
-    H, R = sensor.H, sensor.R
-    updated: list[tuple[float, np.ndarray, np.ndarray]] = []
     log_weights: list[float] = []
+    moments: list[tuple[np.ndarray, np.ndarray]] = []
     for c in spatial:
         pd = sensor.detection_probability(c.mean)
-        S = symmetrize(H @ c.cov @ H.T + R)
-        K = c.cov @ H.T @ np.linalg.inv(S)
-        mean = c.mean + K @ (z - H @ c.mean)
-        cov = symmetrize((np.eye(c.dim) - K @ H) @ c.cov)
         if c.weight <= 0.0 or pd <= 0.0:
-            lw = -math.inf
-        else:
-            lw = math.log(c.weight) + math.log(pd) + _gauss_logpdf(z, H @ c.mean, S)
-        updated.append((lw, mean, cov))
-        log_weights.append(lw)
-    m = max(log_weights)
-    if m == -math.inf:
+            continue
+        S, resid = _innovation(c, z, sensor)
+        chol = np.linalg.cholesky(S)
+        sol = np.linalg.solve(chol, np.concatenate((resid[:, None], sensor.H @ c.cov), axis=1))
+        white, G = sol[:, 0], sol[:, 1:]
+        log_weights.append(math.log(c.weight) + math.log(pd) + _log_gauss(chol, white))
+        moments.append((c.mean + G.T @ white, symmetrize(c.cov - G.T @ G)))
+    if not log_weights:
         raise AssociationImpossibleError(
             "detection has zero probability under every mixture component"
         )
+    m = max(log_weights)
     rel = [math.exp(lw - m) for lw in log_weights]
     total = math.fsum(rel)
-    comps = tuple(
-        GaussianComponent(r / total, mean, cov)
-        for r, (lw, mean, cov) in zip(rel, updated)
-        if r / total > 0.0
+    return tidy_mixture(
+        [(r / total, mean, cov) for r, (mean, cov) in zip(rel, moments)], max_components
     )
-    return tidy_mixture(comps, max_components)
 
 
 def update_distribution(
@@ -121,8 +121,8 @@ def update_distribution(
     Detection: presence bursts to exactly 1 (only in-scene targets can be
     detected) and the spatial mixture gets a per-component Kalman update.
     Miss: presence becomes q(1-p_d) / (1-q + q(1-p_d)) and the spatial part
-    is reweighted by the per-component miss probability (unchanged when the
-    detection probability is constant).
+    is reweighted by the per-component miss probability (returned as is when
+    the detection probability is constant).
 
     Raises :class:`AssociationImpossibleError` when the conditioning event
     has zero probability (detecting an absent target, or missing a surely
@@ -148,8 +148,9 @@ def _miss_update(dist: AugmentedDistribution, sensor: SensorModel) -> AugmentedD
             "miss-detection has zero probability: target is present and detected almost surely"
         )
     presence = in_scene_miss / denom
-    if presence <= 0.0:
-        return AugmentedDistribution(0.0, dist.spatial)
+    if presence <= 0.0 or not callable(sensor.p_d):
+        # A constant detection probability scales every component alike.
+        return AugmentedDistribution(presence, dist.spatial)
     total = math.fsum(miss_terms)
     spatial = tuple(
         GaussianComponent(t / total, c.mean, c.cov)

@@ -38,9 +38,8 @@ def motion_1d(p_s: float = 1.0, f: float = 1.0, q: float = 0.0) -> MotionModel:
     return MotionModel(np.array([[f]]), np.array([[q]]), p_s)
 
 
-def sensor_1d(p_d: float = 1.0, p_fa: float = 0.0, r: float = 1.0, h: float = 1.0,
-              gate_threshold: float | None = None) -> SensorModel:
-    return SensorModel(np.array([[h]]), np.array([[r]]), p_d, p_fa, gate_threshold)
+def sensor_1d(p_d: float = 1.0, p_fa: float = 0.0, r: float = 1.0, h: float = 1.0) -> SensorModel:
+    return SensorModel(np.array([[h]]), np.array([[r]]), p_d, p_fa)
 
 
 def birth_1d(cardinality, mean: float = 0.0, var: float = 10.0) -> BirthModel:

@@ -13,7 +13,6 @@ from disptrack import (
     Track,
     apply_pipeline,
     cap_counts,
-    gate,
     is_consistent,
     make_gate,
     merge_tracks,
@@ -169,23 +168,15 @@ class TestCapCounts:
 
 class TestGate:
     def test_exact_match_kept(self):
-        s = sensor_1d(gate_threshold=0.0)
-        assert gate(unit_dist(), obs(0, 0, 0.0), s)
+        assert make_gate(sensor_1d(), 0.0)(unit_dist(), obs(0, 0, 0.0))
 
     def test_infinite_threshold_keeps_everything(self):
-        s = sensor_1d(gate_threshold=math.inf)
-        assert gate(unit_dist(), obs(0, 0, 1e6), s)
+        assert make_gate(sensor_1d(), math.inf)(unit_dist(), obs(0, 0, 1e6))
 
     def test_hand_computed_distance(self):
         # 1-D, S = P + R = 2, innovation 4: d2 = 16 / 2 = 8 <= 9.21.
-        s = sensor_1d(gate_threshold=9.21)
-        assert gate(unit_dist(1.0, 0.0, 1.0), obs(0, 0, 4.0), s)
-        s_tight = sensor_1d(gate_threshold=7.9)
-        assert not gate(unit_dist(1.0, 0.0, 1.0), obs(0, 0, 4.0), s_tight)
-
-    def test_unconfigured_gate_raises(self):
-        with pytest.raises(ValueError):
-            gate(unit_dist(), obs(0, 0, 0.0), sensor_1d())
+        assert make_gate(sensor_1d(), 9.21)(unit_dist(1.0, 0.0, 1.0), obs(0, 0, 4.0))
+        assert not make_gate(sensor_1d(), 7.9)(unit_dist(1.0, 0.0, 1.0), obs(0, 0, 4.0))
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(5)

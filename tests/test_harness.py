@@ -85,6 +85,19 @@ class TestConfig:
         bad = base_config(**{"model.Q": [[-1.0]]})
         with pytest.raises(ConfigError):
             load_config(bad)
+        # Caps slice arrays: a non-integral or boolean cap must fail at load
+        # time, not mid-run.
+        for key, value in [
+            ("max_tracks", 2.5),
+            ("max_hypotheses", 2.5),
+            ("birth_cap", 1.5),
+            ("max_tracks", True),
+            ("birth_cap", False),
+        ]:
+            bad = base_config()
+            bad["approx"][key] = value
+            with pytest.raises(ConfigError):
+                load_config(bad)
 
     def test_birth_cap_truncates_support(self):
         cfg = load_config(

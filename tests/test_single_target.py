@@ -11,15 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, norm
 
 from disptrack import (
     AssociationImpossibleError,
+    AugmentedDistribution,
+    BirthModel,
+    GaussianComponent,
     MISSED,
+    MotionModel,
+    Observation,
+    SensorModel,
     birth_posterior,
+    make_gate,
     predict_distribution,
     update_distribution,
 )
+from disptrack.approximations import mahalanobis_sq
+from disptrack.models import log_predictive_likelihood
 
 from helpers import birth_1d, dist, motion_1d, obs, sensor_1d, unit_dist
 
@@ -87,8 +96,6 @@ class TestUpdateDetection:
         assert c.cov[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_presence_detection_rejected(self):
-        from disptrack import AugmentedDistribution
-
         with pytest.raises(AssociationImpossibleError):
             update_distribution(
                 AugmentedDistribution(0.0, unit_dist().spatial), obs(0, 0, 0.0), sensor_1d()
@@ -122,9 +129,11 @@ class TestUpdateMiss:
     def test_spatial_unchanged_for_constant_pd(self):
         d = dist(0.9, (0.3, -1.0, 0.5), (0.7, 1.5, 2.0))
         out = update_distribution(d, MISSED, sensor_1d(p_d=0.4))
+        assert len(out.spatial) == len(d.spatial)
         for before, after in zip(d.spatial, out.spatial):
-            assert after.weight == pytest.approx(before.weight, abs=1e-15)
-            assert after.mean[0] == before.mean[0]
+            assert after.weight == before.weight
+            assert np.array_equal(after.mean, before.mean)
+            assert np.array_equal(after.cov, before.cov)
 
     def test_miss_is_idempotent_on_spatial(self):
         d = dist(0.8, (0.25, 0.0, 1.0), (0.75, 4.0, 2.0))
@@ -169,9 +178,112 @@ class TestBirthPosterior:
         assert c.cov[0, 0] == pytest.approx(100.0 / 101.0, abs=1e-9)
 
     def test_symmetric_mixture_symmetric_posterior(self):
-        from disptrack import AugmentedDistribution, BirthModel
-
         spatial = dist(1.0, (0.5, -2.0, 1.0), (0.5, 2.0, 1.0))
         birth = BirthModel([0.5, 0.5], spatial)
         out = birth_posterior(birth, obs(0, 0, 0.0), sensor_1d())
         assert out.spatial[0].weight == pytest.approx(out.spatial[1].weight, abs=1e-12)
+
+
+# Constant-velocity model of demos/configs/cluttered.json: 4-D state
+# (position, velocity), 2-D position observation.
+CV_F = np.array(
+    [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+)
+CV_Q = np.array(
+    [[0.01, 0.0, 0.01, 0.0], [0.0, 0.01, 0.0, 0.01], [0.01, 0.0, 0.02, 0.0], [0.0, 0.01, 0.0, 0.02]]
+)
+
+
+class TestFourDimensional:
+    """4-D state, 2-D observation, non-diagonal H, R and P.
+
+    Checked against the textbook formulas, written with an explicit inverse
+    and scipy's multivariate normal, so that a transposed gain or a
+    mis-ordered product cannot pass.
+    """
+
+    H = np.array([[1.0, 0.2, 0.5, 0.0], [-0.3, 1.0, 0.0, 0.4]])
+    R = np.array([[0.5, 0.2], [0.2, 0.8]])
+    P_D = 0.8
+
+    def _setup(self):
+        rng = np.random.default_rng(11)
+        comps = []
+        for weight in (0.35, 0.65):
+            a = rng.normal(size=(4, 4))
+            comps.append(GaussianComponent(weight, rng.normal(size=4), a @ a.T + 0.5 * np.eye(4)))
+        d = AugmentedDistribution(0.7, tuple(comps))
+        sensor = SensorModel(self.H, self.R, self.P_D, 0.1)
+        z = Observation((0, 0), np.array([0.4, -0.9]))
+        return d, sensor, z
+
+    def _textbook(self, d, z):
+        H, R, zv = self.H, self.R, z.value
+        out = []
+        for c in d.spatial:
+            S = H @ c.cov @ H.T + R
+            S_inv = np.linalg.inv(S)
+            K = c.cov @ H.T @ S_inv
+            resid = zv - H @ c.mean
+            out.append(
+                {
+                    "lik": c.weight * self.P_D * multivariate_normal.pdf(zv, H @ c.mean, S),
+                    "d2": float(resid @ S_inv @ resid),
+                    "mean": c.mean + K @ resid,
+                    "cov": (np.eye(4) - K @ H) @ c.cov,
+                }
+            )
+        return out
+
+    def test_log_predictive_likelihood(self):
+        d, sensor, z = self._setup()
+        expected = math.log(d.presence * sum(t["lik"] for t in self._textbook(d, z)))
+        assert log_predictive_likelihood(d, z, sensor) == pytest.approx(expected, abs=1e-10)
+
+    def test_gate_distance(self):
+        d, sensor, z = self._setup()
+        expected = min(t["d2"] for t in self._textbook(d, z))
+        assert mahalanobis_sq(d, z, sensor) == pytest.approx(expected, rel=1e-10)
+        assert make_gate(sensor, expected * (1 + 1e-9))(d, z)
+        assert not make_gate(sensor, expected * (1 - 1e-9))(d, z)
+
+    def test_update_distribution(self):
+        d, sensor, z = self._setup()
+        ref = self._textbook(d, z)
+        total = sum(t["lik"] for t in ref)
+        out = update_distribution(d, z, sensor)
+        assert out.presence == 1.0
+        assert len(out.spatial) == len(ref)
+        for c, t in zip(out.spatial, ref):
+            assert c.weight == pytest.approx(t["lik"] / total, abs=1e-10)
+            np.testing.assert_allclose(c.mean, t["mean"], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(c.cov, t["cov"], rtol=0, atol=1e-10)
+
+
+def test_covariances_stay_positive_definite_over_long_runs():
+    # A nearly noiseless sensor drives P - G'G towards singularity in the
+    # observed directions; 1,000 scans with every fifth one a miss must keep
+    # every covariance exactly symmetric and positive definite.
+    rng = np.random.default_rng(3)
+    motion = MotionModel(CV_F, CV_Q, 0.99)
+    H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    sensor = SensorModel(H, 1e-6 * np.eye(2), 0.9, 0.0)
+    d = AugmentedDistribution(
+        1.0,
+        (
+            GaussianComponent(0.5, np.zeros(4), np.diag([25.0, 25.0, 0.25, 0.25])),
+            GaussianComponent(0.5, np.array([2.0, -2.0, 0.0, 0.0]), np.eye(4)),
+        ),
+    )
+    x = np.array([1.0, -1.0, 0.3, -0.2])
+    for t in range(1000):
+        x = CV_F @ x + rng.multivariate_normal(np.zeros(4), CV_Q)
+        d = predict_distribution(d, motion)
+        if t % 5 == 4:
+            d = update_distribution(d, MISSED, sensor)
+        else:
+            z = Observation((t, 0), H @ x + rng.normal(scale=1e-3, size=2))
+            d = update_distribution(d, z, sensor)
+        for c in d.spatial:
+            assert np.array_equal(c.cov, c.cov.T)
+            assert np.min(np.linalg.eigvalsh(c.cov)) > 0.0
