@@ -26,6 +26,7 @@ from .models import (
     SensorModel,
     moment_match,
     tidy_mixture,
+    _derived,
     _innovation,
 )
 
@@ -48,10 +49,16 @@ class ApproximationConfig:
     merge_threshold: float | None = None
 
     def __post_init__(self):
-        for name in ("presence_threshold", "track_existence_threshold", "hyp_existence_threshold"):
+        unit = ("presence_threshold", "track_existence_threshold", "hyp_existence_threshold")
+        for name in unit + ("gate_threshold", "merge_threshold"):
             v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            if v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or math.isnan(v):
+                raise ValueError(f"{name} must be a number, got {v!r}")
+            high = 1.0 if name in unit else math.inf
+            if not 0.0 <= v <= high:
+                raise ValueError(f"{name} must lie in [0, {high}], got {v}")
         for name, low in (("max_tracks", 1), ("max_hypotheses", 1), ("birth_cap", 0)):
             v = getattr(self, name)
             if v is None:
@@ -60,10 +67,6 @@ class ApproximationConfig:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
             if v < low:
                 raise ValueError(f"{name} must be >= {low}, got {v}")
-        for name in ("gate_threshold", "merge_threshold"):
-            v = getattr(self, name)
-            if v is not None and v < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
 
 
 # Documented defaults for running all passes together: conservative
@@ -188,7 +191,8 @@ def _merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float) -> Track:
     presence = min(1.0, max(0.0, wa * a.dist.presence + wb * b.dist.presence))
     comps = [(wa * c.weight, c.mean, c.cov) for c in a.dist.spatial]
     comps += [(wb * c.weight, c.mean, c.cov) for c in b.dist.spatial]
-    return Track(a.path, AugmentedDistribution(presence, tidy_mixture(comps)), a.displayed)
+    dist = _derived(AugmentedDistribution, presence, tidy_mixture(comps))
+    return Track(a.path, dist, a.displayed)
 
 
 def _cooccurrence(state: FilterState) -> np.ndarray:
@@ -263,7 +267,7 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
             held_with_b |= obs_mask[stands_for[p]]
         if held_with_b & obs_mask[a]:
             continue
-        merged[a] = _merged_track(tracks[a], tracks[b], alpha[a], alpha[b])
+        merged[a] = _merged_track(tracks[a], tracks[b], float(alpha[a]), float(alpha[b]))
         stands_for[b] = a
         consumed[a] = consumed[b] = True
     if not merged:

@@ -8,6 +8,8 @@ rejected so that typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -50,8 +52,8 @@ class ScenarioConfig:
             raise ConfigError(f"scans must be >= 1, got {self.scans}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        if self.clutter_rate < 0.0:
-            raise ConfigError(f"clutter_rate must be nonnegative, got {self.clutter_rate}")
+        if not 0.0 <= self.clutter_rate < math.inf:
+            raise ConfigError(f"clutter_rate must be finite and >= 0, got {self.clutter_rate}")
 
 
 def _block(raw: Mapping[str, Any], name: str, required: bool = True) -> dict:
@@ -77,6 +79,13 @@ def _require(block: Mapping[str, Any], keys: set[str], name: str) -> None:
         raise ConfigError(f"missing keys in '{name}': {sorted(missing)}")
 
 
+def _integer(block: Mapping[str, Any], key: str, name: str) -> int:
+    value = block[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig` from a JSON file path or a mapping."""
     if isinstance(source, (str, Path)):
@@ -94,7 +103,7 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
         model = _block(raw, "model")
         _reject_unknown(model, {"dim", "bounds", "F", "Q", "p_s"}, "model")
         _require(model, {"dim", "bounds", "F", "Q", "p_s"}, "model")
-        space = StateSpace(int(model["dim"]), np.asarray(model["bounds"], dtype=float))
+        space = StateSpace(_integer(model, "dim", "model"), np.asarray(model["bounds"], float))
         motion = MotionModel(
             np.asarray(model["F"], dtype=float),
             np.asarray(model["Q"], dtype=float),
@@ -192,8 +201,8 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
             birth=birth,
             approx=approx,
             extract=extract,
-            scans=int(sim["scans"]),
-            seed=int(sim["seed"]),
+            scans=_integer(sim, "scans", "sim"),
+            seed=_integer(sim, "seed", "sim"),
             clutter_rate=float(sim.get("clutter_rate", 0.0)),
         )
     except ConfigError:

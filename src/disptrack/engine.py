@@ -49,7 +49,6 @@ import numpy as np
 from .models import (
     AugmentedDistribution,
     BirthModel,
-    DEFAULT_MAX_COMPONENTS,
     ModelConfigError,
     Observation,
     ObsId,
@@ -427,7 +426,7 @@ def _extend(parts: _Partials, first: np.ndarray, count: np.ndarray, opts: _Optio
     return out, o
 
 
-def _child_options(state, obs, birth, sensor, gate, max_components):
+def _child_options(state, obs, birth, sensor, gate):
     """Per-track work: every candidate child track and the option that makes it.
 
     Returns the children in canonical path order (a child's id is its
@@ -435,57 +434,41 @@ def _child_options(state, obs, birth, sensor, gate, max_components):
     are ``ptr[t]:ptr[t + 1]`` and the newborns' are ``ptr[-2]:ptr[-1]``.
     """
     children: list[Track] = []
-    owner: list[int] = []  # track id; newborns use len(state.tracks)
-    consumed: list[int] = []  # observation index, -1 for a miss
-    logl: list[float] = []
-    for i, (path, tr) in enumerate(state.tracks.items()):
-        mass = missdetection_mass(tr.dist, sensor)
-        if mass > 0.0:
-            missed = update_distribution(tr.dist, MISSED, sensor, max_components)
-            children.append(Track(path, missed, tr.displayed))
-            owner.append(i)
-            consumed.append(-1)
-            logl.append(math.log(mass))
+    rows: list[tuple[int, int, float]] = []  # owner, observation index (-1: miss), log factor
+    # Existing tracks, then the appearing-target prior (``None``) as the last owner.
+    sources = list(state.tracks.values()) + ([None] if birth.max_births >= 1 else [])
+    for i, tr in enumerate(sources):
+        dist = birth.spatial if tr is None else tr.dist
+        if tr is not None:
+            mass = missdetection_mass(dist, sensor)
+            if mass > 0.0:
+                missed = update_distribution(dist, MISSED, sensor)
+                children.append(Track(tr.path, missed, tr.displayed))
+                rows.append((i, -1, math.log(mass)))
         for j, o in enumerate(obs):
-            if gate is not None and not gate(tr.dist, o):
+            if gate is not None and not gate(dist, o):
                 continue
-            lv = log_predictive_likelihood(tr.dist, o, sensor)
+            lv = log_predictive_likelihood(dist, o, sensor)
             if lv == NEG_INF:
                 continue
-            children.append(
-                Track(
-                    path.extended(o.id),
-                    update_distribution(tr.dist, o, sensor, max_components),
-                    tr.displayed,
-                )
-            )
-            owner.append(i)
-            consumed.append(j)
-            logl.append(lv)
-    if birth.max_births >= 1:
-        for j, o in enumerate(obs):
-            if gate is not None and not gate(birth.spatial, o):
-                continue
-            lv = log_predictive_likelihood(birth.spatial, o, sensor)
-            if lv == NEG_INF:
-                continue
-            children.append(
-                Track(newborn_path(o.id), birth_posterior(birth, o, sensor, max_components), False)
-            )
-            owner.append(len(state.tracks))
-            consumed.append(j)
-            logl.append(lv)
+            if tr is None:
+                children.append(Track(newborn_path(o.id), birth_posterior(birth, o, sensor), False))
+            else:
+                updated = update_distribution(dist, o, sensor)
+                children.append(Track(tr.path.extended(o.id), updated, tr.displayed))
+            rows.append((i, j, lv))
 
+    owner, consumed, logl = np.array(rows, dtype=float).reshape(-1, 3).T
     order = sorted(range(len(children)), key=lambda k: children[k].path)
     child = np.empty(len(children), dtype=ID_DTYPE)
     child[order] = np.arange(len(children), dtype=ID_DTYPE)
-    j = np.array(consumed, dtype=np.int64)
+    j = consumed.astype(np.int64)
     det = j >= 0
     bit = np.zeros(len(j), dtype=np.uint64)
     bit[det] = np.uint64(1) << (j[det] % _WORD_BITS).astype(np.uint64)
     word = np.maximum(j, 0) // _WORD_BITS
-    opts = _Options(child, np.array(logl, dtype=float), word, bit, det.astype(np.int64))
-    ptr = np.searchsorted(np.array(owner, dtype=np.int64), np.arange(len(state.tracks) + 2))
+    opts = _Options(child, logl, word, bit, det.astype(np.int64))
+    ptr = np.searchsorted(owner.astype(np.int64), np.arange(len(state.tracks) + 2))
     return [children[k] for k in order], opts, ptr
 
 
@@ -495,7 +478,6 @@ def update(
     birth: BirthModel,
     sensor: SensorModel,
     gate: DistGate | None = None,
-    max_components: int = DEFAULT_MAX_COMPONENTS,
 ) -> FilterState:
     """Bayes update of the track table and hypothesis set with one scan.
 
@@ -522,7 +504,7 @@ def update(
     if not (0.0 < prior_total <= 1.0 + 1e-6):
         raise ValueError(f"prior hypothesis weights must sum into (0, 1], got {prior_total}")
 
-    children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate, max_components)
+    children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate)
     n_opts = len(children)
 
     nz = len(obs)

@@ -9,9 +9,9 @@ on the in-scene space and absence is carried by the presence complement.
 Every innovation (S = H P H' + R and the residual z - H m of one component)
 comes from one helper, shared by the gate, the predictive likelihood and the
 Kalman update. S is factorised with a Cholesky decomposition wherever a
-density is needed; no explicit inverse is formed. Components built from
-derived quantities go through :func:`tidy_mixture`, which constructs each
-one exactly once.
+density is needed; no explicit inverse is formed. Inputs are validated
+once, at the boundary: by the model constructors and ``load_config``.
+Records derived from validated ones are built by :func:`_derived`, unchecked.
 """
 
 from __future__ import annotations
@@ -281,6 +281,16 @@ class Observation:
         object.__setattr__(self, "value", np.asarray(self.value, dtype=float).reshape(-1))
 
 
+def _derived(cls, *values):
+    """``cls(*values)`` unchecked, for records derived from validated ones.
+
+    The values must be in stored form: Python floats, float64 arrays, tuples.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return record
+
+
 def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
@@ -372,7 +382,7 @@ def moment_match(components: Sequence[GaussianComponent]) -> GaussianComponent:
         raise ValueError("moment_match requires positive total weight")
     if len(comps) == 1:
         c = comps[0]
-        return GaussianComponent(total, c.mean, c.cov)
+        return _derived(GaussianComponent, total, c.mean, c.cov)
     d = comps[0].dim
     mean = np.zeros(d)
     for c in comps:
@@ -381,24 +391,24 @@ def moment_match(components: Sequence[GaussianComponent]) -> GaussianComponent:
     for c in comps:
         dm = (c.mean - mean).reshape(-1, 1)
         cov += (c.weight / total) * (c.cov + dm @ dm.T)
-    return GaussianComponent(total, mean, symmetrize(cov))
+    return _derived(GaussianComponent, total, mean, symmetrize(cov))
 
 
 def tidy_mixture(
     components: Sequence[tuple[float, np.ndarray, np.ndarray]],
-    max_components: int = DEFAULT_MAX_COMPONENTS,
 ) -> tuple[GaussianComponent, ...]:
     """Build a mixture from raw ``(weight, mean, cov)`` triples, one component each.
 
     Mixture hygiene on the way: floor-weight triples are dropped, the count
-    is capped by lowest-weight drop, and the weights are renormalized.
+    is capped at ``DEFAULT_MAX_COMPONENTS`` by lowest-weight drop, and the
+    weights are renormalized.
     """
     comps = [c for c in components if c[0] > WEIGHT_FLOOR]
     if not comps:
         # Keep the single heaviest component rather than returning nothing.
         comps = [max(components, key=lambda c: c[0])]
-    if len(comps) > max_components:
+    if len(comps) > DEFAULT_MAX_COMPONENTS:
         comps.sort(key=lambda c: c[0], reverse=True)
-        comps = comps[:max_components]
+        comps = comps[:DEFAULT_MAX_COMPONENTS]
     total = math.fsum(w for w, _, _ in comps)
-    return tuple(GaussianComponent(w / total, mean, cov) for w, mean, cov in comps)
+    return tuple(_derived(GaussianComponent, w / total, mean, cov) for w, mean, cov in comps)

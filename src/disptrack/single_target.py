@@ -29,13 +29,13 @@ from .models import (
     AssociationImpossibleError,
     AugmentedDistribution,
     BirthModel,
-    DEFAULT_MAX_COMPONENTS,
     GaussianComponent,
     MotionModel,
     Observation,
     SensorModel,
     symmetrize,
     tidy_mixture,
+    _derived,
     _innovation,
     _log_gauss,
 )
@@ -65,19 +65,18 @@ def predict_distribution(dist: AugmentedDistribution, motion: MotionModel) -> Au
     q = dist.presence * motion.p_s
     F, Q = motion.F, motion.Q
     spatial = tuple(
-        GaussianComponent(c.weight, F @ c.mean, symmetrize(F @ c.cov @ F.T + Q))
+        _derived(GaussianComponent, c.weight, F @ c.mean, symmetrize(F @ c.cov @ F.T + Q))
         for c in dist.spatial
     )
-    return AugmentedDistribution(q, spatial)
+    return _derived(AugmentedDistribution, q, spatial)
 
 
 def _kalman_posterior(
     spatial: tuple[GaussianComponent, ...],
     obs: Observation,
     sensor: SensorModel,
-    max_components: int,
-) -> tuple[GaussianComponent, ...]:
-    """Per-component conjugate update, weights rescaled by predictive density.
+) -> AugmentedDistribution:
+    """Detected-target posterior: presence one, per-component conjugate update.
 
     With L the Cholesky factor of S, one solve against L gives the
     whitened residual w = L^-1 (z - H m) and G = L^-1 H P; the posterior is
@@ -105,16 +104,14 @@ def _kalman_posterior(
     m = max(log_weights)
     rel = [math.exp(lw - m) for lw in log_weights]
     total = math.fsum(rel)
-    return tidy_mixture(
-        [(r / total, mean, cov) for r, (mean, cov) in zip(rel, moments)], max_components
-    )
+    spatial = tidy_mixture([(r / total, mean, cov) for r, (mean, cov) in zip(rel, moments)])
+    return _derived(AugmentedDistribution, 1.0, spatial)
 
 
 def update_distribution(
     dist: AugmentedDistribution,
     obs: ObservationOrMissed,
     sensor: SensorModel,
-    max_components: int = DEFAULT_MAX_COMPONENTS,
 ) -> AugmentedDistribution:
     """Condition a predicted target distribution on one observation outcome.
 
@@ -132,8 +129,7 @@ def update_distribution(
         return _miss_update(dist, sensor)
     if dist.presence <= 0.0:
         raise AssociationImpossibleError("cannot detect a target with zero presence")
-    spatial = _kalman_posterior(dist.spatial, obs, sensor, max_components)
-    return AugmentedDistribution(1.0, spatial)
+    return _kalman_posterior(dist.spatial, obs, sensor)
 
 
 def _miss_update(dist: AugmentedDistribution, sensor: SensorModel) -> AugmentedDistribution:
@@ -150,21 +146,20 @@ def _miss_update(dist: AugmentedDistribution, sensor: SensorModel) -> AugmentedD
     presence = in_scene_miss / denom
     if presence <= 0.0 or not callable(sensor.p_d):
         # A constant detection probability scales every component alike.
-        return AugmentedDistribution(presence, dist.spatial)
+        return _derived(AugmentedDistribution, presence, dist.spatial)
     total = math.fsum(miss_terms)
     spatial = tuple(
-        GaussianComponent(t / total, c.mean, c.cov)
+        _derived(GaussianComponent, t / total, c.mean, c.cov)
         for t, c in zip(miss_terms, dist.spatial)
         if t > 0.0
     )
-    return AugmentedDistribution(presence, spatial)
+    return _derived(AugmentedDistribution, presence, spatial)
 
 
 def birth_posterior(
     birth: BirthModel,
     obs: Observation,
     sensor: SensorModel,
-    max_components: int = DEFAULT_MAX_COMPONENTS,
 ) -> AugmentedDistribution:
     """Posterior of a newly detected appearing target.
 
@@ -172,5 +167,4 @@ def birth_posterior(
     presence exactly one as well; the spatial part is the Kalman-updated
     birth mixture.
     """
-    spatial = _kalman_posterior(birth.spatial.spatial, obs, sensor, max_components)
-    return AugmentedDistribution(1.0, spatial)
+    return _kalman_posterior(birth.spatial.spatial, obs, sensor)

@@ -34,6 +34,23 @@ def unit_dist(presence: float = 1.0, mean: float = 0.0, var: float = 1.0) -> Aug
     return dist(presence, (1.0, mean, var))
 
 
+def rebuild_checked(d: AugmentedDistribution) -> AugmentedDistribution:
+    """Rebuild a derived distribution through the checked constructors.
+
+    The filter builds derived records without the constructors' checks; this
+    raises ``ModelConfigError`` wherever a check would have failed, and
+    asserts the derived values are in the form the checked constructors
+    store (so reports serialize alike either way).
+    """
+    assert type(d.presence) is float and type(d.spatial) is tuple
+    for c in d.spatial:
+        assert type(c.weight) is float
+        assert c.mean.dtype == np.float64 and c.mean.ndim == 1
+        assert c.cov.dtype == np.float64 and c.cov.ndim == 2
+    comps = tuple(GaussianComponent(c.weight, c.mean, c.cov) for c in d.spatial)
+    return AugmentedDistribution(d.presence, comps)
+
+
 def motion_1d(p_s: float = 1.0, f: float = 1.0, q: float = 0.0) -> MotionModel:
     return MotionModel(np.array([[f]]), np.array([[q]]), p_s)
 

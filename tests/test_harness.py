@@ -1,12 +1,17 @@
 """Configuration, simulation, the run loop, metrics and the CLI."""
 
+import dataclasses
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from disptrack import (
+    AugmentedDistribution,
     ConfigError,
+    GaussianComponent,
     GroundTruth,
     RunReport,
     ScanRecord,
@@ -16,9 +21,14 @@ from disptrack import (
     run,
     simulate,
 )
+from disptrack import runner
 from disptrack.cli import main as cli_main
 from disptrack.estimation import TrackEstimate
 from disptrack.runner import read_observations, report_jsonable
+
+from helpers import rebuild_checked
+
+CLUTTERED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "cluttered.json"
 
 
 def base_config(**overrides):
@@ -86,18 +96,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(bad)
         # Caps slice arrays: a non-integral or boolean cap must fail at load
-        # time, not mid-run.
-        for key, value in [
-            ("max_tracks", 2.5),
-            ("max_hypotheses", 2.5),
-            ("birth_cap", 1.5),
-            ("max_tracks", True),
-            ("birth_cap", False),
+        # time, not mid-run. A NaN threshold compares false everywhere (a NaN
+        # gate tracks nothing), a boolean one is no threshold, counts and
+        # seeds must be integers, and a NaN clutter rate breaks the simulator.
+        for block, key, value in [
+            ("approx", "max_tracks", 2.5),
+            ("approx", "max_hypotheses", 2.5),
+            ("approx", "birth_cap", 1.5),
+            ("approx", "max_tracks", True),
+            ("approx", "birth_cap", False),
+            ("approx", "gate_threshold", float("nan")),
+            ("approx", "merge_threshold", float("nan")),
+            ("approx", "hyp_existence_threshold", float("nan")),
+            ("approx", "presence_threshold", True),
+            ("approx", "gate_threshold", True),
+            ("sim", "scans", 2.5),
+            ("sim", "scans", True),
+            ("sim", "seed", 1.5),
+            ("sim", "seed", False),
+            ("model", "dim", 1.0),
+            ("model", "dim", True),
+            ("sim", "clutter_rate", float("nan")),
         ]:
             bad = base_config()
-            bad["approx"][key] = value
+            bad[block][key] = value
             with pytest.raises(ConfigError):
                 load_config(bad)
+
+    def test_infinite_gate_and_merge_thresholds_are_neutral_settings(self):
+        cfg = load_config(
+            base_config(approx={"gate_threshold": float("inf"), "merge_threshold": float("inf")})
+        )
+        assert cfg.approx.gate_threshold == cfg.approx.merge_threshold == float("inf")
 
     def test_birth_cap_truncates_support(self):
         cfg = load_config(
@@ -217,6 +247,36 @@ class TestRun:
         a = json.dumps(report_jsonable(run(cfg)[0]), sort_keys=True)
         b = json.dumps(report_jsonable(run(cfg)[0]), sort_keys=True)
         assert a == b
+
+
+def test_filter_builds_no_checked_records(monkeypatch):
+    # Models are validated once, at the boundary: after load_config, the
+    # filter derives every Gaussian component and distribution unchecked.
+    # Each derived one must still pass the checked constructors.
+    cfg = load_config(CLUTTERED)
+    scenes = [simulate(dataclasses.replace(cfg, seed=seed))[1] for seed in (0, 1)]
+    checks = Counter()
+    for cls in (GaussianComponent, AugmentedDistribution):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            checks[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    states = []
+    for name in ("predict", "update", "apply_pipeline"):
+        def recorded(*args, step=getattr(runner, name), **kwargs):
+            states.append(step(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(runner, name, recorded)
+    for scans in scenes:
+        runner.filter_scans(cfg, scans)
+    assert checks == Counter()
+    assert len(states) == 3 * sum(len(scans) for scans in scenes)
+    monkeypatch.undo()
+    for state in states:
+        for track in state.tracks.values():
+            rebuild_checked(track.dist)
 
 
 class TestMetrics:

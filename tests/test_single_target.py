@@ -30,7 +30,7 @@ from disptrack import (
 from disptrack.approximations import mahalanobis_sq
 from disptrack.models import log_predictive_likelihood
 
-from helpers import birth_1d, dist, motion_1d, obs, sensor_1d, unit_dist
+from helpers import birth_1d, dist, motion_1d, obs, rebuild_checked, sensor_1d, unit_dist
 
 
 def mixture_pdf(d, x: float) -> float:
@@ -155,6 +155,16 @@ class TestUpdateMiss:
         with pytest.raises(AssociationImpossibleError):
             update_distribution(unit_dist(1.0), MISSED, sensor_1d(p_d=1.0))
 
+    def test_state_dependent_pd_reweights_into_a_valid_mixture(self):
+        s = SensorModel(
+            np.array([[1.0]]), np.array([[1.0]]), p_d=lambda x: 0.9 if x[0] < 0 else 0.2, p_fa=0.0
+        )
+        d = dist(0.8, (0.5, -2.0, 1.0), (0.3, 2.0, 1.0), (0.2, 0.0, 0.5))
+        out = update_distribution(d, MISSED, s)
+        rebuild_checked(out)
+        miss = [0.5 * 0.1, 0.3 * 0.8, 0.2 * 0.8]
+        assert [c.weight for c in out.spatial] == pytest.approx([t / sum(miss) for t in miss])
+
     def test_presence_matches_quadrature(self):
         d = dist(0.83, (0.4, -0.5, 0.6), (0.6, 1.0, 1.4))
         p_d = 0.67
@@ -263,7 +273,8 @@ class TestFourDimensional:
 def test_covariances_stay_positive_definite_over_long_runs():
     # A nearly noiseless sensor drives P - G'G towards singularity in the
     # observed directions; 1,000 scans with every fifth one a miss must keep
-    # every covariance exactly symmetric and positive definite.
+    # every covariance exactly symmetric and positive definite, and every
+    # derived distribution must pass the checked constructors.
     rng = np.random.default_rng(3)
     motion = MotionModel(CV_F, CV_Q, 0.99)
     H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
@@ -279,11 +290,13 @@ def test_covariances_stay_positive_definite_over_long_runs():
     for t in range(1000):
         x = CV_F @ x + rng.multivariate_normal(np.zeros(4), CV_Q)
         d = predict_distribution(d, motion)
+        rebuild_checked(d)
         if t % 5 == 4:
             d = update_distribution(d, MISSED, sensor)
         else:
             z = Observation((t, 0), H @ x + rng.normal(scale=1e-3, size=2))
             d = update_distribution(d, z, sensor)
+        rebuild_checked(d)
         for c in d.spatial:
             assert np.array_equal(c.cov, c.cov.T)
             assert np.min(np.linalg.eigvalsh(c.cov)) > 0.0
