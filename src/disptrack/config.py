@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -86,6 +86,13 @@ def _integer(block: Mapping[str, Any], key: str, name: str) -> int:
     return int(value)
 
 
+def _number(block: Mapping[str, Any], key: str, name: str, default: float | None = None) -> float:
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig` from a JSON file path or a mapping."""
     if isinstance(source, (str, Path)):
@@ -107,7 +114,7 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
         motion = MotionModel(
             np.asarray(model["F"], dtype=float),
             np.asarray(model["Q"], dtype=float),
-            float(model["p_s"]),
+            _number(model, "p_s", "model"),
         )
         if motion.dim != space.dim:
             raise ConfigError(f"F is {motion.dim}-dimensional but the state space is {space.dim}")
@@ -118,8 +125,8 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
         sensor = SensorModel(
             np.asarray(sensor_raw["H"], dtype=float),
             np.asarray(sensor_raw["R"], dtype=float),
-            float(sensor_raw["p_d"]),
-            float(sensor_raw["p_fa"]),
+            _number(sensor_raw, "p_d", "sensor"),
+            _number(sensor_raw, "p_fa", "sensor"),
         )
         if sensor.state_dim != space.dim:
             raise ConfigError(
@@ -127,30 +134,8 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
             )
 
         approx_raw = _block(raw, "approx", required=False)
-        _reject_unknown(
-            approx_raw,
-            {
-                "presence_threshold",
-                "track_existence_threshold",
-                "hyp_existence_threshold",
-                "max_tracks",
-                "max_hypotheses",
-                "gate_threshold",
-                "birth_cap",
-                "merge_threshold",
-            },
-            "approx",
-        )
-        approx = ApproximationConfig(
-            presence_threshold=approx_raw.get("presence_threshold"),
-            track_existence_threshold=approx_raw.get("track_existence_threshold"),
-            hyp_existence_threshold=approx_raw.get("hyp_existence_threshold"),
-            max_tracks=approx_raw.get("max_tracks"),
-            max_hypotheses=approx_raw.get("max_hypotheses"),
-            gate_threshold=approx_raw.get("gate_threshold"),
-            birth_cap=approx_raw.get("birth_cap"),
-            merge_threshold=approx_raw.get("merge_threshold"),
-        )
+        _reject_unknown(approx_raw, {f.name for f in fields(ApproximationConfig)}, "approx")
+        approx = ApproximationConfig(**approx_raw)
 
         birth_raw = _block(raw, "birth")
         _reject_unknown(birth_raw, {"cardinality", "spatial"}, "birth")
@@ -170,7 +155,7 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
             _require(comp, {"weight", "mean", "cov"}, f"birth.spatial[{i}]")
             comps.append(
                 GaussianComponent(
-                    float(comp["weight"]),
+                    _number(comp, "weight", f"birth.spatial[{i}]"),
                     np.asarray(comp["mean"], dtype=float),
                     np.asarray(comp["cov"], dtype=float),
                 )
@@ -180,16 +165,8 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
             raise ConfigError("birth mixture dimension does not match the state space")
 
         extract_raw = _block(raw, "extract", required=False)
-        _reject_unknown(
-            extract_raw,
-            {"confirm_threshold", "deconfirm_threshold", "presence_display_floor"},
-            "extract",
-        )
-        extract = ExtractionConfig(
-            confirm_threshold=float(extract_raw.get("confirm_threshold", 0.98)),
-            deconfirm_threshold=float(extract_raw.get("deconfirm_threshold", 0.90)),
-            presence_display_floor=float(extract_raw.get("presence_display_floor", 0.02)),
-        )
+        _reject_unknown(extract_raw, {f.name for f in fields(ExtractionConfig)}, "extract")
+        extract = ExtractionConfig(**{k: _number(extract_raw, k, "extract") for k in extract_raw})
 
         sim = _block(raw, "sim")
         _reject_unknown(sim, {"scans", "seed", "clutter_rate"}, "sim")
@@ -203,7 +180,7 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
             extract=extract,
             scans=_integer(sim, "scans", "sim"),
             seed=_integer(sim, "seed", "sim"),
-            clutter_rate=float(sim.get("clutter_rate", 0.0)),
+            clutter_rate=_number(sim, "clutter_rate", "sim", 0.0),
         )
     except ConfigError:
         raise

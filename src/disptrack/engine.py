@@ -426,6 +426,16 @@ def _extend(parts: _Partials, first: np.ndarray, count: np.ndarray, opts: _Optio
     return out, o
 
 
+def _detections(dist, obs, sensor, gate):
+    """``(index, observation, log-likelihood)`` of each observation ``dist`` can explain."""
+    for j, o in enumerate(obs):
+        if gate is not None and not gate(dist, o):
+            continue
+        lv = log_predictive_likelihood(dist, o, sensor)
+        if lv != NEG_INF:
+            yield j, o, lv
+
+
 def _child_options(state, obs, birth, sensor, gate):
     """Per-track work: every candidate child track and the option that makes it.
 
@@ -435,40 +445,32 @@ def _child_options(state, obs, birth, sensor, gate):
     """
     children: list[Track] = []
     rows: list[tuple[int, int, float]] = []  # owner, observation index (-1: miss), log factor
-    # Existing tracks, then the appearing-target prior (``None``) as the last owner.
-    sources = list(state.tracks.values()) + ([None] if birth.max_births >= 1 else [])
-    for i, tr in enumerate(sources):
-        dist = birth.spatial if tr is None else tr.dist
-        if tr is not None:
-            mass = missdetection_mass(dist, sensor)
-            if mass > 0.0:
-                missed = update_distribution(dist, MISSED, sensor)
-                children.append(Track(tr.path, missed, tr.displayed))
-                rows.append((i, -1, math.log(mass)))
-        for j, o in enumerate(obs):
-            if gate is not None and not gate(dist, o):
-                continue
-            lv = log_predictive_likelihood(dist, o, sensor)
-            if lv == NEG_INF:
-                continue
-            if tr is None:
-                children.append(Track(newborn_path(o.id), birth_posterior(birth, o, sensor), False))
-            else:
-                updated = update_distribution(dist, o, sensor)
-                children.append(Track(tr.path.extended(o.id), updated, tr.displayed))
+    for i, tr in enumerate(state.tracks.values()):
+        mass = missdetection_mass(tr.dist, sensor)
+        if mass > 0.0:
+            missed = update_distribution(tr.dist, MISSED, sensor)
+            children.append(Track(tr.path, missed, tr.displayed))
+            rows.append((i, -1, math.log(mass)))
+        for j, o, lv in _detections(tr.dist, obs, sensor, gate):
+            updated = update_distribution(tr.dist, o, sensor)
+            children.append(Track(tr.path.extended(o.id), updated, tr.displayed))
             rows.append((i, j, lv))
+    if birth.max_births >= 1:  # newborns are owned by len(state.tracks)
+        for j, o, lv in _detections(birth.spatial, obs, sensor, gate):
+            children.append(Track(newborn_path(o.id), birth_posterior(birth, o, sensor), False))
+            rows.append((len(state.tracks), j, lv))
 
-    owner, consumed, logl = np.array(rows, dtype=float).reshape(-1, 3).T
+    table = np.array(rows, dtype=[("owner", np.int64), ("obs", np.int64), ("logl", float)])
     order = sorted(range(len(children)), key=lambda k: children[k].path)
     child = np.empty(len(children), dtype=ID_DTYPE)
     child[order] = np.arange(len(children), dtype=ID_DTYPE)
-    j = consumed.astype(np.int64)
+    j = table["obs"]
     det = j >= 0
     bit = np.zeros(len(j), dtype=np.uint64)
     bit[det] = np.uint64(1) << (j[det] % _WORD_BITS).astype(np.uint64)
     word = np.maximum(j, 0) // _WORD_BITS
-    opts = _Options(child, logl, word, bit, det.astype(np.int64))
-    ptr = np.searchsorted(owner.astype(np.int64), np.arange(len(state.tracks) + 2))
+    opts = _Options(child, table["logl"], word, bit, det.astype(np.int64))
+    ptr = np.searchsorted(table["owner"], np.arange(len(state.tracks) + 2))
     return [children[k] for k in order], opts, ptr
 
 

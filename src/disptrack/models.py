@@ -10,7 +10,8 @@ Every innovation (S = H P H' + R and the residual z - H m of one component)
 comes from one helper, shared by the gate, the predictive likelihood and the
 Kalman update. S is factorised with a Cholesky decomposition wherever a
 density is needed; no explicit inverse is formed. Inputs are validated
-once, at the boundary: by the model constructors and ``load_config``.
+once, at the boundary: by the model constructors, which also reject
+non-finite entries, and by ``load_config``.
 Records derived from validated ones are built by :func:`_derived`, unchecked.
 """
 
@@ -44,11 +45,17 @@ class AssociationImpossibleError(ValueError):
     """
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ModelConfigError(f"{name} must have finite entries")
+    return a
+
+
 def _as_matrix(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ModelConfigError(f"{name} must be a 2-D matrix, got shape {m.shape}")
-    return m
+    return _finite(m, name)
 
 
 def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-12) -> None:
@@ -101,7 +108,7 @@ class GaussianComponent:
         w = float(self.weight)
         if w < 0.0 or not math.isfinite(w):
             raise ModelConfigError(f"component weight must be finite and >= 0, got {w}")
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = _finite(np.asarray(self.mean, dtype=float).reshape(-1), "component mean")
         cov = _as_matrix(self.cov, "component covariance")
         d = mean.shape[0]
         if cov.shape != (d, d):
@@ -247,7 +254,7 @@ class BirthModel:
     spatial: AugmentedDistribution
 
     def __post_init__(self):
-        c = np.asarray(self.cardinality, dtype=float).reshape(-1)
+        c = _finite(np.asarray(self.cardinality, dtype=float).reshape(-1), "cardinality")
         if c.size < 1:
             raise ModelConfigError("cardinality vector must be non-empty")
         if np.any(c < 0.0):
@@ -278,7 +285,8 @@ class Observation:
         if scan < 0 or idx < 0:
             raise ModelConfigError(f"observation id components must be >= 0, got {self.id}")
         object.__setattr__(self, "id", (int(scan), int(idx)))
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=float).reshape(-1))
+        value = _finite(np.asarray(self.value, dtype=float).reshape(-1), "observation value")
+        object.__setattr__(self, "value", value)
 
 
 def _derived(cls, *values):

@@ -117,6 +117,21 @@ class TestConfig:
             ("model", "dim", 1.0),
             ("model", "dim", True),
             ("sim", "clutter_rate", float("nan")),
+            # Non-finite model entries would flow unchecked through the filter.
+            ("model", "F", [[float("nan")]]),
+            ("model", "Q", [[float("inf")]]),
+            ("sensor", "H", [[float("nan")]]),
+            ("sensor", "R", [[float("inf")]]),
+            ("birth", "cardinality", [float("nan"), 0.2]),
+            ("birth", "spatial", [{"weight": 1.0, "mean": [float("nan")], "cov": [[25.0]]}]),
+            ("birth", "spatial", [{"weight": 1.0, "mean": [float("inf")], "cov": [[25.0]]}]),
+            # A boolean is no probability or rate.
+            ("model", "p_s", True),
+            ("sensor", "p_d", True),
+            ("sensor", "p_fa", False),
+            ("extract", "deconfirm_threshold", False),
+            ("sim", "clutter_rate", True),
+            ("birth", "spatial", [{"weight": True, "mean": [0.0], "cov": [[25.0]]}]),
         ]:
             bad = base_config()
             bad[block][key] = value

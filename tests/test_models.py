@@ -8,8 +8,10 @@ from scipy.integrate import quad
 
 from disptrack import (
     AugmentedDistribution,
+    BirthModel,
     GaussianComponent,
     ModelConfigError,
+    MotionModel,
     Observation,
     SensorModel,
     StateSpace,
@@ -46,6 +48,25 @@ class TestTypes:
     def test_sensor_p_fa_strictly_below_one(self):
         with pytest.raises(ModelConfigError):
             sensor_1d(p_d=0.9, p_fa=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # Derived records are not checked again, so a non-finite model entry
+        # must fail here rather than flow through the filter.
+        one, spd = np.array([[1.0]]), np.array([[0.5]])
+        odd = np.array([[bad]])
+        for build in (
+            lambda: MotionModel(odd, spd, 0.9),
+            lambda: MotionModel(one, odd, 0.9),
+            lambda: SensorModel(odd, spd, 0.9, 0.1),
+            lambda: SensorModel(one, odd, 0.9, 0.1),
+            lambda: GaussianComponent(1.0, np.array([bad]), spd),
+            lambda: GaussianComponent(1.0, np.zeros(1), odd),
+            lambda: BirthModel(np.array([bad, 1.0]), unit_dist()),
+            lambda: Observation((0, 0), [bad]),
+        ):
+            with pytest.raises(ModelConfigError):
+                build()
 
     def test_observation_id_normalized(self):
         o = Observation((1, 2), [0.5])
