@@ -21,13 +21,11 @@ import numpy as np
 from .engine import FilterState, Track, fold_rows, keep_tracks, padded_rows, row_offsets
 from .models import (
     AugmentedDistribution,
-    GaussianComponent,
     Observation,
     SensorModel,
     moment_match,
     tidy_mixture,
     _derived,
-    _innovation,
 )
 
 
@@ -82,6 +80,8 @@ DEFAULT_PIPELINE = ApproximationConfig(
     birth_cap=2,
     merge_threshold=0.05,
 )
+
+_PAIR_BLOCK = 256  # merge candidate pairs scored per stacked solve
 
 
 def _marginalize(state: FilterState, victims: np.ndarray) -> FilterState:
@@ -164,20 +164,51 @@ def cap_counts(
     return state
 
 
+def _gate_factors(dist: AugmentedDistribution, sensor: SensorModel):
+    """Stacked innovation covariances S = HPH' + R and predictions Hm, one per component.
+
+    ``None`` for an empty mixture, which explains no observation.
+    """
+    if not dist.spatial:
+        return None
+    H = sensor.H
+    covs = np.stack([c.cov for c in dist.spatial])
+    means = np.stack([c.mean for c in dist.spatial])
+    return H @ covs @ H.T + sensor.R, (H @ means[..., None])[..., 0]
+
+
+def _min_distance(factors, z: np.ndarray) -> float:
+    """Smallest squared Mahalanobis distance of ``z`` under stacked gate factors."""
+    if factors is None:
+        return math.inf
+    S, Hm = factors
+    resid = z - Hm
+    return float((resid[:, None, :] @ np.linalg.solve(S, resid[..., None])).min())
+
+
 def mahalanobis_sq(dist: AugmentedDistribution, obs: Observation, sensor: SensorModel) -> float:
     """Smallest squared Mahalanobis distance of ``obs`` over the mixture components."""
-    best = math.inf
-    for c in dist.spatial:
-        S, resid = _innovation(c, obs.value, sensor)
-        best = min(best, float(resid @ np.linalg.solve(S, resid)))
-    return best
+    return _min_distance(_gate_factors(dist, sensor), obs.value)
 
 
 def make_gate(sensor: SensorModel, threshold: float):
-    """Build the gate predicate used by the update for tracks and births alike."""
+    """Build the gate predicate used by the update for tracks and births alike.
+
+    The predicate accepts ``(dist, obs)`` when ``mahalanobis_sq`` is at most
+    ``threshold``. Consecutive calls for one distribution share its factors:
+    the predicate keeps the stacked S and Hm of the last distribution it saw
+    (holding it, and comparing by identity), so the update, which asks about
+    all of one distribution's observations in a row, builds them once per
+    track and scan and runs one stacked solve per call. Distributions are
+    immutable records; one changed in place between calls is not noticed.
+    """
+    seen = factors = None
 
     def _gate(dist: AugmentedDistribution, obs: Observation) -> bool:
-        return mahalanobis_sq(dist, obs, sensor) <= threshold
+        nonlocal seen, factors
+        if dist is not seen:
+            seen, factors = dist, _gate_factors(dist, sensor)
+        return _min_distance(factors, obs.value) <= threshold
 
     return _gate
 
@@ -206,14 +237,39 @@ def _cooccurrence(state: FilterState) -> np.ndarray:
     return co | co.T
 
 
+def _pair_distances(alpha, means, covs, first, second) -> np.ndarray:
+    """Squared Mahalanobis distance between each pair's means under the pooled covariance.
+
+    The pooled covariance is the existence-weighted average of the pair's
+    (an even split when both existences are zero). Pairs are solved in
+    stacked blocks of ``_PAIR_BLOCK`` to bound the temporaries.
+    """
+    out = np.empty(len(first))
+    for start in range(0, len(first), _PAIR_BLOCK):
+        a, b = first[start : start + _PAIR_BLOCK], second[start : start + _PAIR_BLOCK]
+        wa, wb = alpha[a][:, None, None], alpha[b][:, None, None]
+        total = wa + wb
+        pooled = 0.5 * (covs[a] + covs[b])
+        weighted = total[:, 0, 0] > 0.0
+        pooled[weighted] = (wa * covs[a] + wb * covs[b])[weighted] / total[weighted]
+        diff = means[a] - means[b]
+        dist_sq = diff[:, None, :] @ np.linalg.solve(pooled, diff[..., None])
+        out[start : start + len(a)] = dist_sq[:, 0, 0]
+    return out
+
+
 def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     """Collapse near-identical tracks that never co-occur in a hypothesis.
 
     Tracks sharing a hypothesis are, by construction, candidates for two
-    distinct targets and are never merged. Eligible pairs are processed
-    greedily in descending combined-existence order, each track merging at
-    most once per pass. The merged track keeps the path and display status
-    of the higher-existence member; its presence and spatial mixture are the
+    distinct targets and are never merged. The remaining pairs are tested by
+    the squared Mahalanobis distance between the tracks' moment-matched
+    means under their existence-weighted pooled covariance; it depends only
+    on the moments before the pass, so every pair is scored before the
+    greedy loop. Pairs under the threshold are then processed greedily in
+    descending combined-existence order, each track merging at most once per
+    pass. The merged track keeps the path and display status of the
+    higher-existence member; its presence and spatial mixture are the
     existence-weighted combination of the pair. A pair is skipped when the
     substitution would put incompatible paths into one hypothesis, counting
     the substitutions made earlier in the pass.
@@ -223,38 +279,31 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     alpha = state.existence()
     tracks = list(state.tracks.values())
     n = len(tracks)
+    co = _cooccurrence(state)
     spatial = np.array([bool(t.dist.spatial) for t in tracks], dtype=bool)
     first, second = np.triu_indices(n, 1)
-    eligible = spatial[first] & spatial[second]
+    eligible = spatial[first] & spatial[second] & ~co[first, second]
     first, second = first[eligible], second[eligible]
+    if not len(first):
+        return state
+    dim = tracks[first[0]].dist.dim
+    means, covs = np.zeros((n, dim)), np.zeros((n, dim, dim))
+    for i in np.union1d(first, second).tolist():
+        c = moment_match(tracks[i].dist.spatial)
+        means[i], covs[i] = c.mean, c.cov
+    close = ~(_pair_distances(alpha, means, covs, first, second) >= d_threshold)
+    first, second = first[close], second[close]
     order = np.lexsort((second, first, -(alpha[first] + alpha[second])))
-    co = _cooccurrence(state)
     obs_bit: dict = {}
     obs_mask = [
         sum(1 << obs_bit.setdefault(o, len(obs_bit)) for o in p.detections) for p in state.tracks
     ]
-    moments: dict[int, GaussianComponent] = {}
-
-    def matched(i: int) -> GaussianComponent:
-        if i not in moments:
-            moments[i] = moment_match(tracks[i].dist.spatial)
-        return moments[i]
-
     # Each track id stands for itself until a merge folds it into another.
     stands_for = list(range(n))
     merged: dict[int, Track] = {}
     consumed = np.zeros(n, dtype=bool)
     for a, b in zip(first[order].tolist(), second[order].tolist()):
-        if consumed[a] or consumed[b] or co[a, b]:
-            continue
-        ca, cb = matched(a), matched(b)
-        total = alpha[a] + alpha[b]
-        if total > 0.0:
-            pooled = (alpha[a] * ca.cov + alpha[b] * cb.cov) / total
-        else:
-            pooled = 0.5 * (ca.cov + cb.cov)
-        diff = ca.mean - cb.mean
-        if float(diff @ np.linalg.solve(pooled, diff)) >= d_threshold:
+        if consumed[a] or consumed[b]:
             continue
         # Keep the higher-existence member's path (ties: canonical order,
         # which is how the pair was generated).

@@ -7,9 +7,10 @@ The absent state is never materialized as a vector; all linear algebra stays
 on the in-scene space and absence is carried by the presence complement.
 
 Every innovation (S = H P H' + R and the residual z - H m of one component)
-comes from one helper, shared by the gate, the predictive likelihood and the
-Kalman update. S is factorised with a Cholesky decomposition wherever a
-density is needed; no explicit inverse is formed. Inputs are validated
+of the predictive likelihood and the Kalman update comes from one helper;
+the gate (``approximations.make_gate``) computes the same S and H m stacked
+over a mixture's components. S is factorised with a Cholesky decomposition
+wherever a density is needed; no explicit inverse is formed. Inputs are validated
 once, at the boundary: by the model constructors, which also reject
 non-finite entries, and by ``load_config``.
 Records derived from validated ones are built by :func:`_derived`, unchecked.

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .approximations import apply_pipeline, make_gate
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .engine import FilterState, init_filter, predict, update
 from .estimation import TrackEstimate, extract_tracks, map_hypothesis
 from .models import Observation
@@ -214,17 +214,35 @@ def write_observations(path: Path, all_scans: Sequence[Sequence[Observation]]) -
 
 
 def read_observations(path: Path) -> list[list[Observation]]:
+    """Observation scans from a JSON-lines file, one line per scan in scan order.
+
+    Raises ``ConfigError`` for a line that is not a well-formed scan record,
+    a scan out of order, an observation whose id names another scan, and an
+    id or a value repeated within a scan.
+    """
     scans: list[list[Observation]] = []
-    for line in path.read_text().splitlines():
+    for n, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        row = json.loads(line)
-        scan_obs = [
-            Observation((int(o["id"][0]), int(o["id"][1])), np.asarray(o["value"], dtype=float))
-            for o in row["observations"]
-        ]
-        if row["scan"] != len(scans):
-            raise ValueError(f"observation scans out of order at {row['scan']}")
+        where = f"{path}, line {n}"
+        try:
+            row = json.loads(line)
+            scan = row["scan"]
+            scan_obs = [
+                Observation((int(o["id"][0]), int(o["id"][1])), np.asarray(o["value"], dtype=float))
+                for o in row["observations"]
+            ]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: malformed scan record ({exc!r})") from exc
+        if scan != len(scans):
+            raise ConfigError(f"{where}: expected scan {len(scans)}, got {scan!r}")
+        ids = [o.id for o in scan_obs]
+        if any(s != scan for s, _ in ids):
+            raise ConfigError(f"{where}: observation ids {ids} do not all belong to scan {scan}")
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"{where}: repeated observation id in {ids}")
+        if len({tuple(o.value.tolist()) for o in scan_obs}) != len(scan_obs):
+            raise ConfigError(f"{where}: repeated observation value")
         scans.append(scan_obs)
     return scans
 

@@ -19,7 +19,9 @@ from disptrack import (
     missdetection_mass,
     newborn_path,
 )
-from disptrack.models import log_predictive_likelihood
+from disptrack.approximations import _cooccurrence, _merged_track
+from disptrack.engine import FilterState, Track, fold_rows, keep_tracks
+from disptrack.models import log_predictive_likelihood, moment_match
 
 
 def comp(weight: float, mean: float, var: float) -> GaussianComponent:
@@ -121,3 +123,79 @@ def reference_update(state, scan_obs, birth, sensor, gate=None):
     lin = {k: math.exp(v - m) for k, v in raw.items()}
     total = sum(lin.values())
     return {k: v / total for k, v in lin.items()}
+
+
+def reference_merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
+    """Per-pair greedy merge pass: the pair distance is solved inside the loop.
+
+    The merge pass as it was before its pair distances were batched, kept
+    unchanged as the reference that ``merge_tracks`` must match exactly.
+
+    Tracks sharing a hypothesis are, by construction, candidates for two
+    distinct targets and are never merged. Eligible pairs are processed
+    greedily in descending combined-existence order, each track merging at
+    most once per pass. The merged track keeps the path and display status
+    of the higher-existence member; its presence and spatial mixture are the
+    existence-weighted combination of the pair. A pair is skipped when the
+    substitution would put incompatible paths into one hypothesis, counting
+    the substitutions made earlier in the pass.
+    """
+    if d_threshold < 0.0:
+        raise ValueError(f"merge threshold must be nonnegative, got {d_threshold}")
+    alpha = state.existence()
+    tracks = list(state.tracks.values())
+    n = len(tracks)
+    spatial = np.array([bool(t.dist.spatial) for t in tracks], dtype=bool)
+    first, second = np.triu_indices(n, 1)
+    eligible = spatial[first] & spatial[second]
+    first, second = first[eligible], second[eligible]
+    order = np.lexsort((second, first, -(alpha[first] + alpha[second])))
+    co = _cooccurrence(state)
+    obs_bit: dict = {}
+    obs_mask = [
+        sum(1 << obs_bit.setdefault(o, len(obs_bit)) for o in p.detections) for p in state.tracks
+    ]
+    moments: dict[int, GaussianComponent] = {}
+
+    def matched(i: int) -> GaussianComponent:
+        if i not in moments:
+            moments[i] = moment_match(tracks[i].dist.spatial)
+        return moments[i]
+
+    # Each track id stands for itself until a merge folds it into another.
+    stands_for = list(range(n))
+    merged: dict[int, Track] = {}
+    consumed = np.zeros(n, dtype=bool)
+    for a, b in zip(first[order].tolist(), second[order].tolist()):
+        if consumed[a] or consumed[b] or co[a, b]:
+            continue
+        ca, cb = matched(a), matched(b)
+        total = alpha[a] + alpha[b]
+        if total > 0.0:
+            pooled = (alpha[a] * ca.cov + alpha[b] * cb.cov) / total
+        else:
+            pooled = 0.5 * (ca.cov + cb.cov)
+        diff = ca.mean - cb.mean
+        if float(diff @ np.linalg.solve(pooled, diff)) >= d_threshold:
+            continue
+        # Keep the higher-existence member's path (ties: canonical order,
+        # which is how the pair was generated).
+        if alpha[b] > alpha[a]:
+            a, b = b, a
+        # The kept path must stay compatible inside every hypothesis that
+        # held the dropped one, as earlier merges have relabelled it.
+        held_with_b = 0
+        for p in np.flatnonzero(co[b]).tolist():
+            held_with_b |= obs_mask[stands_for[p]]
+        if held_with_b & obs_mask[a]:
+            continue
+        merged[a] = _merged_track(tracks[a], tracks[b], float(alpha[a]), float(alpha[b]))
+        stands_for[b] = a
+        consumed[a] = consumed[b] = True
+    if not merged:
+        return state
+    stands = np.array(stands_for)
+    table = {p: merged.get(i, t) for i, (p, t) in enumerate(state.tracks.items())}
+    table, indices = keep_tracks(table, stands[state.indices], stands == np.arange(n))
+    indptr, indices, weights = fold_rows(state.indptr, indices, state.weights)
+    return FilterState.from_table(state.scan, table, indptr, indices, weights)

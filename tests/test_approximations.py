@@ -1,15 +1,21 @@
 """Pruning, capping, gating and merging passes."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disptrack import (
     ApproximationConfig,
+    AugmentedDistribution,
     FilterState,
+    GaussianComponent,
     Hypothesis,
+    Observation,
     ObservationPath,
+    SensorModel,
     Track,
     apply_pipeline,
     cap_counts,
@@ -23,8 +29,10 @@ from disptrack import (
     update,
     init_filter,
 )
+from disptrack.approximations import _pair_distances, mahalanobis_sq
+from disptrack.models import _innovation, moment_match
 
-from helpers import birth_1d, dist, motion_1d, obs, sensor_1d, unit_dist
+from helpers import birth_1d, dist, motion_1d, obs, reference_merge_tracks, sensor_1d, unit_dist
 
 
 def path(birth, *ids):
@@ -189,6 +197,58 @@ class TestGate:
             kept2 = make_gate(sensor, t2)(d, z)
             assert not kept1 or kept2  # kept under tight implies kept under loose
 
+    def test_distance_matches_per_component_solves(self):
+        # Bit-equal to one solve per component, as the gate computed it
+        # before its factors were stacked: 4-D state, 2-D observation.
+        rng = np.random.default_rng(11)
+        root = rng.normal(size=(2, 2))
+        sensor = SensorModel(rng.normal(size=(2, 4)), root @ root.T + 0.1 * np.eye(2), 0.9, 0.1)
+        for _ in range(200):
+            comps = []
+            for w in rng.dirichlet(np.ones(int(rng.integers(1, 6)))):
+                root = rng.normal(size=(4, 4)) * rng.uniform(0.1, 10.0)
+                cov = root @ root.T + 0.01 * np.eye(4)
+                comps.append(GaussianComponent(w, rng.normal(scale=20.0, size=4), cov))
+            d = AugmentedDistribution(1.0, tuple(comps))
+            z = Observation((0, 0), rng.normal(scale=20.0, size=2))
+            per_comp = []
+            for c in d.spatial:
+                S, resid = _innovation(c, z.value, sensor)
+                per_comp.append(float(resid @ np.linalg.solve(S, resid)))
+            assert _bits(mahalanobis_sq(d, z, sensor)) == _bits(min(per_comp))
+
+    def test_one_gate_across_interleaved_distributions(self):
+        # The gate keeps the factors of the last distribution it saw; every
+        # call must still answer for the distribution it is given.
+        sensor = SensorModel(np.eye(2), np.diag([0.5, 0.8]), 0.9, 0.1)
+
+        def comp2(w, mean, cov):
+            return GaussianComponent(w, np.array(mean), np.array(cov))
+
+        a = AugmentedDistribution(0.9, (
+            comp2(0.7, [0.0, 0.0], [[1.0, 0.3], [0.3, 2.0]]),
+            comp2(0.3, [6.0, -4.0], [[0.5, 0.0], [0.0, 0.5]]),
+        ))
+        b = AugmentedDistribution(1.0, (comp2(1.0, [-5.0, 5.0], [[2.0, -0.4], [-0.4, 1.0]]),))
+        a_copy = AugmentedDistribution(a.presence, tuple(
+            comp2(c.weight, c.mean.copy(), c.cov.copy()) for c in a.spatial
+        ))
+        near_second = Observation((0, 0), np.array([6.2, -3.7]))
+        near_b = Observation((0, 1), np.array([-4.5, 5.5]))
+        # The minimum over a's mixture comes from its second component.
+        first_only = AugmentedDistribution(1.0, (comp2(1.0, [0.0, 0.0], [[1.0, 0.3], [0.3, 2.0]]),))
+        assert mahalanobis_sq(a, near_second, sensor) < 1.0
+        assert mahalanobis_sq(first_only, near_second, sensor) > 10.0
+        for threshold in (0.0, 1.0, 9.0, math.inf):
+            gate = make_gate(sensor, threshold)
+            for d in (a, a, b, a, a_copy, b, b, a_copy, a):
+                for z in (near_second, near_b):
+                    assert gate(d, z) == (mahalanobis_sq(d, z, sensor) <= threshold)
+        gate = make_gate(sensor, 9.0)
+        kept = [gate(d, near_second) for d in (a, a, b, a, a_copy)]
+        assert kept == [True, True, False, True, True]
+        assert [gate(d, near_b) for d in (a, b, a_copy)] == [False, True, False]
+
 
 class TestMergeTracks:
     def test_distant_pair_identity(self):
@@ -250,6 +310,109 @@ class TestMergeTracks:
         assert means == pytest.approx([0.0, 0.1])
         weights = sorted(c.weight for c in merged.dist.spatial)
         assert weights == pytest.approx([0.25, 0.75])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def merge_scenes(draw):
+    """States of 2-D tracks biased toward the edge cases of the merge pass.
+
+    Tracks share observations (incompatible paths), hypotheses hold several
+    tracks (co-occurring pairs), two tracks sit only in zero-weight rows
+    (the even-split pooled covariance), some tracks are absent (no spatial
+    mixture) and many share a distribution exactly (distance 0). Large
+    states give more candidate pairs than one scoring block.
+    """
+    n = draw(st.one_of(st.integers(2, 10), st.integers(30, 40)))
+    threshold = draw(st.sampled_from([0.0, 0.05, 1.0, 25.0, math.inf]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    paths = set()
+    while len(paths) < n:
+        birth = int(rng.integers(0, 3))
+        dets = [(birth, int(rng.integers(0, 3)))]
+        dets += [(s, int(rng.integers(0, 3))) for s in range(birth + 1, 4) if rng.random() < 0.6]
+        paths.add(ObservationPath(birth, tuple(dets)))
+    paths = sorted(paths, key=lambda p: rng.random())
+    shared = []
+    for _ in range(3):
+        comps = []
+        for w in rng.dirichlet(np.ones(int(rng.integers(1, 4)))):
+            root = rng.normal(size=(2, 2))
+            cov = root @ root.T + 0.1 * np.eye(2)
+            comps.append(GaussianComponent(w, rng.normal(scale=2.0, size=2), cov))
+        shared.append(AugmentedDistribution(float(rng.uniform(0.2, 1.0)), tuple(comps)))
+    tracks = []
+    for i, p in enumerate(paths):
+        if i >= 2 and rng.random() < 0.1:
+            d = AugmentedDistribution(0.0, ())
+        elif rng.random() < 0.5:
+            d = shared[int(rng.integers(0, 3))]
+        else:
+            base = shared[int(rng.integers(0, 3))]
+            d = AugmentedDistribution(base.presence, tuple(
+                GaussianComponent(c.weight, c.mean + rng.normal(scale=0.3, size=2), c.cov)
+                for c in base.spatial
+            ))
+        tracks.append(Track(p, d, bool(rng.random() < 0.3)))
+    zero = paths[:2]  # each alone in a zero-weight row
+    rows = {(zero[0],): 0.0, (zero[1],): 0.0}
+    for p in paths[2:]:
+        row = [p]
+        for q in rng.permutation(len(paths) - 2)[: int(rng.integers(0, 4))]:
+            if is_consistent(row + [paths[q + 2]]):
+                row.append(paths[q + 2])
+        # Few distinct weights, so that combined existences often tie.
+        rows[tuple(sorted(set(row)))] = float(rng.choice([0.0, 0.1, 0.25, 0.5]))
+    return synth_state(tracks, list(rows.items())), threshold
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(merge_scenes())
+def test_merge_matches_per_pair_reference(scene):
+    state, threshold = scene
+    out = merge_tracks(state, threshold)
+    ref = reference_merge_tracks(state, threshold)
+    assert (out is state) == (ref is state)
+    assert list(out.tracks) == list(ref.tracks)
+    for t, r in zip(out.tracks.values(), ref.tracks.values()):
+        assert t.displayed == r.displayed
+        assert _bits(t.dist.presence) == _bits(r.dist.presence)
+        assert len(t.dist.spatial) == len(r.dist.spatial)
+        for c, rc in zip(t.dist.spatial, r.dist.spatial):
+            assert _bits(c.weight) == _bits(rc.weight)
+            assert _bits(c.mean) == _bits(rc.mean)
+            assert _bits(c.cov) == _bits(rc.cov)
+    assert np.array_equal(out.indptr, ref.indptr)
+    assert np.array_equal(out.indices, ref.indices)
+    assert _bits(out.weights) == _bits(ref.weights)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(merge_scenes())
+def test_pair_distances_match_per_pair_solves(scene):
+    # Bit-equal distances, not only equal decisions: a distance one ulp off
+    # changes a decision only when it sits on the threshold.
+    state, _ = scene
+    alpha = state.existence()
+    tracks = list(state.tracks.values())
+    means, covs = np.zeros((len(tracks), 2)), np.zeros((len(tracks), 2, 2))
+    for i, t in enumerate(tracks):
+        if t.dist.spatial:
+            c = moment_match(t.dist.spatial)
+            means[i], covs[i] = c.mean, c.cov
+    pairs = list(combinations([i for i, t in enumerate(tracks) if t.dist.spatial], 2))
+    first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    for a, b, got in zip(first, second, _pair_distances(alpha, means, covs, first, second)):
+        total = alpha[a] + alpha[b]
+        if total > 0.0:
+            pooled = (alpha[a] * covs[a] + alpha[b] * covs[b]) / total
+        else:
+            pooled = 0.5 * (covs[a] + covs[b])
+        diff = means[a] - means[b]
+        assert _bits(got) == _bits(diff @ np.linalg.solve(pooled, diff))
 
 
 class TestPipeline:

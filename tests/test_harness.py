@@ -412,6 +412,34 @@ class TestCli:
         assert cli_main(["run", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda rows: rows[:1] + ['{"scan": 1, "observations": ['],
+            lambda rows: rows[:1] + [rows[1].replace('"scan":1', '"scan":2')],
+            lambda rows: rows[:1] + [rows[1].replace('"id":[1,0]', '"id":[0,0]')],
+            lambda rows: [rows[0].replace('"id":[0,1]', '"id":[0,0]')] + rows[1:],
+            lambda rows: [rows[0].replace(',"value":[2.0]', '')] + rows[1:],
+            lambda rows: [rows[0].replace('"value":[2.0]', '"value":[1.0]')] + rows[1:],
+        ],
+        ids=["malformed-json", "scan-out-of-order", "id-of-another-scan", "repeated-id",
+             "missing-value", "repeated-value"],
+    )
+    def test_malformed_observations_exit_code(self, tmp_path, capsys, corrupt):
+        rows = [
+            '{"observations":[{"id":[0,0],"value":[1.0]},{"id":[0,1],"value":[2.0]}],"scan":0}',
+            '{"observations":[{"id":[1,0],"value":[1.5]}],"scan":1}',
+        ]
+        obs_path = tmp_path / "observations.jsonl"
+        obs_path.write_text("\n".join(rows) + "\n")
+        cfg = self._write_cfg(tmp_path)
+        track = ["track", "--config", str(cfg), "--obs", str(obs_path),
+                 "--out", str(tmp_path / "t")]
+        assert cli_main(track) == 0
+        obs_path.write_text("\n".join(corrupt(rows)) + "\n")
+        assert cli_main(track) == 2
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestObservationsIO:
     def test_roundtrip(self, tmp_path):
