@@ -21,10 +21,11 @@ import numpy as np
 from .engine import FilterState, Track, fold_rows, keep_tracks, padded_rows, row_offsets
 from .models import (
     AugmentedDistribution,
+    GaussianComponent,
     Observation,
     SensorModel,
     moment_match,
-    tidy_mixture,
+    symmetrize,
     _derived,
 )
 
@@ -213,17 +214,17 @@ def make_gate(sensor: SensorModel, threshold: float):
     return _gate
 
 
-def _merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float) -> Track:
+def _merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float, moments) -> Track:
+    """The pair, given its moment-matched ``(mean, cov)``s, as one Gaussian on ``a``'s path."""
     total = alpha_a + alpha_b
-    if total > 0.0:
-        wa, wb = alpha_a / total, alpha_b / total
-    else:
-        wa = wb = 0.5
+    wa, wb = (alpha_a / total, alpha_b / total) if total > 0.0 else (0.5, 0.5)
     presence = min(1.0, max(0.0, wa * a.dist.presence + wb * b.dist.presence))
-    comps = [(wa * c.weight, c.mean, c.cov) for c in a.dist.spatial]
-    comps += [(wb * c.weight, c.mean, c.cov) for c in b.dist.spatial]
-    dist = _derived(AugmentedDistribution, presence, tidy_mixture(comps))
-    return Track(a.path, dist, a.displayed)
+    (ma, Pa), (mb, Pb) = moments
+    mean = wa * ma + wb * mb
+    da, db = ma - mean, mb - mean
+    cov = symmetrize(wa * (Pa + np.outer(da, da)) + wb * (Pb + np.outer(db, db)))
+    comp = _derived(GaussianComponent, 1.0, mean, cov)
+    return Track(a.path, _derived(AugmentedDistribution, presence, (comp,)), a.displayed)
 
 
 def _cooccurrence(state: FilterState) -> np.ndarray:
@@ -269,10 +270,11 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     greedy loop. Pairs under the threshold are then processed greedily in
     descending combined-existence order, each track merging at most once per
     pass. The merged track keeps the path and display status of the
-    higher-existence member; its presence and spatial mixture are the
-    existence-weighted combination of the pair. A pair is skipped when the
-    substitution would put incompatible paths into one hypothesis, counting
-    the substitutions made earlier in the pass.
+    higher-existence member; its presence is the pair's existence-weighted
+    average and its spatial part one moment-matched Gaussian: the
+    existence-weighted mean and covariance of the pair's scored moments. A
+    pair is skipped when the substitution would put incompatible paths into
+    one hypothesis, counting the substitutions made earlier in the pass.
     """
     if d_threshold < 0.0:
         raise ValueError(f"merge threshold must be nonnegative, got {d_threshold}")
@@ -316,7 +318,8 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
             held_with_b |= obs_mask[stands_for[p]]
         if held_with_b & obs_mask[a]:
             continue
-        merged[a] = _merged_track(tracks[a], tracks[b], float(alpha[a]), float(alpha[b]))
+        moments = (means[a], covs[a]), (means[b], covs[b])
+        merged[a] = _merged_track(tracks[a], tracks[b], float(alpha[a]), float(alpha[b]), moments)
         stands_for[b] = a
         consumed[a] = consumed[b] = True
     if not merged:

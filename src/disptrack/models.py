@@ -26,10 +26,9 @@ import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Gaussian-mixture hygiene: components lighter than this are dropped,
-# mixtures longer than this are capped by lowest-weight drop.
+# Gaussian-mixture hygiene: lighter components are dropped. There is no length
+# cap: updates and predict keep the count and a merge yields one component.
 WEIGHT_FLOOR = 1e-12
-DEFAULT_MAX_COMPONENTS = 16
 
 
 class ModelConfigError(ValueError):
@@ -283,6 +282,8 @@ class Observation:
 
     def __post_init__(self):
         scan, idx = self.id
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (scan, idx)):
+            raise ModelConfigError(f"observation id components must be integers, got {self.id!r}")
         if scan < 0 or idx < 0:
             raise ModelConfigError(f"observation id components must be >= 0, got {self.id}")
         object.__setattr__(self, "id", (int(scan), int(idx)))
@@ -408,16 +409,12 @@ def tidy_mixture(
 ) -> tuple[GaussianComponent, ...]:
     """Build a mixture from raw ``(weight, mean, cov)`` triples, one component each.
 
-    Mixture hygiene on the way: floor-weight triples are dropped, the count
-    is capped at ``DEFAULT_MAX_COMPONENTS`` by lowest-weight drop, and the
-    weights are renormalized.
+    Mixture hygiene on the way: floor-weight triples are dropped and the
+    weights are renormalized; the count is never capped.
     """
     comps = [c for c in components if c[0] > WEIGHT_FLOOR]
     if not comps:
         # Keep the single heaviest component rather than returning nothing.
         comps = [max(components, key=lambda c: c[0])]
-    if len(comps) > DEFAULT_MAX_COMPONENTS:
-        comps.sort(key=lambda c: c[0], reverse=True)
-        comps = comps[:DEFAULT_MAX_COMPONENTS]
     total = math.fsum(w for w, _, _ in comps)
     return tuple(_derived(GaussianComponent, w / total, mean, cov) for w, mean, cov in comps)

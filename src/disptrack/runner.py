@@ -216,9 +216,9 @@ def write_observations(path: Path, all_scans: Sequence[Sequence[Observation]]) -
 def read_observations(path: Path) -> list[list[Observation]]:
     """Observation scans from a JSON-lines file, one line per scan in scan order.
 
-    Raises ``ConfigError`` for a line that is not a well-formed scan record,
-    a scan out of order, an observation whose id names another scan, and an
-    id or a value repeated within a scan.
+    Raises ``ConfigError`` for a line that is not a well-formed scan record
+    (non-integer ids and scans included), a scan out of order, an id naming
+    another scan, and an id or a value repeated within a scan.
     """
     scans: list[list[Observation]] = []
     for n, line in enumerate(path.read_text().splitlines(), 1):
@@ -229,12 +229,12 @@ def read_observations(path: Path) -> list[list[Observation]]:
             row = json.loads(line)
             scan = row["scan"]
             scan_obs = [
-                Observation((int(o["id"][0]), int(o["id"][1])), np.asarray(o["value"], dtype=float))
+                Observation(tuple(o["id"]), np.asarray(o["value"], dtype=float))
                 for o in row["observations"]
             ]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: malformed scan record ({exc!r})") from exc
-        if scan != len(scans):
+        if type(scan) is not int or scan != len(scans):
             raise ConfigError(f"{where}: expected scan {len(scans)}, got {scan!r}")
         ids = [o.id for o in scan_obs]
         if any(s != scan for s, _ in ids):

@@ -305,11 +305,15 @@ class TestMergeTracks:
         state = synth_state([ta, tb], [((P1,), 0.75), ((P3,), 0.25)])
         out = merge_tracks(state, 1e3)
         merged = out.tracks[P1]
-        assert merged.dist.presence == pytest.approx(0.75 * 1.0 + 0.25 * 0.5)
-        means = sorted(c.mean[0] for c in merged.dist.spatial)
-        assert means == pytest.approx([0.0, 0.1])
-        weights = sorted(c.weight for c in merged.dist.spatial)
-        assert weights == pytest.approx([0.25, 0.75])
+        assert merged.dist.presence == pytest.approx(0.75 * 1.0 + 0.25 * 0.5, abs=1e-12)
+        # One moment-matched Gaussian: the pair's existence-weighted mean and
+        # covariance, spread of the means included.
+        (c,) = merged.dist.spatial
+        assert c.weight == pytest.approx(1.0, abs=1e-12)
+        assert c.mean[0] == pytest.approx(0.75 * 0.0 + 0.25 * 0.1, abs=1e-12)
+        var = 0.75 * (1.0 + 0.025**2) + 0.25 * (1.0 + 0.075**2)
+        assert var == pytest.approx(1.001875, abs=1e-15)
+        assert c.cov[0, 0] == pytest.approx(var, abs=1e-12)
 
 
 def _bits(x) -> bytes:

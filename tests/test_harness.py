@@ -21,14 +21,16 @@ from disptrack import (
     run,
     simulate,
 )
-from disptrack import runner
+from disptrack import approximations, runner
 from disptrack.cli import main as cli_main
 from disptrack.estimation import TrackEstimate
 from disptrack.runner import read_observations, report_jsonable
 
 from helpers import rebuild_checked
 
-CLUTTERED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "cluttered.json"
+ROOT = Path(__file__).resolve().parents[1]
+CLUTTERED = ROOT / "demos" / "configs" / "cluttered.json"
+SCENE_LARGE = ROOT / "perfbench" / "scene_large.json"
 
 
 def base_config(**overrides):
@@ -294,6 +296,38 @@ def test_filter_builds_no_checked_records(monkeypatch):
             rebuild_checked(track.dist)
 
 
+def test_no_mixture_outgrows_the_birth_prior(monkeypatch):
+    # A birth starts with the prior's components, the Kalman step, the miss
+    # update and predict never add one, and a merge yields one moment-matched
+    # Gaussian: so no track carries more components than the birth prior.
+    cluttered, large = load_config(CLUTTERED), load_config(SCENE_LARGE)
+    runs = [(cluttered, simulate(dataclasses.replace(cluttered, seed=s))[1]) for s in (0, 1)]
+    runs.append((large, simulate(large)[1]))
+    states, merged = [], []
+
+    def merging(state, threshold, step=approximations.merge_tracks):
+        out = step(state, threshold)
+        merged[-1] += [t for p, t in out.tracks.items() if t is not state.tracks.get(p)]
+        return out
+
+    monkeypatch.setattr(approximations, "merge_tracks", merging)
+    for name in ("predict", "update", "apply_pipeline"):
+        def recorded(*args, step=getattr(runner, name), **kwargs):
+            states[-1].append(step(*args, **kwargs))
+            return states[-1][-1]
+
+        monkeypatch.setattr(runner, name, recorded)
+    for cfg, scans in runs:
+        states.append([])
+        merged.append([])
+        runner.filter_scans(cfg, scans)
+        prior = len(cfg.birth.spatial.spatial)
+        assert all(
+            len(t.dist.spatial) <= prior for state in states[-1] for t in state.tracks.values()
+        )
+        assert merged[-1] and all(len(t.dist.spatial) == 1 for t in merged[-1])
+
+
 class TestMetrics:
     def _truth_two_static(self):
         t1 = TruthTarget(0, [np.array([0.0]), np.array([0.0])], [(0, 0), (1, 0)])
@@ -421,9 +455,12 @@ class TestCli:
             lambda rows: [rows[0].replace('"id":[0,1]', '"id":[0,0]')] + rows[1:],
             lambda rows: [rows[0].replace(',"value":[2.0]', '')] + rows[1:],
             lambda rows: [rows[0].replace('"value":[2.0]', '"value":[1.0]')] + rows[1:],
+            lambda rows: [rows[0].replace('"id":[0,0]', '"id":[0,0.7]')] + rows[1:],
+            lambda rows: rows[:1] + [rows[1].replace('"id":[1,0]', '"id":[true,0]')],
+            lambda rows: rows[:1] + [rows[1].replace('"scan":1', '"scan":true')],
         ],
         ids=["malformed-json", "scan-out-of-order", "id-of-another-scan", "repeated-id",
-             "missing-value", "repeated-value"],
+             "missing-value", "repeated-value", "fractional-id", "boolean-id", "boolean-scan"],
     )
     def test_malformed_observations_exit_code(self, tmp_path, capsys, corrupt):
         rows = [

@@ -72,6 +72,13 @@ class TestTypes:
         o = Observation((1, 2), [0.5])
         assert o.id == (1, 2)
         assert o.value.shape == (1,)
+        o = Observation((np.int64(1), np.int32(2)), [0.5])
+        assert o.id == (1, 2) and all(type(v) is int for v in o.id)
+
+    @pytest.mark.parametrize("bad", [(0, 0.7), (0.0, 1), (True, 0), (0, np.float64(1.0))])
+    def test_observation_id_must_be_integers(self, bad):
+        with pytest.raises(ModelConfigError, match="integers"):
+            Observation(bad, [0.5])
 
 
 class TestPredictiveLikelihood:

@@ -193,6 +193,16 @@ class TestBirthPosterior:
         out = birth_posterior(birth, obs(0, 0, 0.0), sensor_1d())
         assert out.spatial[0].weight == pytest.approx(out.spatial[1].weight, abs=1e-12)
 
+    def test_long_prior_keeps_every_component(self):
+        # No mixture length cap: a 20-component prior stays 20 components
+        # through the detection update, predict and a miss.
+        spatial = dist(1.0, *[(0.05, float(k), 4.0) for k in range(20)])
+        out = birth_posterior(BirthModel([0.5, 0.5], spatial), obs(0, 0, 9.5), sensor_1d())
+        assert len(out.spatial) == 20
+        assert math.fsum(c.weight for c in out.spatial) == pytest.approx(1.0, abs=1e-12)
+        out = update_distribution(predict_distribution(out, motion_1d(0.9)), MISSED, sensor_1d(0.5))
+        assert len(out.spatial) == 20
+
 
 # Constant-velocity model of demos/configs/cluttered.json: 4-D state
 # (position, velocity), 2-D position observation.
