@@ -30,15 +30,18 @@ State layout:
 
 The update keeps the per-track work in Python (one miss child, one child per
 admissible observation, one newborn per birthable observation) and builds
-the child rows with one numpy join over all parent rows, one track position
+the child rows with a numpy join over the parent rows, one track position
 at a time: each partial row is paired with its next track's options, and a
 per-row observation bitmask drops pairings that reuse an observation. A last
-join adds births over the birthable observations left free.
+join adds births over the birthable observations left free. The join runs
+depth first over blocks of at most ``_ROW_BLOCK`` partial rows, so its
+temporaries stay block-sized and the peak memory follows the output.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -67,7 +70,8 @@ from .single_target import (
 NEG_INF = -math.inf
 ID_DTYPE = np.int32  # track ids inside hypothesis rows
 _WORD_BITS = 64  # observations per bitmask word
-_VIEW_CHUNK = 1 << 16  # rows converted per batch when iterating the view
+_VIEW_CHUNK = 1 << 16  # rows per batch when iterating the view or summing existence
+_ROW_BLOCK = 1 << 15  # partial rows extended at once in update
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -305,8 +309,13 @@ class FilterState:
 
     def existence(self) -> np.ndarray:
         """Per track id, the total weight of the hypotheses holding the track."""
-        entry_weight = np.repeat(self.weights, np.diff(self.indptr))
-        return np.bincount(self.indices, weights=entry_weight, minlength=len(self.tracks))
+        # Row blocks keep the temporaries small; add.at sums in table order.
+        out = np.zeros(len(self.tracks))
+        for start in range(0, len(self.weights), _VIEW_CHUNK):
+            ptr = self.indptr[start:start + _VIEW_CHUNK + 1]
+            weights = np.repeat(self.weights[start:start + _VIEW_CHUNK], np.diff(ptr))
+            np.add.at(out, self.indices[ptr[0]:ptr[-1]], weights)
+        return out
 
     def top_rows(self, k: int) -> np.ndarray:
         """The ``k`` heaviest rows, ties at the cut broken toward canonical order.
@@ -513,10 +522,11 @@ def update(
     lcard = [math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality]
     l1mpfa = math.log1p(-sensor.p_fa)
     lpfa = math.log(sensor.p_fa) if sensor.p_fa > 0.0 else NEG_INF
-    out_ids: list[np.ndarray] = []
-    out_logw: list[np.ndarray] = []
+    # Completed rows by (tracks, newborns), in the order made.
+    out_logw: dict[tuple[int, int], list[np.ndarray]] = defaultdict(list)
+    out_ids: dict[tuple[int, int], list[np.ndarray]] = defaultdict(list)
 
-    def finish(parts: _Partials) -> None:
+    def finish(parts: _Partials, k: int) -> None:
         """Add 0..max_births newborns to complete rows and emit them with their weights."""
         first = np.full(len(parts.row), opt_ptr[-2])
         for n in range(birth.max_births + 1):
@@ -527,8 +537,8 @@ def update(
                 return
             n_fa = nz - parts.ndet
             fa = n_fa * lpfa if lpfa > NEG_INF else np.where(n_fa > 0, NEG_INF, 0.0)
-            out_logw.append(parts.logw + lcard[n] + parts.ndet * l1mpfa + fa)
-            out_ids.append(np.sort(parts.ids, axis=1))
+            out_logw[k, n].append(parts.logw + lcard[n] + parts.ndet * l1mpfa + fa)
+            out_ids[k, n].append(np.sort(parts.ids, axis=1))
 
     lengths = np.diff(state.indptr)
     n_rows = len(lengths)
@@ -542,26 +552,39 @@ def update(
         np.zeros((n_rows, 0), dtype=ID_DTYPE),
         np.zeros(n_rows, dtype=np.int64),
     )
-    k = 0
-    while len(parts.row):
+    # Depth first over blocks of partial rows holding k of their tracks: each
+    # block is taken to the end before the next, so temporaries stay
+    # block-sized, and every output group still gets its rows in table order.
+    stack = [(parts, 0)]
+    while stack:
+        parts, k = stack.pop()
+        if len(parts.row) > _ROW_BLOCK:
+            starts = reversed(range(0, len(parts.row), _ROW_BLOCK))
+            stack += [(parts.take(slice(s, s + _ROW_BLOCK)), k) for s in starts]
+            continue
         done = lengths[parts.row] == k
         if done.any():
-            finish(parts.take(done))
+            finish(parts.take(done), k)
             parts = parts.take(~done)
-        t = state.indices[state.indptr[parts.row] + k]
-        parts, _ = _extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts)
-        k += 1
+        if len(parts.row):
+            t = state.indices[state.indptr[parts.row] + k]
+            stack.append((_extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts)[0], k + 1))
 
     if not out_logw:
         raise DegenerateUpdateError("no admissible association has a defined posterior")
-    logw = np.concatenate(out_logw)
-    m = float(np.max(logw))
+    # Blocks are dropped as they are copied out, to keep a large update's peak low.
+    groups = sorted(out_logw)
+    w = np.concatenate([b for g in groups for b in out_logw.pop(g)])
+    m = float(np.max(w))
     if m == NEG_INF:
         raise DegenerateUpdateError("all association weights are zero")
-    w = np.exp(logw - m)
+    w = np.exp(w - m, out=w)
     w /= w.sum()
-    indptr = row_offsets(np.concatenate([np.full(len(r), r.shape[1]) for r in out_ids]))
-    indices = np.concatenate([r.ravel() for r in out_ids])
-    referenced = np.bincount(indices, minlength=n_opts) > 0
+    blocks = [b for g in groups for b in out_ids.pop(g)]
+    indptr = row_offsets(np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks]))
+    indices = np.concatenate([b.ravel() for b in blocks])
+    del blocks
+    referenced = np.zeros(n_opts, dtype=bool)
+    referenced[indices] = True
     tracks, indices = keep_tracks({t.path: t for t in children}, indices, referenced)
     return FilterState.from_table(scan, tracks, indptr, indices, w)

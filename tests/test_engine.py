@@ -6,9 +6,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import disptrack.engine as engine
 from disptrack import (
     Association,
     DegenerateUpdateError,
+    FilterState,
     Hypothesis,
     MISSED,
     ObservationPath,
@@ -254,6 +256,36 @@ class TestUpdate:
                 assert ca.weight == pytest.approx(cb.weight, abs=1e-12)
                 assert np.allclose(ca.mean, cb.mean, atol=1e-12)
 
+    def test_blocked_enumeration_matches_one_block(self, monkeypatch):
+        # Splitting the partial rows into tiny blocks must give the same
+        # table, bit for bit and in the same row order, as one block. The
+        # prior rows are fed longest first, so that the blocks reach the
+        # output groups in another order than a level-by-level pass.
+        rng = np.random.default_rng(5)
+        birth = birth_1d([0.4, 0.4, 0.2], var=8.0)
+        sensor = sensor_1d(p_d=0.7, p_fa=0.2)
+        motion = motion_1d(p_s=0.95, q=0.5)
+        scans = [[obs(t, k, float(rng.uniform(-4, 4))) for k in range(3)] for t in range(3)]
+
+        def run():
+            state = init_filter()
+            for scan in scans:
+                rows = list(state.hypotheses)[::-1]
+                state = FilterState(state.scan, state.tracks, rows)
+                state = update(predict(state, motion), scan, birth, sensor)
+            return state
+
+        whole = run()
+        monkeypatch.setattr(engine, "_ROW_BLOCK", 2)
+        blocked = run()
+        assert len(whole.weights) > 100 * engine._ROW_BLOCK
+        assert list(blocked.tracks) == list(whole.tracks)
+        for a, b in zip(
+            (blocked.indptr, blocked.indices, blocked.weights),
+            (whole.indptr, whole.indices, whole.weights),
+        ):
+            assert np.array_equal(a, b)
+
     def test_exchange_symmetry(self):
         # Permuting the within-scan observation order relabels ids but
         # leaves the hypothesis set and weights unchanged.
@@ -337,6 +369,20 @@ class TestTrackExistence:
         p = path(0, (0, 0))
         state = FilterState(0, {p: Track(p, unit_dist(), False)}, [Hypothesis((), 1.0)])
         assert track_existence(state, p) == 0.0
+
+    def test_blocked_sum_equals_one_pass(self, monkeypatch):
+        # Summing existence a few rows at a time adds in table order, so it
+        # equals the one-pass sum exactly.
+        rng = np.random.default_rng(2)
+        birth, sensor = birth_1d([0.5, 0.5]), sensor_1d(p_d=0.8, p_fa=0.3)
+        state = init_filter()
+        for t in range(2):
+            scan = [obs(t, k, float(rng.uniform(-4, 4))) for k in range(3)]
+            state = update(predict(state, motion_1d(p_s=0.9)), scan, birth, sensor)
+        entry_weight = np.repeat(state.weights, np.diff(state.indptr))
+        one_pass = np.bincount(state.indices, weights=entry_weight, minlength=len(state.tracks))
+        monkeypatch.setattr(engine, "_VIEW_CHUNK", 3)
+        assert np.array_equal(state.existence(), one_pass)
 
     def test_unknown_track_raises(self):
         state = self._two_hypothesis_state()
