@@ -25,8 +25,8 @@ from .models import (
     Observation,
     SensorModel,
     moment_match,
-    symmetrize,
     _derived,
+    _innovation,
 )
 
 
@@ -165,65 +165,64 @@ def cap_counts(
     return state
 
 
-def _gate_factors(dist: AugmentedDistribution, sensor: SensorModel):
-    """Stacked innovation covariances S = HPH' + R and predictions Hm, one per component.
+def _quad_forms(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_i' M_i^-1 x_i for stacked matrices ``M`` (n, d, d) and vectors ``x`` (n, d), one solve."""
+    return (x[:, None, :] @ np.linalg.solve(M, x[..., None]))[:, 0, 0]
 
-    ``None`` for an empty mixture, which explains no observation.
-    """
+
+def _gate_innovations(dist: AugmentedDistribution, sensor: SensorModel):
+    """The components' innovations ``(S, Hm)``, stacked; ``None`` for an empty mixture."""
     if not dist.spatial:
         return None
-    H = sensor.H
-    covs = np.stack([c.cov for c in dist.spatial])
-    means = np.stack([c.mean for c in dist.spatial])
-    return H @ covs @ H.T + sensor.R, (H @ means[..., None])[..., 0]
+    S, Hm = zip(*(_innovation(c, sensor) for c in dist.spatial))
+    return np.stack(S), np.stack(Hm)
 
 
-def _min_distance(factors, z: np.ndarray) -> float:
-    """Smallest squared Mahalanobis distance of ``z`` under stacked gate factors."""
-    if factors is None:
+def _min_distance(innovations, z: np.ndarray) -> float:
+    """Smallest squared Mahalanobis distance of ``z`` under stacked innovations."""
+    if innovations is None:
         return math.inf
-    S, Hm = factors
-    resid = z - Hm
-    return float((resid[:, None, :] @ np.linalg.solve(S, resid[..., None])).min())
+    S, Hm = innovations
+    return float(_quad_forms(S, z - Hm).min())
 
 
 def mahalanobis_sq(dist: AugmentedDistribution, obs: Observation, sensor: SensorModel) -> float:
     """Smallest squared Mahalanobis distance of ``obs`` over the mixture components."""
-    return _min_distance(_gate_factors(dist, sensor), obs.value)
+    return _min_distance(_gate_innovations(dist, sensor), obs.value)
 
 
 def make_gate(sensor: SensorModel, threshold: float):
     """Build the gate predicate used by the update for tracks and births alike.
 
     The predicate accepts ``(dist, obs)`` when ``mahalanobis_sq`` is at most
-    ``threshold``. Consecutive calls for one distribution share its factors:
-    the predicate keeps the stacked S and Hm of the last distribution it saw
+    ``threshold``, a nonnegative number (``inf`` accepts everything).
+    Consecutive calls for one distribution share its innovations: the
+    predicate keeps the stacked S and Hm of the last distribution it saw
     (holding it, and comparing by identity), so the update, which asks about
     all of one distribution's observations in a row, builds them once per
     track and scan and runs one stacked solve per call. Distributions are
     immutable records; one changed in place between calls is not noticed.
     """
-    seen = factors = None
+    if not threshold >= 0.0:
+        raise ValueError(f"gate threshold must be nonnegative, got {threshold}")
+    seen = innovations = None
 
     def _gate(dist: AugmentedDistribution, obs: Observation) -> bool:
-        nonlocal seen, factors
+        nonlocal seen, innovations
         if dist is not seen:
-            seen, factors = dist, _gate_factors(dist, sensor)
-        return _min_distance(factors, obs.value) <= threshold
+            seen, innovations = dist, _gate_innovations(dist, sensor)
+        return _min_distance(innovations, obs.value) <= threshold
 
     return _gate
 
 
 def _merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float, moments) -> Track:
-    """The pair, given its moment-matched ``(mean, cov)``s, as one Gaussian on ``a``'s path."""
-    total = alpha_a + alpha_b
-    wa, wb = (alpha_a / total, alpha_b / total) if total > 0.0 else (0.5, 0.5)
+    """The pair's ``(mean, cov)``s moment-matched by existence (else evenly), on ``a``'s path."""
+    weights = (alpha_a, alpha_b) if alpha_a + alpha_b > 0.0 else (0.5, 0.5)
+    c = moment_match([_derived(GaussianComponent, w, *m) for w, m in zip(weights, moments)])
+    wa, wb = (w / c.weight for w in weights)
     presence = min(1.0, max(0.0, wa * a.dist.presence + wb * b.dist.presence))
-    (ma, Pa), (mb, Pb) = moments
-    mean = wa * ma + wb * mb
-    da, db = ma - mean, mb - mean
-    cov = symmetrize(wa * (Pa + np.outer(da, da)) + wb * (Pb + np.outer(db, db)))
-    comp = _derived(GaussianComponent, 1.0, mean, cov)
+    comp = _derived(GaussianComponent, 1.0, c.mean, c.cov)
     return Track(a.path, _derived(AugmentedDistribution, presence, (comp,)), a.displayed)
 
 
@@ -253,9 +252,7 @@ def _pair_distances(alpha, means, covs, first, second) -> np.ndarray:
         pooled = 0.5 * (covs[a] + covs[b])
         weighted = total[:, 0, 0] > 0.0
         pooled[weighted] = (wa * covs[a] + wb * covs[b])[weighted] / total[weighted]
-        diff = means[a] - means[b]
-        dist_sq = diff[:, None, :] @ np.linalg.solve(pooled, diff[..., None])
-        out[start : start + len(a)] = dist_sq[:, 0, 0]
+        out[start : start + len(a)] = _quad_forms(pooled, means[a] - means[b])
     return out
 
 
@@ -276,7 +273,7 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     pair is skipped when the substitution would put incompatible paths into
     one hypothesis, counting the substitutions made earlier in the pass.
     """
-    if d_threshold < 0.0:
+    if not d_threshold >= 0.0:
         raise ValueError(f"merge threshold must be nonnegative, got {d_threshold}")
     alpha = state.existence()
     tracks = list(state.tracks.values())

@@ -91,12 +91,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
-    records = data.get("records", [])
-    print(f"{'scan':>4}  {'obs':>4}  {'hyps':>6}  {'tracks':>6}  {'weight':>10}  extracted")
-    for rec in records:
+    try:
+        lines = _report_lines(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a report ({type(exc).__name__}: {exc})") from exc
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _report_lines(data: dict) -> list[str]:
+    lines = [f"{'scan':>4}  {'obs':>4}  {'hyps':>6}  {'tracks':>6}  {'weight':>10}  extracted"]
+    for rec in data.get("records", []):
         est = rec.get("estimates", [])
         shown = ", ".join(e["track"] for e in est) or "-"
-        print(
+        lines.append(
             f"{rec['scan']:>4}  {len(rec.get('observations', [])):>4}  "
             f"{rec['hypothesis_count']:>6}  {rec['track_count']:>6}  "
             f"{rec['total_weight']:>10.6f}  {shown}"
@@ -104,11 +112,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     m = data.get("metrics")
     if m:
         rmse = "n/a" if m.get("rmse") is None else f"{m['rmse']:.4f}"
-        print(
+        lines.append(
             f"summary: mean cardinality error {m['mean_cardinality_error']:+.3f}, "
             f"matched RMSE {rmse} over {m['matched_total']} matches"
         )
-    return EXIT_OK
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,14 +6,13 @@ normalized Gaussian-mixture spatial density over the in-scene state space.
 The absent state is never materialized as a vector; all linear algebra stays
 on the in-scene space and absence is carried by the presence complement.
 
-Every innovation (S = H P H' + R and the residual z - H m of one component)
-of the predictive likelihood and the Kalman update comes from one helper;
-the gate (``approximations.make_gate``) computes the same S and H m stacked
-over a mixture's components. S is factorised with a Cholesky decomposition
-wherever a density is needed; no explicit inverse is formed. Inputs are validated
-once, at the boundary: by the model constructors, which also reject
-non-finite entries, and by ``load_config``.
-Records derived from validated ones are built by :func:`_derived`, unchecked.
+Each Gaussian formula has one home. :func:`_innovation` forms S = H P H' + R
+and H m of a component for the gate, the likelihood and the Kalman update;
+the latter two take log(w p_d), the Cholesky factor of S and the residual
+from :func:`_detecting`, and no inverse is formed. Every moment match, merges
+included, is :func:`moment_match`. Inputs are validated once, at the
+boundary: by the model constructors, which also reject non-finite entries,
+and by ``load_config``. Derived records are built by :func:`_derived`, unchecked.
 """
 
 from __future__ import annotations
@@ -83,6 +82,7 @@ class StateSpace:
         b = np.asarray(self.bounds, dtype=float)
         if b.shape != (self.dim, 2):
             raise ModelConfigError(f"bounds must have shape ({self.dim}, 2), got {b.shape}")
+        _finite(b, "bounds")
         if not np.all(b[:, 0] < b[:, 1]):
             raise ModelConfigError("each bounds interval must satisfy lower < upper")
         object.__setattr__(self, "bounds", b)
@@ -305,16 +305,28 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _innovation(
-    comp: GaussianComponent, z: np.ndarray, sensor: SensorModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Innovation covariance S = H P H' + R and residual z - H m of one component.
+def _innovation(comp: GaussianComponent, sensor: SensorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Innovation covariance S = H P H' + R and prediction H m of one component.
 
     S is left as computed: the Cholesky factorisation reads one triangle
     only, and a general solve does not need symmetry.
     """
     H = sensor.H
-    return H @ comp.cov @ H.T + sensor.R, z - H @ comp.mean
+    return H @ comp.cov @ H.T + sensor.R, H @ comp.mean
+
+
+def _detecting(spatial: Sequence[GaussianComponent], z: np.ndarray, sensor: SensorModel):
+    """``(component, log(w p_d), L, z - H m)`` of each component with w p_d > 0; L L' = S.
+
+    Callers whiten the residual themselves: the Kalman step's solve against
+    [r | H P] can differ in the last bit from a solve against r alone.
+    """
+    for c in spatial:
+        pd = sensor.detection_probability(c.mean)
+        if c.weight <= 0.0 or pd <= 0.0:
+            continue
+        S, Hm = _innovation(c, sensor)
+        yield c, math.log(c.weight) + math.log(pd), np.linalg.cholesky(S), z - Hm
 
 
 def _log_gauss(chol: np.ndarray, white: np.ndarray) -> float:
@@ -343,15 +355,10 @@ def log_predictive_likelihood(
         raise ModelConfigError(
             f"state dim {dist.dim} does not match sensor input dim {sensor.state_dim}"
         )
-    terms = []
-    for comp in dist.spatial:
-        pd = sensor.detection_probability(comp.mean)
-        if comp.weight <= 0.0 or pd <= 0.0:
-            continue
-        S, resid = _innovation(comp, z, sensor)
-        chol = np.linalg.cholesky(S)
-        white = np.linalg.solve(chol, resid)
-        terms.append(math.log(comp.weight) + math.log(pd) + _log_gauss(chol, white))
+    terms = [
+        log_wpd + _log_gauss(chol, np.linalg.solve(chol, resid))
+        for _, log_wpd, chol, resid in _detecting(dist.spatial, z, sensor)
+    ]
     if not terms:
         return -math.inf
     m = max(terms)

@@ -87,17 +87,13 @@ def run(cfg: ScenarioConfig) -> tuple[RunReport, GroundTruth, list[list[Observat
 
 
 def _greedy_match(
-    est_points: list[np.ndarray],
-    true_points: list[np.ndarray],
-    radius: float,
+    est_points: list[np.ndarray], true_points: list[np.ndarray]
 ) -> list[tuple[int, int, float]]:
-    pairs = []
-    for i, e in enumerate(est_points):
-        for j, x in enumerate(true_points):
-            d = float(np.linalg.norm(e - x))
-            if d <= radius:
-                pairs.append((d, i, j))
-    pairs.sort()
+    pairs = sorted(
+        (float(np.linalg.norm(e - x)), i, j)
+        for i, e in enumerate(est_points)
+        for j, x in enumerate(true_points)
+    )
     used_e: set[int] = set()
     used_t: set[int] = set()
     matched = []
@@ -110,11 +106,11 @@ def _greedy_match(
     return matched
 
 
-def metrics(truth: GroundTruth, report: RunReport, match_radius: float = math.inf) -> dict:
+def metrics(truth: GroundTruth, report: RunReport) -> dict:
     """Cardinality error and matched-position RMSE against the ground truth.
 
-    Estimates are matched to true states greedily by distance within the
-    match radius; the pairing is order-independent.
+    Estimates are matched to true states greedily by distance; the pairing
+    is order-independent.
     """
     if len(report.records) != truth.scans:
         raise ValueError(
@@ -126,7 +122,7 @@ def metrics(truth: GroundTruth, report: RunReport, match_radius: float = math.in
         present = truth.present_at(rec.scan)
         est_points = [e.point for e in rec.estimates]
         true_points = [t.state_at(rec.scan) for t in present]
-        matched = _greedy_match(est_points, true_points, match_radius)
+        matched = _greedy_match(est_points, true_points)
         scan_sq = [d * d for _, _, d in matched]
         sq_errors.extend(scan_sq)
         per_scan.append(

@@ -36,7 +36,7 @@ from .models import (
     symmetrize,
     tidy_mixture,
     _derived,
-    _innovation,
+    _detecting,
     _log_gauss,
 )
 
@@ -84,18 +84,12 @@ def _kalman_posterior(
     Component weights are renormalized in log domain so that far-away
     observations cannot underflow the whole mixture to zero.
     """
-    z = obs.value
     log_weights: list[float] = []
     moments: list[tuple[np.ndarray, np.ndarray]] = []
-    for c in spatial:
-        pd = sensor.detection_probability(c.mean)
-        if c.weight <= 0.0 or pd <= 0.0:
-            continue
-        S, resid = _innovation(c, z, sensor)
-        chol = np.linalg.cholesky(S)
+    for c, log_wpd, chol, resid in _detecting(spatial, obs.value, sensor):
         sol = np.linalg.solve(chol, np.concatenate((resid[:, None], sensor.H @ c.cov), axis=1))
         white, G = sol[:, 0], sol[:, 1:]
-        log_weights.append(math.log(c.weight) + math.log(pd) + _log_gauss(chol, white))
+        log_weights.append(log_wpd + _log_gauss(chol, white))
         moments.append((c.mean + G.T @ white, symmetrize(c.cov - G.T @ G)))
     if not log_weights:
         raise AssociationImpossibleError(

@@ -20,7 +20,7 @@ from disptrack import (
     missdetection_mass,
     newborn_path,
 )
-from disptrack.approximations import _cooccurrence, _merged_track
+from disptrack.approximations import _cooccurrence
 from disptrack.engine import FilterState, Track, fold_rows, keep_tracks
 from disptrack.models import log_predictive_likelihood, moment_match
 
@@ -141,11 +141,24 @@ def reference_update(state, scan_obs, birth, sensor, gate=None):
     return {k: v / total for k, v in lin.items()}
 
 
+def _reference_merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float, ca, cb) -> Track:
+    """The pair's two-way moment match, written out: existence weights, even when both are zero."""
+    total = alpha_a + alpha_b
+    wa, wb = (alpha_a / total, alpha_b / total) if total > 0.0 else (0.5, 0.5)
+    presence = min(1.0, max(0.0, wa * a.dist.presence + wb * b.dist.presence))
+    mean = wa * ca.mean + wb * cb.mean
+    da, db = ca.mean - mean, cb.mean - mean
+    cov = wa * (ca.cov + np.outer(da, da)) + wb * (cb.cov + np.outer(db, db))
+    comp = GaussianComponent(1.0, mean, 0.5 * (cov + cov.T))
+    return Track(a.path, AugmentedDistribution(presence, (comp,)), a.displayed)
+
+
 def reference_merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     """Per-pair greedy merge pass: the pair distance is solved inside the loop.
 
     The merge pass as it was before its pair distances were batched, kept
-    unchanged as the reference that ``merge_tracks`` must match exactly.
+    unchanged as the reference that ``merge_tracks`` must match exactly; the
+    merged track is the two-way moment match written out in full.
 
     Tracks sharing a hypothesis are, by construction, candidates for two
     distinct targets and are never merged. Eligible pairs are processed
@@ -205,10 +218,8 @@ def reference_merge_tracks(state: FilterState, d_threshold: float) -> FilterStat
             held_with_b |= obs_mask[stands_for[p]]
         if held_with_b & obs_mask[a]:
             continue
-        ca, cb = matched(a), matched(b)
-        merged[a] = _merged_track(
-            tracks[a], tracks[b], float(alpha[a]), float(alpha[b]),
-            ((ca.mean, ca.cov), (cb.mean, cb.cov)),
+        merged[a] = _reference_merged_track(
+            tracks[a], tracks[b], float(alpha[a]), float(alpha[b]), matched(a), matched(b)
         )
         stands_for[b] = a
         consumed[a] = consumed[b] = True

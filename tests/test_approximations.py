@@ -30,7 +30,7 @@ from disptrack import (
     init_filter,
 )
 from disptrack.approximations import _pair_distances, mahalanobis_sq
-from disptrack.models import _innovation, moment_match
+from disptrack.models import moment_match
 
 from helpers import birth_1d, dist, motion_1d, obs, reference_merge_tracks, sensor_1d, unit_dist
 
@@ -181,6 +181,12 @@ class TestGate:
     def test_infinite_threshold_keeps_everything(self):
         assert make_gate(sensor_1d(), math.inf)(unit_dist(), obs(0, 0, 1e6))
 
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_threshold_rejected(self, threshold):
+        # Such a gate would reject every observation without a word.
+        with pytest.raises(ValueError, match="gate threshold"):
+            make_gate(sensor_1d(), threshold)
+
     def test_hand_computed_distance(self):
         # 1-D, S = P + R = 2, innovation 4: d2 = 16 / 2 = 8 <= 9.21.
         assert make_gate(sensor_1d(), 9.21)(unit_dist(1.0, 0.0, 1.0), obs(0, 0, 4.0))
@@ -199,7 +205,8 @@ class TestGate:
 
     def test_distance_matches_per_component_solves(self):
         # Bit-equal to one solve per component, as the gate computed it
-        # before its factors were stacked: 4-D state, 2-D observation.
+        # before its innovations were stacked, and to forming S and Hm over
+        # the stacked components: 4-D state, 2-D observation.
         rng = np.random.default_rng(11)
         root = rng.normal(size=(2, 2))
         sensor = SensorModel(rng.normal(size=(2, 4)), root @ root.T + 0.1 * np.eye(2), 0.9, 0.1)
@@ -211,11 +218,17 @@ class TestGate:
                 comps.append(GaussianComponent(w, rng.normal(scale=20.0, size=4), cov))
             d = AugmentedDistribution(1.0, tuple(comps))
             z = Observation((0, 0), rng.normal(scale=20.0, size=2))
+            H, R = sensor.H, sensor.R
             per_comp = []
             for c in d.spatial:
-                S, resid = _innovation(c, z.value, sensor)
+                S, resid = H @ c.cov @ H.T + R, z.value - H @ c.mean
                 per_comp.append(float(resid @ np.linalg.solve(S, resid)))
-            assert _bits(mahalanobis_sq(d, z, sensor)) == _bits(min(per_comp))
+            covs = np.stack([c.cov for c in d.spatial])
+            means = np.stack([c.mean for c in d.spatial])
+            S, resid = H @ covs @ H.T + R, z.value - (H @ means[..., None])[..., 0]
+            stacked = resid[:, None, :] @ np.linalg.solve(S, resid[..., None])
+            got = _bits(mahalanobis_sq(d, z, sensor))
+            assert got == _bits(min(per_comp)) == _bits(float(stacked.min()))
 
     def test_one_gate_across_interleaved_distributions(self):
         # The gate keeps the factors of the last distribution it saw; every
@@ -276,6 +289,16 @@ class TestMergeTracks:
         assert set(out.tracks) == {P1}  # higher-existence path kept
         assert track_existence(out, P1) == pytest.approx(1.0, abs=1e-12)
         assert len(out.hypotheses) == 1
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0])
+    def test_nan_or_negative_threshold_rejected(self, threshold):
+        # A NaN threshold would merge every eligible pair, as +inf does.
+        state = synth_state(
+            [track(P1, mean=0.0), track(P3, mean=0.0)],
+            [((P1,), 0.6), ((P3,), 0.4)],
+        )
+        with pytest.raises(ValueError, match="merge threshold"):
+            merge_tracks(state, threshold)
 
     def test_pair_sharing_hypothesis_never_merges(self):
         state = synth_state(

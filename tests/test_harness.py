@@ -127,6 +127,7 @@ class TestConfig:
             ("birth", "cardinality", [float("nan"), 0.2]),
             ("birth", "spatial", [{"weight": 1.0, "mean": [float("nan")], "cov": [[25.0]]}]),
             ("birth", "spatial", [{"weight": 1.0, "mean": [float("inf")], "cov": [[25.0]]}]),
+            ("model", "bounds", [[float("-inf"), float("inf")]]),
             # A boolean is no probability or rate.
             ("model", "p_s", True),
             ("sensor", "p_d", True),
@@ -412,6 +413,25 @@ class TestCli:
         cli_main(["run", "--config", str(cfg), "--seed", "7", "--out", str(d1)])
         cli_main(["run", "--config", str(cfg), "--seed", "8", "--out", str(d2)])
         assert (d1 / "observations.jsonl").read_bytes() != (d2 / "observations.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            [],
+            "not a report",
+            {"records": [{"scan": 0, "track_count": 1, "total_weight": 1.0}]},
+            {"records": [{"scan": 0, "hypothesis_count": 1, "track_count": 1, "total_weight": "x"}]},
+            {"records": ["scan 0"]},
+            {"records": [], "metrics": {"rmse": None}},
+        ],
+    )
+    def test_report_of_non_report_json_is_a_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(content))
+        assert cli_main(["report", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and "is not a report" in captured.err
+        assert captured.out == ""
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -64,6 +64,10 @@ class TestTypes:
             lambda: GaussianComponent(1.0, np.zeros(1), odd),
             lambda: BirthModel(np.array([bad, 1.0]), unit_dist()),
             lambda: Observation((0, 0), [bad]),
+            # Either bound alone: a NaN or +-inf in the other slot would
+            # already fail lower < upper.
+            lambda: StateSpace(1, np.array([[bad, 1e9]])),
+            lambda: StateSpace(1, np.array([[-1e9, bad]])),
         ):
             with pytest.raises(ModelConfigError):
                 build()
