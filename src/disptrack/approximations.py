@@ -12,8 +12,7 @@ sum back to one at the next update.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +24,8 @@ from .models import (
     Observation,
     SensorModel,
     moment_match,
+    _check_cap,
+    _check_threshold,
     _derived,
     _innovation,
 )
@@ -48,24 +49,16 @@ class ApproximationConfig:
     merge_threshold: float | None = None
 
     def __post_init__(self):
-        unit = ("presence_threshold", "track_existence_threshold", "hyp_existence_threshold")
-        for name in unit + ("gate_threshold", "merge_threshold"):
-            v = getattr(self, name)
+        caps = {"max_tracks": 1, "max_hypotheses": 1, "birth_cap": 0}  # least values
+        highs = {"gate_threshold": math.inf, "merge_threshold": math.inf}  # others: 1
+        for f in fields(self):
+            v = getattr(self, f.name)
             if v is None:
                 continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or math.isnan(v):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-            high = 1.0 if name in unit else math.inf
-            if not 0.0 <= v <= high:
-                raise ValueError(f"{name} must lie in [0, {high}], got {v}")
-        for name, low in (("max_tracks", 1), ("max_hypotheses", 1), ("birth_cap", 0)):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < low:
-                raise ValueError(f"{name} must be >= {low}, got {v}")
+            if f.name in caps:
+                _check_cap(v, f.name, caps[f.name])
+            else:
+                _check_threshold(v, f.name, highs.get(f.name, 1.0))
 
 
 # Documented defaults for running all passes together: conservative
@@ -91,17 +84,9 @@ def _marginalize(state: FilterState, victims: np.ndarray) -> FilterState:
         return state
     kept_entry = ~victims[state.indices]
     indptr = row_offsets(kept_entry)[state.indptr]
-    tracks, indices = keep_tracks(state.tracks, state.indices[kept_entry], ~victims)
+    tracks, indices = keep_tracks(state.tracks, state.indices[kept_entry])
     indptr, indices, weights = fold_rows(indptr, indices, state.weights)
     return FilterState.from_table(state.scan, tracks, indptr, indices, weights)
-
-
-def _drop_orphans(state: FilterState) -> FilterState:
-    referenced = np.bincount(state.indices, minlength=len(state.tracks)) > 0
-    if referenced.all():
-        return state
-    tracks, indices = keep_tracks(state.tracks, state.indices, referenced)
-    return FilterState.from_table(state.scan, tracks, state.indptr, indices, state.weights)
 
 
 def prune_by_presence(state: FilterState, threshold: float) -> FilterState:
@@ -110,8 +95,7 @@ def prune_by_presence(state: FilterState, threshold: float) -> FilterState:
     Such tracks almost surely describe targets that already left the scene.
     Hypotheses are marginalized over the removals, so total weight is kept.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"presence threshold must lie in [0, 1], got {threshold}")
+    _check_threshold(threshold, "presence threshold")
     presence = np.array([t.dist.presence for t in state.tracks.values()], dtype=float)
     return _marginalize(state, presence < threshold)
 
@@ -128,9 +112,8 @@ def prune_by_existence(
     update), and tracks orphaned by it are dropped. The heaviest hypothesis
     (canonically earliest among equals) always survives.
     """
-    for v in (track_threshold, hyp_threshold):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"existence thresholds must lie in [0, 1], got {v}")
+    _check_threshold(track_threshold, "track existence threshold")
+    _check_threshold(hyp_threshold, "hypothesis existence threshold")
     if track_threshold > 0.0:
         state = _marginalize(state, state.existence() < track_threshold)
     if hyp_threshold > 0.0:
@@ -138,7 +121,7 @@ def prune_by_existence(
         if not kept.any():
             kept[state.top_rows(1)] = True
         if not kept.all():
-            state = _drop_orphans(state.with_rows(kept))
+            state = state.with_rows(kept)
     return state
 
 
@@ -153,6 +136,9 @@ def cap_counts(
     keeping the canonically earliest. Same marginalization and orphan rules
     as the threshold prunes; hypothesis weights are not renormalized.
     """
+    for cap, name in ((max_tracks, "max_tracks"), (max_hypotheses, "max_hypotheses")):
+        if cap is not None:
+            _check_cap(cap, name)
     if max_tracks is not None and len(state.tracks) > max_tracks:
         ranked = np.argsort(-state.existence(), kind="stable")
         victims = np.zeros(len(state.tracks), dtype=bool)
@@ -161,7 +147,7 @@ def cap_counts(
     if max_hypotheses is not None and len(state.weights) > max_hypotheses:
         kept = np.zeros(len(state.weights), dtype=bool)
         kept[state.top_rows(max_hypotheses)] = True
-        state = _drop_orphans(state.with_rows(kept))
+        state = state.with_rows(kept)
     return state
 
 
@@ -203,8 +189,7 @@ def make_gate(sensor: SensorModel, threshold: float):
     track and scan and runs one stacked solve per call. Distributions are
     immutable records; one changed in place between calls is not noticed.
     """
-    if not threshold >= 0.0:
-        raise ValueError(f"gate threshold must be nonnegative, got {threshold}")
+    _check_threshold(threshold, "gate threshold", math.inf)
     seen = innovations = None
 
     def _gate(dist: AugmentedDistribution, obs: Observation) -> bool:
@@ -273,8 +258,7 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     pair is skipped when the substitution would put incompatible paths into
     one hypothesis, counting the substitutions made earlier in the pass.
     """
-    if not d_threshold >= 0.0:
-        raise ValueError(f"merge threshold must be nonnegative, got {d_threshold}")
+    _check_threshold(d_threshold, "merge threshold", math.inf)
     alpha = state.existence()
     tracks = list(state.tracks.values())
     n = len(tracks)
@@ -321,9 +305,8 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
         consumed[a] = consumed[b] = True
     if not merged:
         return state
-    stands = np.array(stands_for)
     table = {p: merged.get(i, t) for i, (p, t) in enumerate(state.tracks.items())}
-    table, indices = keep_tracks(table, stands[state.indices], stands == np.arange(n))
+    table, indices = keep_tracks(table, np.array(stands_for)[state.indices])
     indptr, indices, weights = fold_rows(state.indptr, indices, state.weights)
     return FilterState.from_table(state.scan, table, indptr, indices, weights)
 

@@ -166,7 +166,7 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
 
         extract_raw = _block(raw, "extract", required=False)
         _reject_unknown(extract_raw, {f.name for f in fields(ExtractionConfig)}, "extract")
-        extract = ExtractionConfig(**{k: _number(extract_raw, k, "extract") for k in extract_raw})
+        extract = ExtractionConfig(**extract_raw)
 
         sim = _block(raw, "sim")
         _reject_unknown(sim, {"scans", "seed", "clutter_rate"}, "sim")

@@ -57,6 +57,7 @@ from .models import (
     ObsId,
     SensorModel,
     MotionModel,
+    check_scan,
     log_predictive_likelihood,
     missdetection_mass,
 )
@@ -188,13 +189,14 @@ def fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
     return row_offsets(real.sum(axis=1)), uniq[real], folded[order]
 
 
-def keep_tracks(tracks: Mapping, indices: np.ndarray, keep: np.ndarray):
-    """Restrict a track table to the ids flagged in ``keep``: (tracks, renumbered indices).
-
-    Entries naming dropped ids must already be gone from ``indices``.
-    """
-    new_id = (np.cumsum(keep) - 1).astype(ID_DTYPE)
-    kept = {p: t for (p, t), k in zip(tracks.items(), keep.tolist()) if k}
+def keep_tracks(tracks: Mapping, indices: np.ndarray):
+    """The tracks some entry of ``indices`` names, and ``indices`` renumbered over them."""
+    held = np.zeros(len(tracks), dtype=bool)
+    held[indices] = True
+    if held.all():
+        return tracks, indices
+    new_id = (np.cumsum(held) - 1).astype(ID_DTYPE)
+    kept = {p: t for (p, t), k in zip(tracks.items(), held.tolist()) if k}
     return kept, new_id[indices]
 
 
@@ -337,9 +339,10 @@ class FilterState:
         return np.concatenate([above, tied[:k - len(above)]])
 
     def with_rows(self, keep: np.ndarray) -> "FilterState":
-        """Same tracks, only the rows flagged in ``keep`` (order and weights kept)."""
+        """Only the rows flagged in ``keep`` (order and weights kept) and the tracks they hold."""
         indptr, indices = _take_rows(self.indptr, self.indices, np.flatnonzero(keep))
-        return FilterState.from_table(self.scan, self.tracks, indptr, indices, self.weights[keep])
+        tracks, indices = keep_tracks(self.tracks, indices)
+        return FilterState.from_table(self.scan, tracks, indptr, indices, self.weights[keep])
 
 
 DistGate = Callable[[AugmentedDistribution, Observation], bool]
@@ -368,25 +371,6 @@ def track_existence(state: FilterState, track_id: ObservationPath) -> float:
     if track_id not in state.tracks:
         raise KeyError(f"unknown track {track_id}")
     return float(state.existence()[list(state.tracks).index(track_id)])
-
-
-def _validate_scan_obs(obs: Sequence[Observation], scan: int, sensor: SensorModel) -> None:
-    seen_ids: set[ObsId] = set()
-    seen_values: set[tuple] = set()
-    for o in obs:
-        if o.id[0] != scan:
-            raise ValueError(f"observation {o.id} does not belong to scan {scan}")
-        if o.id in seen_ids:
-            raise ValueError(f"duplicate observation id {o.id}")
-        seen_ids.add(o.id)
-        if o.value.shape[0] != sensor.obs_dim:
-            raise ModelConfigError(
-                f"observation dim {o.value.shape[0]} does not match sensor dim {sensor.obs_dim}"
-            )
-        key = tuple(o.value.tolist())
-        if key in seen_values:
-            raise ValueError(f"observations within a scan must be distinct, got repeated {key}")
-        seen_values.add(key)
 
 
 class _Options(NamedTuple):
@@ -510,7 +494,12 @@ def update(
     """
     scan = state.scan + 1
     obs = sorted(scan_obs, key=lambda o: o.id)
-    _validate_scan_obs(obs, scan, sensor)
+    check_scan(obs, scan)
+    for o in obs:
+        if o.value.shape[0] != sensor.obs_dim:
+            raise ModelConfigError(
+                f"observation dim {o.value.shape[0]} does not match sensor dim {sensor.obs_dim}"
+            )
     prior_total = state.total_weight()
     if not (0.0 < prior_total <= 1.0 + 1e-6):
         raise ValueError(f"prior hypothesis weights must sum into (0, 1], got {prior_total}")
@@ -584,7 +573,5 @@ def update(
     indptr = row_offsets(np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks]))
     indices = np.concatenate([b.ravel() for b in blocks])
     del blocks
-    referenced = np.zeros(n_opts, dtype=bool)
-    referenced[indices] = True
-    tracks, indices = keep_tracks({t.path: t for t in children}, indices, referenced)
+    tracks, indices = keep_tracks({t.path: t for t in children}, indices)
     return FilterState.from_table(scan, tracks, indptr, indices, w)

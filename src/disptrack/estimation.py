@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import FilterState, Hypothesis, ObservationPath, Track
-from .models import StateSpace
+from .models import StateSpace, _check_threshold
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,7 @@ class ExtractionConfig:
 
     def __post_init__(self):
         for name in ("confirm_threshold", "deconfirm_threshold", "presence_display_floor"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            _check_threshold(getattr(self, name), name)
         if not self.deconfirm_threshold < self.confirm_threshold:
             raise ValueError(
                 "deconfirm_threshold must be strictly below confirm_threshold, got "
@@ -77,49 +75,28 @@ def extract_tracks(
 ) -> tuple[FilterState, list[TrackEstimate]]:
     """Extract the display-worthy tracks of the MAP hypothesis.
 
-    A candidate is extracted (and marked displayed) when its existence
-    exceeds the confirmation threshold; a previously displayed candidate
-    stays extracted while its existence exceeds the lower de-confirmation
-    threshold; below that its display status is cleared. Tracks outside the
-    MAP hypothesis are cleared as well. Candidates whose probability of
-    presence is under the display floor are withheld from the output.
+    A track is shown when it is in the MAP hypothesis and its existence
+    exceeds the confirmation threshold, or it was shown before and its
+    existence exceeds the lower de-confirmation threshold; every other track
+    has its display status cleared. The estimates are the shown tracks whose
+    probability of presence is at or above the display floor; a track with
+    zero presence has no point estimate and is withheld whatever the floor.
 
-    Returns the state with refreshed display flags plus the estimates.
+    Returns the state with refreshed display flags plus the estimates, in
+    canonical track order.
     """
-    best = map_hypothesis(state)
-    member = set(best.tracks)
-    alphas = state.existence().tolist()
-
-    new_tracks: dict[ObservationPath, Track] = {}
+    member = set(map_hypothesis(state).tracks)
+    tracks: dict[ObservationPath, Track] = {}
     estimates: list[TrackEstimate] = []
-    for (path, tr), alpha in zip(state.tracks.items(), alphas):
-        if path not in member:
-            if tr.displayed:
-                tr = Track(tr.path, tr.dist, False)
-            new_tracks[path] = tr
-            continue
-        extract = False
-        displayed = tr.displayed
-        if alpha > cfg.confirm_threshold:
-            extract = True
-            displayed = True
-        elif alpha > cfg.deconfirm_threshold:
-            extract = tr.displayed
-        else:
-            displayed = False
-        if displayed != tr.displayed:
-            tr = Track(tr.path, tr.dist, displayed)
-        new_tracks[path] = tr
-        if extract and tr.dist.presence >= cfg.presence_display_floor:
-            estimates.append(
-                TrackEstimate(
-                    track_id=path,
-                    existence=alpha,
-                    presence=tr.dist.presence,
-                    point=point_estimate(tr, space),
-                    displayed=tr.displayed,
-                )
-            )
-    estimates.sort(key=lambda e: e.track_id)
-    out = FilterState.from_table(state.scan, new_tracks, state.indptr, state.indices, state.weights)
+    for (path, tr), alpha in zip(state.tracks.items(), state.existence().tolist()):
+        shown = path in member and (
+            alpha > cfg.confirm_threshold or (tr.displayed and alpha > cfg.deconfirm_threshold)
+        )
+        if shown != tr.displayed:
+            tr = Track(path, tr.dist, shown)
+        tracks[path] = tr
+        presence = tr.dist.presence
+        if shown and presence > 0.0 and presence >= cfg.presence_display_floor:
+            estimates.append(TrackEstimate(path, alpha, presence, point_estimate(tr, space), True))
+    out = FilterState.from_table(state.scan, tracks, state.indptr, state.indices, state.weights)
     return out, estimates

@@ -13,21 +13,20 @@ from :func:`_detecting`, and no inverse is formed. Every moment match, merges
 included, is :func:`moment_match`. Inputs are validated once, at the
 boundary: by the model constructors, which also reject non-finite entries,
 and by ``load_config``. Derived records are built by :func:`_derived`, unchecked.
+A scan is checked by :func:`check_scan` alone, and every threshold and cap by
+:func:`_check_threshold` and :func:`_check_cap`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Gaussian-mixture hygiene: lighter components are dropped. There is no length
-# cap: updates and predict keep the count and a merge yields one component.
-WEIGHT_FLOOR = 1e-12
 
 
 class ModelConfigError(ValueError):
@@ -67,6 +66,18 @@ def _check_probability(p: float, name: str) -> float:
     if not 0.0 <= p <= 1.0:
         raise ModelConfigError(f"{name} must lie in [0, 1], got {p}")
     return p
+
+
+def _check_threshold(value, name: str, high: float = 1.0) -> None:
+    """Raise ``ValueError`` unless ``value`` is a number in [0, high]; NaN and booleans are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= high:
+        raise ValueError(f"{name} must be a number in [0, {high}], got {value!r}")
+
+
+def _check_cap(value, name: str, low: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least ``low``; booleans are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -291,6 +302,22 @@ class Observation:
         object.__setattr__(self, "value", value)
 
 
+def check_scan(scan_obs: Sequence[Observation], scan: int) -> None:
+    """Raise ``ModelConfigError`` unless every id names ``scan`` and no id or value repeats."""
+    ids: set[ObsId] = set()
+    values: set[tuple] = set()
+    for o in scan_obs:
+        if o.id[0] != scan:
+            raise ModelConfigError(f"observation {o.id} does not belong to scan {scan}")
+        if o.id in ids:
+            raise ModelConfigError(f"duplicate observation id {o.id}")
+        key = tuple(o.value.tolist())
+        if key in values:
+            raise ModelConfigError(f"observations within a scan must be distinct, got repeated {key}")
+        ids.add(o.id)
+        values.add(key)
+
+
 def _derived(cls, *values):
     """``cls(*values)`` unchecked, for records derived from validated ones.
 
@@ -410,18 +437,3 @@ def moment_match(components: Sequence[GaussianComponent]) -> GaussianComponent:
         cov += (c.weight / total) * (c.cov + dm @ dm.T)
     return _derived(GaussianComponent, total, mean, symmetrize(cov))
 
-
-def tidy_mixture(
-    components: Sequence[tuple[float, np.ndarray, np.ndarray]],
-) -> tuple[GaussianComponent, ...]:
-    """Build a mixture from raw ``(weight, mean, cov)`` triples, one component each.
-
-    Mixture hygiene on the way: floor-weight triples are dropped and the
-    weights are renormalized; the count is never capped.
-    """
-    comps = [c for c in components if c[0] > WEIGHT_FLOOR]
-    if not comps:
-        # Keep the single heaviest component rather than returning nothing.
-        comps = [max(components, key=lambda c: c[0])]
-    total = math.fsum(w for w, _, _ in comps)
-    return tuple(_derived(GaussianComponent, w / total, mean, cov) for w, mean, cov in comps)

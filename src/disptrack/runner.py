@@ -20,7 +20,7 @@ from .approximations import apply_pipeline, make_gate
 from .config import ConfigError, ScenarioConfig
 from .engine import FilterState, init_filter, predict, update
 from .estimation import TrackEstimate, extract_tracks, map_hypothesis
-from .models import Observation
+from .models import ModelConfigError, Observation, check_scan
 from .simulation import GroundTruth, simulate
 
 
@@ -232,13 +232,10 @@ def read_observations(path: Path) -> list[list[Observation]]:
             raise ConfigError(f"{where}: malformed scan record ({exc!r})") from exc
         if type(scan) is not int or scan != len(scans):
             raise ConfigError(f"{where}: expected scan {len(scans)}, got {scan!r}")
-        ids = [o.id for o in scan_obs]
-        if any(s != scan for s, _ in ids):
-            raise ConfigError(f"{where}: observation ids {ids} do not all belong to scan {scan}")
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"{where}: repeated observation id in {ids}")
-        if len({tuple(o.value.tolist()) for o in scan_obs}) != len(scan_obs):
-            raise ConfigError(f"{where}: repeated observation value")
+        try:
+            check_scan(scan_obs, scan)
+        except ModelConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
         scans.append(scan_obs)
     return scans
 

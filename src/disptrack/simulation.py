@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ScenarioConfig
-from .models import ModelConfigError, Observation, ObsId
+from .models import ModelConfigError, Observation, ObsId, check_scan
 
 
 @dataclass
@@ -131,19 +131,15 @@ def simulate(cfg: ScenarioConfig) -> tuple[GroundTruth, list[list[Observation]]]
         scan_obs: list[Observation] = []
         scan_fa: list[ObsId] = []
         obs_ref: dict[int, ObsId] = {}
-        seen_values: set[tuple] = set()
         for k, which in enumerate(order):
             src, z = emitted[which]
-            key = tuple(np.asarray(z).tolist())
-            if key in seen_values:
-                raise ModelConfigError("simulated observations collided; adjust the models")
-            seen_values.add(key)
             obs_id: ObsId = (t, k)
             scan_obs.append(Observation(obs_id, z))
             if src is None:
                 scan_fa.append(obs_id)
             else:
                 obs_ref[src] = obs_id
+        check_scan(scan_obs, t)
         for idx, z in sources:
             targets[idx].observations.append(obs_ref.get(idx))
         false_alarms.append(scan_fa)

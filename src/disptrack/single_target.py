@@ -34,11 +34,14 @@ from .models import (
     Observation,
     SensorModel,
     symmetrize,
-    tidy_mixture,
     _derived,
     _detecting,
     _log_gauss,
 )
+
+# Mixture hygiene: lighter posterior components are dropped. There is no length
+# cap: updates and predict keep the count and a merge yields one component.
+WEIGHT_FLOOR = 1e-12
 
 
 class _Missed:
@@ -82,7 +85,8 @@ def _kalman_posterior(
     whitened residual w = L^-1 (z - H m) and G = L^-1 H P; the posterior is
     m + G'w with covariance P - G'G, and w and diag(L) give the density.
     Component weights are renormalized in log domain so that far-away
-    observations cannot underflow the whole mixture to zero.
+    observations cannot underflow the whole mixture to zero; components at
+    or below ``WEIGHT_FLOOR`` are then dropped and the rest renormalized.
     """
     log_weights: list[float] = []
     moments: list[tuple[np.ndarray, np.ndarray]] = []
@@ -98,7 +102,9 @@ def _kalman_posterior(
     m = max(log_weights)
     rel = [math.exp(lw - m) for lw in log_weights]
     total = math.fsum(rel)
-    spatial = tidy_mixture([(r / total, mean, cov) for r, (mean, cov) in zip(rel, moments)])
+    kept = [(r / total, mc) for r, mc in zip(rel, moments) if r / total > WEIGHT_FLOOR]
+    total = math.fsum(w for w, _ in kept)
+    spatial = tuple(_derived(GaussianComponent, w / total, *mc) for w, mc in kept)
     return _derived(AugmentedDistribution, 1.0, spatial)
 
 

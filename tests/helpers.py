@@ -227,6 +227,6 @@ def reference_merge_tracks(state: FilterState, d_threshold: float) -> FilterStat
         return state
     stands = np.array(stands_for)
     table = {p: merged.get(i, t) for i, (p, t) in enumerate(state.tracks.items())}
-    table, indices = keep_tracks(table, stands[state.indices], stands == np.arange(n))
+    table, indices = keep_tracks(table, stands[state.indices])
     indptr, indices, weights = fold_rows(state.indptr, indices, state.weights)
     return FilterState.from_table(state.scan, table, indptr, indices, weights)

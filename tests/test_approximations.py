@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from disptrack import (
     track_existence,
     update,
     init_filter,
+    filter_scans,
+    load_config,
+    simulate,
 )
 from disptrack.approximations import _pair_distances, mahalanobis_sq
 from disptrack.models import moment_match
@@ -51,6 +55,17 @@ def track(p, presence=1.0, mean=0.0, var=1.0, displayed=False):
 P1 = path(0, (0, 0))
 P2 = path(0, (0, 1))
 P3 = path(1, (1, 0))
+
+CLUTTERED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "cluttered.json"
+
+
+@pytest.fixture(scope="module")
+def cluttered_state():
+    """cluttered.json (seed 13) after 8 scans with its passes on."""
+    cfg = load_config(CLUTTERED)
+    _, state = filter_scans(cfg, simulate(cfg)[1][:8])
+    assert (len(state.tracks), len(state.weights)) == (58, 130)
+    return state
 
 
 class TestPruneByPresence:
@@ -77,6 +92,12 @@ class TestPruneByPresence:
         )
         out = prune_by_presence(state, 1.0)
         assert set(out.tracks) == {P3}
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, True])
+    def test_nan_or_negative_threshold_rejected(self, cluttered_state, threshold):
+        # True used to prune as if the threshold were 1.0 (58 -> 24 tracks).
+        with pytest.raises(ValueError, match="presence threshold"):
+            prune_by_presence(cluttered_state, threshold)
 
 
 class TestPruneByExistence:
@@ -133,6 +154,14 @@ class TestPruneByExistence:
         state = update(state, [obs(1, 0, 0.6)], birth, sensor)
         assert state.total_weight() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, True])
+    def test_nan_or_negative_threshold_rejected(self, cluttered_state, threshold):
+        # A boolean track threshold used to drop every track.
+        with pytest.raises(ValueError, match="track existence threshold"):
+            prune_by_existence(cluttered_state, threshold)
+        with pytest.raises(ValueError, match="hypothesis existence threshold"):
+            prune_by_existence(cluttered_state, 0.0, threshold)
+
 
 class TestCapCounts:
     def test_under_caps_identity(self):
@@ -173,6 +202,24 @@ class TestCapCounts:
         assert set(out.tracks) == {P1, P3}
         assert out.total_weight() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            # Used to drop exactly one track, or all of them.
+            {"max_tracks": -1},
+            {"max_tracks": 0},
+            # Used to fail inside numpy, or with a TypeError.
+            {"max_hypotheses": 0},
+            {"max_hypotheses": -1},
+            {"max_hypotheses": 2.5},
+            {"max_tracks": True},
+            {"max_hypotheses": math.nan},
+        ],
+    )
+    def test_invalid_cap_rejected(self, cluttered_state, caps):
+        with pytest.raises(ValueError, match=next(iter(caps))):
+            cap_counts(cluttered_state, **caps)
+
 
 class TestGate:
     def test_exact_match_kept(self):
@@ -181,7 +228,7 @@ class TestGate:
     def test_infinite_threshold_keeps_everything(self):
         assert make_gate(sensor_1d(), math.inf)(unit_dist(), obs(0, 0, 1e6))
 
-    @pytest.mark.parametrize("threshold", [math.nan, -1.0, -math.inf])
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, -math.inf, True])
     def test_nan_or_negative_threshold_rejected(self, threshold):
         # Such a gate would reject every observation without a word.
         with pytest.raises(ValueError, match="gate threshold"):
@@ -290,7 +337,7 @@ class TestMergeTracks:
         assert track_existence(out, P1) == pytest.approx(1.0, abs=1e-12)
         assert len(out.hypotheses) == 1
 
-    @pytest.mark.parametrize("threshold", [math.nan, -1.0])
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, True])
     def test_nan_or_negative_threshold_rejected(self, threshold):
         # A NaN threshold would merge every eligible pair, as +inf does.
         state = synth_state(

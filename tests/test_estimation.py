@@ -68,6 +68,21 @@ class TestPointEstimate:
             point_estimate(t, space_1d())
 
 
+class TestExtractionConfig:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"confirm_threshold": True},
+            {"deconfirm_threshold": False},
+            {"presence_display_floor": float("nan")},
+        ],
+    )
+    def test_invalid_thresholds_rejected(self, overrides):
+        # A boolean used to load as a threshold of 1 or 0.
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            ExtractionConfig(**overrides)
+
+
 class TestExtraction:
     CFG = ExtractionConfig(confirm_threshold=0.98, deconfirm_threshold=0.90,
                            presence_display_floor=0.02)
@@ -110,6 +125,15 @@ class TestExtraction:
         out, est = extract_tracks(s, self.CFG, space_1d())
         assert est == []
         # The hysteresis flag is still driven by existence.
+        assert out.tracks[P1].displayed
+
+    def test_confirmed_track_with_zero_presence_withheld(self):
+        # With p_d = 1 a missed target drops to presence 0 while staying
+        # confirmed; a zero floor must not send it to point_estimate.
+        cfg = ExtractionConfig(presence_display_floor=0.0)
+        s = state_of([track(P1, presence=0.0, displayed=True)], [((P1,), 0.99), ((), 0.01)])
+        out, est = extract_tracks(s, cfg, space_1d())
+        assert est == []
         assert out.tracks[P1].displayed
 
     def test_flicker_free_dwell(self):

@@ -407,6 +407,15 @@ class TestCli:
         for name in ("observations.jsonl", "truth.json", "records.jsonl", "report.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_track_reproduces_run(self, tmp_path):
+        # Tracking the observations a run wrote gives the run's records byte
+        # for byte: the file path carries the same scans as the simulator.
+        run_dir, track_dir = tmp_path / "run", tmp_path / "track"
+        assert cli_main(["run", "--config", str(CLUTTERED), "--out", str(run_dir)]) == 0
+        track = ["track", "--config", str(CLUTTERED), "--obs", str(run_dir), "--out", str(track_dir)]
+        assert cli_main(track) == 0
+        assert (track_dir / "records.jsonl").read_bytes() == (run_dir / "records.jsonl").read_bytes()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         d1, d2 = tmp_path / "a", tmp_path / "b"

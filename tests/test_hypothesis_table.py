@@ -144,3 +144,11 @@ class TestBoundary:
         assert list(view) == [view[0], view[1], view[2]]
         rebuilt = FilterState(state.scan, state.tracks, view)
         assert np.array_equal(rebuilt.indices, state.indices)
+
+    def test_with_rows_keeps_the_tracks_its_rows_hold(self):
+        hypotheses = [Hypothesis((P1, P2), 0.5), Hypothesis((), 0.2), Hypothesis((P2,), 0.3)]
+        state = FilterState(3, tracks_of(P1, P2), hypotheses)
+        out = state.with_rows(np.array([False, True, True]))
+        assert list(out.tracks) == [P2]
+        assert out.indices.tolist() == [0]
+        assert list(out.hypotheses) == [Hypothesis((), 0.2), Hypothesis((P2,), 0.3)]
