@@ -27,7 +27,9 @@ from .models import (
     _check_cap,
     _check_threshold,
     _derived,
-    _innovation,
+    _min_distances,
+    _quad_forms,
+    _stacked,
 )
 
 
@@ -151,54 +153,22 @@ def cap_counts(
     return state
 
 
-def _quad_forms(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x_i' M_i^-1 x_i for stacked matrices ``M`` (n, d, d) and vectors ``x`` (n, d), one solve."""
-    return (x[:, None, :] @ np.linalg.solve(M, x[..., None]))[:, 0, 0]
-
-
-def _gate_innovations(dist: AugmentedDistribution, sensor: SensorModel):
-    """The components' innovations ``(S, Hm)``, stacked; ``None`` for an empty mixture."""
-    if not dist.spatial:
-        return None
-    S, Hm = zip(*(_innovation(c, sensor) for c in dist.spatial))
-    return np.stack(S), np.stack(Hm)
-
-
-def _min_distance(innovations, z: np.ndarray) -> float:
-    """Smallest squared Mahalanobis distance of ``z`` under stacked innovations."""
-    if innovations is None:
-        return math.inf
-    S, Hm = innovations
-    return float(_quad_forms(S, z - Hm).min())
-
-
 def mahalanobis_sq(dist: AugmentedDistribution, obs: Observation, sensor: SensorModel) -> float:
-    """Smallest squared Mahalanobis distance of ``obs`` over the mixture components."""
-    return _min_distance(_gate_innovations(dist, sensor), obs.value)
+    """Smallest squared Mahalanobis distance of ``obs`` over the mixture components, ``inf``
+    for an empty mixture: the one-pair form of :func:`~disptrack.models.score_scan`'s gate."""
+    owner, _, _, S, resid = _stacked([dist], obs.value[None], sensor)
+    return float(_min_distances(owner, S, resid, 1)[0, 0])
 
 
 def make_gate(sensor: SensorModel, threshold: float):
-    """Build the gate predicate used by the update for tracks and births alike.
+    """The one-pair gate: ``(dist, obs)`` passes when ``mahalanobis_sq`` is at most ``threshold``.
 
-    The predicate accepts ``(dist, obs)`` when ``mahalanobis_sq`` is at most
-    ``threshold``, a nonnegative number (``inf`` accepts everything).
-    Consecutive calls for one distribution share its innovations: the
-    predicate keeps the stacked S and Hm of the last distribution it saw
-    (holding it, and comparing by identity), so the update, which asks about
-    all of one distribution's observations in a row, builds them once per
-    track and scan and runs one stacked solve per call. Distributions are
-    immutable records; one changed in place between calls is not noticed.
+    ``threshold`` is a nonnegative number (``inf`` accepts everything). The
+    predicate keeps no state; ``update`` gates whole scans through
+    ``gate_threshold`` and does not call it.
     """
     _check_threshold(threshold, "gate threshold", math.inf)
-    seen = innovations = None
-
-    def _gate(dist: AugmentedDistribution, obs: Observation) -> bool:
-        nonlocal seen, innovations
-        if dist is not seen:
-            seen, innovations = dist, _gate_innovations(dist, sensor)
-        return _min_distance(innovations, obs.value) <= threshold
-
-    return _gate
+    return lambda dist, obs: mahalanobis_sq(dist, obs, sensor) <= threshold
 
 
 def _merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float, moments) -> Track:

@@ -28,13 +28,13 @@ State layout:
   validated entry point; the recursion and the passes build states from
   arrays with :meth:`FilterState.from_table`.
 
-The update keeps the per-track work in Python (one miss child, one child per
-admissible observation, one newborn per birthable observation) and builds
-the child rows with a numpy join over the parent rows, one track position
-at a time: each partial row is paired with its next track's options, and a
-per-row observation bitmask drops pairings that reuse an observation. A last
-join adds births over the birthable observations left free. The join runs
-depth first over blocks of at most ``_ROW_BLOCK`` partial rows, so its
+The update scores the whole scan in stacked solves (the gate, likelihoods and
+Kalman moments of every track and the birth prior, :func:`models.score_scan`),
+then builds the child rows with a numpy join over the parent rows, one track
+position at a time: each partial row is paired with its next track's options,
+and a per-row observation bitmask drops pairings that reuse an observation. A
+last join adds births over the birthable observations left free. The join
+runs depth first over blocks of at most ``_ROW_BLOCK`` partial rows, so its
 temporaries stay block-sized and the peak memory follows the output.
 """
 
@@ -45,7 +45,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -58,12 +58,15 @@ from .models import (
     SensorModel,
     MotionModel,
     check_scan,
-    log_predictive_likelihood,
+    log_predictive_likelihood,  # not called: perfbench's tracer patches this name
     missdetection_mass,
+    score_scan,
+    _check_threshold,
 )
 from .single_target import (
     MISSED,
-    birth_posterior,
+    birth_posterior,  # not called: perfbench's tracer patches this name
+    detection_posteriors,
     predict_distribution,
     update_distribution,
 )
@@ -345,9 +348,6 @@ class FilterState:
         return FilterState.from_table(self.scan, tracks, indptr, indices, self.weights[keep])
 
 
-DistGate = Callable[[AugmentedDistribution, Observation], bool]
-
-
 def init_filter() -> FilterState:
     """Pre-data state: no tracks, the single empty hypothesis with weight one."""
     return FilterState.from_table(-1, {}, [0, 0], [], [1.0])
@@ -419,41 +419,43 @@ def _extend(parts: _Partials, first: np.ndarray, count: np.ndarray, opts: _Optio
     return out, o
 
 
-def _detections(dist, obs, sensor, gate):
-    """``(index, observation, log-likelihood)`` of each observation ``dist`` can explain."""
-    for j, o in enumerate(obs):
-        if gate is not None and not gate(dist, o):
-            continue
-        lv = log_predictive_likelihood(dist, o, sensor)
-        if lv != NEG_INF:
-            yield j, o, lv
-
-
-def _child_options(state, obs, birth, sensor, gate):
+def _child_options(state, obs, birth, sensor, gate_threshold):
     """Per-track work: every candidate child track and the option that makes it.
 
+    The scan's detections are scored and updated for all tracks and the
+    birth prior at once (:func:`score_scan`, :func:`detection_posteriors`).
     Returns the children in canonical path order (a child's id is its
     index), the options, and offsets ``ptr`` such that track ``t``'s options
-    are ``ptr[t]:ptr[t + 1]`` and the newborns' are ``ptr[-2]:ptr[-1]``.
+    are ``ptr[t]:ptr[t + 1]`` (its miss first, then its detections in
+    observation order) and the newborns' are ``ptr[-2]:ptr[-1]``.
     """
+    tracks = list(state.tracks.values())
     children: list[Track] = []
     rows: list[tuple[int, int, float]] = []  # owner, observation index (-1: miss), log factor
-    for i, tr in enumerate(state.tracks.values()):
+    for i, tr in enumerate(tracks):
         mass = missdetection_mass(tr.dist, sensor)
         if mass > 0.0:
             missed = update_distribution(tr.dist, MISSED, sensor)
             children.append(Track(tr.path, missed, tr.displayed))
             rows.append((i, -1, math.log(mass)))
-        for j, o, lv in _detections(tr.dist, obs, sensor, gate):
-            updated = update_distribution(tr.dist, o, sensor)
-            children.append(Track(tr.path.extended(o.id), updated, tr.displayed))
-            rows.append((i, j, lv))
-    if birth.max_births >= 1:  # newborns are owned by len(state.tracks)
-        for j, o, lv in _detections(birth.spatial, obs, sensor, gate):
-            children.append(Track(newborn_path(o.id), birth_posterior(birth, o, sensor), False))
-            rows.append((len(state.tracks), j, lv))
+    dists = [tr.dist for tr in tracks]
+    if birth.max_births >= 1:  # newborns are owned by len(tracks)
+        dists.append(birth.spatial)
+    values = np.array([o.value for o in obs]).reshape(len(obs), sensor.obs_dim)
+    owner, seen, logl, moments = score_scan(dists, values, sensor, gate_threshold)
+    posts = detection_posteriors(*moments)
+    for i, j, lv, post in zip(owner.tolist(), seen.tolist(), logl.tolist(), posts):
+        if lv == NEG_INF:
+            continue
+        if i < len(tracks):
+            children.append(Track(tracks[i].path.extended(obs[j].id), post, tracks[i].displayed))
+        else:
+            children.append(Track(newborn_path(obs[j].id), post, False))
+        rows.append((i, j, lv))
 
     table = np.array(rows, dtype=[("owner", np.int64), ("obs", np.int64), ("logl", float)])
+    by_owner = np.argsort(table["owner"], kind="stable")  # each miss before its detections
+    table, children = table[by_owner], [children[k] for k in by_owner.tolist()]
     order = sorted(range(len(children)), key=lambda k: children[k].path)
     child = np.empty(len(children), dtype=ID_DTYPE)
     child[order] = np.arange(len(children), dtype=ID_DTYPE)
@@ -472,7 +474,7 @@ def update(
     scan_obs: Sequence[Observation],
     birth: BirthModel,
     sensor: SensorModel,
-    gate: DistGate | None = None,
+    gate_threshold: float | None = None,
 ) -> FilterState:
     """Bayes update of the track table and hypothesis set with one scan.
 
@@ -483,6 +485,9 @@ def update(
     hypotheses by path, newborn tracks start undisplayed, and surviving
     tracks inherit their parent's display status. The track table keeps the
     children some hypothesis holds.
+
+    ``gate_threshold`` (``None``: no gate) drops every (track or birth prior,
+    observation) pair whose ``mahalanobis_sq`` exceeds it, before scoring.
 
     Associations that would condition a track on a zero-probability event
     (detection of an absent target, miss of a surely detected one) are
@@ -504,7 +509,9 @@ def update(
     if not (0.0 < prior_total <= 1.0 + 1e-6):
         raise ValueError(f"prior hypothesis weights must sum into (0, 1], got {prior_total}")
 
-    children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate)
+    if gate_threshold is not None:
+        _check_threshold(gate_threshold, "gate threshold", math.inf)
+    children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate_threshold)
     n_opts = len(children)
 
     nz = len(obs)

@@ -6,10 +6,11 @@ normalized Gaussian-mixture spatial density over the in-scene state space.
 The absent state is never materialized as a vector; all linear algebra stays
 on the in-scene space and absence is carried by the presence complement.
 
-Each Gaussian formula has one home. :func:`_innovation` forms S = H P H' + R
-and H m of a component for the gate, the likelihood and the Kalman update;
-the latter two take log(w p_d), the Cholesky factor of S and the residual
-from :func:`_detecting`, and no inverse is formed. Every moment match, merges
+Each Gaussian formula has one home, :func:`score_scan`: it forms S = H P H' + R
+and H m of every component of many distributions at once, gates all of a
+scan's pairs in one broadcast solve, and takes the likelihoods and the Kalman
+moments from one stacked Cholesky factorisation; no inverse is formed, and
+the single-pair functions are one-pair calls into it. Every moment match, merges
 included, is :func:`moment_match`. Inputs are validated once, at the
 boundary: by the model constructors, which also reject non-finite entries,
 and by ``load_config``. Derived records are built by :func:`_derived`, unchecked.
@@ -329,37 +330,107 @@ def _derived(cls, *values):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """0.5 (M + M') of a matrix or of each matrix in a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _innovation(comp: GaussianComponent, sensor: SensorModel) -> tuple[np.ndarray, np.ndarray]:
-    """Innovation covariance S = H P H' + R and prediction H m of one component.
+def _quad_forms(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x' M^-1 x for stacked matrices ``M`` (..., d, d) and vectors ``x`` (..., d), broadcast."""
+    return (x[..., None, :] @ np.linalg.solve(M, x[..., None]))[..., 0, 0]
 
-    S is left as computed: the Cholesky factorisation reads one triangle
-    only, and a general solve does not need symmetry.
+
+def _log_gauss(chol: np.ndarray, white: np.ndarray) -> np.ndarray:
+    """log N(r; 0, S) from stacked Cholesky factors L of S and whitened residuals L^-1 r."""
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    quad = (white[..., None, :] @ white[..., None])[..., 0, 0]
+    return -0.5 * (white.shape[-1] * LOG_2PI + logdet + quad)
+
+
+def _stacked(dists: Sequence[AugmentedDistribution], values: np.ndarray, sensor: SensorModel):
+    """``(owner, means, covs, S, resid)`` of the distributions' components, stacked.
+
+    ``owner`` is each component's distribution, S = H P H' + R its innovation
+    covariance, and ``resid`` (components, m, p) its residuals z - H m against
+    the rows of ``values``. S is left as computed: the Cholesky factorisation
+    reads one triangle only, and a general solve does not need symmetry.
     """
-    H = sensor.H
-    return H @ comp.cov @ H.T + sensor.R, H @ comp.mean
+    owner = np.array([i for i, d in enumerate(dists) for _ in d.spatial], dtype=np.int64)
+    n, H = sensor.state_dim, sensor.H
+    means = np.array([c.mean for d in dists for c in d.spatial]).reshape(-1, n)
+    covs = np.array([c.cov for d in dists for c in d.spatial]).reshape(-1, n, n)
+    resid = values[None] - (H @ means[..., None])[..., None, :, 0]
+    return owner, means, covs, H @ covs @ H.T + sensor.R, resid
 
 
-def _detecting(spatial: Sequence[GaussianComponent], z: np.ndarray, sensor: SensorModel):
-    """``(component, log(w p_d), L, z - H m)`` of each component with w p_d > 0; L L' = S.
+def _min_distances(owner, S, resid, n_dists: int) -> np.ndarray:
+    """(distributions, observations): the least squared Mahalanobis distance over each
+    distribution's stacked components, in one broadcast solve; ``inf`` for an empty mixture."""
+    out = np.full((n_dists, resid.shape[1]), math.inf)
+    np.minimum.at(out, owner, _quad_forms(S[:, None], resid))
+    return out
 
-    Callers whiten the residual themselves: the Kalman step's solve against
-    [r | H P] can differ in the last bit from a solve against r alone.
+
+def score_scan(
+    dists: Sequence[AugmentedDistribution],
+    values: np.ndarray,
+    sensor: SensorModel,
+    gate_threshold: float | None = None,
+):
+    """Gate, score and Kalman-update every (distribution, observation value) pair at once.
+
+    A pair passes when its :func:`_min_distances` entry is at most
+    ``gate_threshold`` (``None``: every pair does). A component can detect
+    when its distribution has presence > 0 and w p_d > 0, p_d taken at its
+    mean; those of distributions with a gated pair are factored in one
+    stacked Cholesky, L L' = S. One stacked solve against L whitens the gated
+    residuals r for the likelihood; another gives [w | G] = L^-1 [r | H P],
+    the posterior m + G'w, P - G'G and the log weight log(w p_d) + log N(r; 0, S).
+    The two whitenings of r can differ in the last bit.
+
+    Returns ``(dist, obs, logl, moments)``: one entry per pair that passed
+    and that some component can explain, in (distribution, observation)
+    order, with ``logl`` the log of presence * sum_i w_i p_d(m_i) N(z; H m_i, S_i)
+    (-inf only on underflow); and ``moments``, the ``(pair, log weight, mean,
+    cov)`` of each such pair's detecting components, in that order.
     """
-    for c in spatial:
-        pd = sensor.detection_probability(c.mean)
-        if c.weight <= 0.0 or pd <= 0.0:
-            continue
-        S, Hm = _innovation(c, sensor)
-        yield c, math.log(c.weight) + math.log(pd), np.linalg.cholesky(S), z - Hm
-
-
-def _log_gauss(chol: np.ndarray, white: np.ndarray) -> float:
-    """log N(r; 0, S) from the Cholesky factor L of S and the whitened residual L^-1 r."""
-    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
-    return -0.5 * (white.shape[0] * LOG_2PI + logdet + float(white @ white))
+    owner, means, covs, S, resid = _stacked(dists, values, sensor)
+    passed = np.ones((len(dists), len(values)), dtype=bool)
+    if gate_threshold is not None:
+        passed = _min_distances(owner, S, resid, len(dists)) <= gate_threshold
+    live = passed.any(axis=1).tolist()
+    detect, log_wpd = [], []
+    for k, (i, c) in enumerate(zip(owner.tolist(), (c for d in dists for c in d.spatial))):
+        if live[i] and dists[i].presence > 0.0:
+            pd = sensor.detection_probability(c.mean)
+            if c.weight > 0.0 and pd > 0.0:
+                detect.append(k)
+                log_wpd.append(math.log(c.weight) + math.log(pd))
+    detect = np.array(detect, dtype=np.int64)
+    factor, obs = np.nonzero(passed[owner[detect]])
+    key = owner[detect[factor]] * len(values) + obs
+    order = np.argsort(key, kind="stable")
+    factor, obs, key = factor[order], obs[order], key[order]
+    comp, log_wpd = detect[factor], np.array(log_wpd)[factor]
+    chol = np.linalg.cholesky(S[detect])[factor]
+    r = resid[comp, obs]
+    white = np.linalg.solve(chol, r[..., None])[..., 0]
+    sol = np.linalg.solve(chol, np.concatenate((r[..., None], sensor.H @ covs[comp]), axis=-1))
+    G, Gt = sol[..., 1:], np.swapaxes(sol[..., 1:], -1, -2)
+    terms = (log_wpd + _log_gauss(chol, white)).tolist()
+    starts = np.diff(key, prepend=-1) != 0
+    first = np.flatnonzero(starts)
+    dist, logl = owner[comp[first]], []
+    for a, b, i in zip(first.tolist(), first[1:].tolist() + [len(key)], dist.tolist()):
+        m = max(terms[a:b])
+        total = math.fsum(math.exp(t - m) for t in terms[a:b])
+        logl.append(math.log(dists[i].presence) + m + math.log(total))
+    moments = (
+        np.cumsum(starts) - 1,
+        log_wpd + _log_gauss(chol, sol[..., 0]),
+        means[comp] + (Gt @ sol[..., :1])[..., 0],
+        symmetrize(covs[comp] - Gt @ G),
+    )
+    return dist, obs[first], np.array(logl), moments
 
 
 def log_predictive_likelihood(
@@ -367,9 +438,9 @@ def log_predictive_likelihood(
 ) -> float:
     """Log of the detection predictive mass, -inf when structurally zero.
 
-    The log of presence * sum_i w_i * p_d(m_i) * N(z; H m_i, H P_i H' + R),
-    so that products of many small likelihoods do not underflow; -inf
-    whenever presence is zero (an absent target produces nothing).
+    The one-pair form of :func:`score_scan`: the log of presence * sum_i
+    w_i * p_d(m_i) * N(z; H m_i, H P_i H' + R); -inf whenever presence is
+    zero (an absent target produces nothing) or no component can detect.
     """
     z = obs.value
     if z.shape[0] != sensor.obs_dim:
@@ -382,14 +453,8 @@ def log_predictive_likelihood(
         raise ModelConfigError(
             f"state dim {dist.dim} does not match sensor input dim {sensor.state_dim}"
         )
-    terms = [
-        log_wpd + _log_gauss(chol, np.linalg.solve(chol, resid))
-        for _, log_wpd, chol, resid in _detecting(dist.spatial, z, sensor)
-    ]
-    if not terms:
-        return -math.inf
-    m = max(terms)
-    return math.log(dist.presence) + m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    logl = score_scan([dist], z[None], sensor)[2]
+    return float(logl[0]) if len(logl) else -math.inf
 
 
 def predictive_likelihood(

@@ -33,10 +33,9 @@ from .models import (
     MotionModel,
     Observation,
     SensorModel,
+    score_scan,
     symmetrize,
     _derived,
-    _detecting,
-    _log_gauss,
 )
 
 # Mixture hygiene: lighter posterior components are dropped. There is no length
@@ -74,38 +73,40 @@ def predict_distribution(dist: AugmentedDistribution, motion: MotionModel) -> Au
     return _derived(AugmentedDistribution, q, spatial)
 
 
-def _kalman_posterior(
-    spatial: tuple[GaussianComponent, ...],
-    obs: Observation,
-    sensor: SensorModel,
-) -> AugmentedDistribution:
-    """Detected-target posterior: presence one, per-component conjugate update.
+def _kalman_posterior(log_weights: list[float], means: np.ndarray, covs: np.ndarray):
+    """Detected-target posterior from one pair's Kalman moments: presence one.
 
-    With L the Cholesky factor of S, one solve against L gives the
-    whitened residual w = L^-1 (z - H m) and G = L^-1 H P; the posterior is
-    m + G'w with covariance P - G'G, and w and diag(L) give the density.
     Component weights are renormalized in log domain so that far-away
     observations cannot underflow the whole mixture to zero; components at
     or below ``WEIGHT_FLOOR`` are then dropped and the rest renormalized.
     """
-    log_weights: list[float] = []
-    moments: list[tuple[np.ndarray, np.ndarray]] = []
-    for c, log_wpd, chol, resid in _detecting(spatial, obs.value, sensor):
-        sol = np.linalg.solve(chol, np.concatenate((resid[:, None], sensor.H @ c.cov), axis=1))
-        white, G = sol[:, 0], sol[:, 1:]
-        log_weights.append(log_wpd + _log_gauss(chol, white))
-        moments.append((c.mean + G.T @ white, symmetrize(c.cov - G.T @ G)))
-    if not log_weights:
-        raise AssociationImpossibleError(
-            "detection has zero probability under every mixture component"
-        )
     m = max(log_weights)
     rel = [math.exp(lw - m) for lw in log_weights]
     total = math.fsum(rel)
-    kept = [(r / total, mc) for r, mc in zip(rel, moments) if r / total > WEIGHT_FLOOR]
+    kept = [(r / total, k) for k, r in enumerate(rel) if r / total > WEIGHT_FLOOR]
     total = math.fsum(w for w, _ in kept)
-    spatial = tuple(_derived(GaussianComponent, w / total, *mc) for w, mc in kept)
+    spatial = tuple(_derived(GaussianComponent, w / total, means[k], covs[k]) for w, k in kept)
     return _derived(AugmentedDistribution, 1.0, spatial)
+
+
+def detection_posteriors(pair, log_w, means, covs) -> list[AugmentedDistribution]:
+    """The detected-target posterior of each pair in ``score_scan``'s ``moments``, in order."""
+    first = np.flatnonzero(np.diff(pair, prepend=-1)).tolist()
+    log_w = log_w.tolist()
+    return [
+        _kalman_posterior(log_w[a:b], means[a:b], covs[a:b])
+        for a, b in zip(first, first[1:] + [len(pair)])
+    ]
+
+
+def _detection_posterior(dist: AugmentedDistribution, obs: Observation, sensor: SensorModel):
+    """The one-pair form of :func:`detection_posteriors`."""
+    dists, _, _, moments = score_scan([dist], obs.value[None], sensor)
+    if not len(dists):
+        raise AssociationImpossibleError(
+            "detection has zero probability under every mixture component"
+        )
+    return detection_posteriors(*moments)[0]
 
 
 def update_distribution(
@@ -129,7 +130,7 @@ def update_distribution(
         return _miss_update(dist, sensor)
     if dist.presence <= 0.0:
         raise AssociationImpossibleError("cannot detect a target with zero presence")
-    return _kalman_posterior(dist.spatial, obs, sensor)
+    return _detection_posterior(dist, obs, sensor)
 
 
 def _miss_update(dist: AugmentedDistribution, sensor: SensorModel) -> AugmentedDistribution:
@@ -167,4 +168,4 @@ def birth_posterior(
     presence exactly one as well; the spatial part is the Kalman-updated
     birth mixture.
     """
-    return _kalman_posterior(birth.spatial.spatial, obs, sensor)
+    return _detection_posterior(birth.spatial, obs, sensor)

@@ -104,7 +104,8 @@ def reference_update(state, scan_obs, birth, sensor, gate=None):
     association has positive weight. Associations that condition a track on
     a zero-probability event (a miss of a surely detected target, a
     detection the target cannot produce) have no posterior and yield no
-    child. ``gate`` is the engine's (distribution, observation) predicate.
+    child. ``gate`` is a one-pair (distribution, observation) predicate, as
+    ``make_gate`` builds.
     """
     path_gate = None
     if gate is not None:
@@ -139,6 +140,16 @@ def reference_update(state, scan_obs, birth, sensor, gate=None):
     lin = {k: math.exp(v - m) for k, v in raw.items()}
     total = sum(lin.values())
     return {k: v / total for k, v in lin.items()}
+
+
+def assert_matches_reference(state, ref):
+    """The state's hypotheses are the keys of ``reference_update``'s result, weights to 1e-12."""
+    got = [(h.tracks, h.weight) for h in state.hypotheses]
+    keys = [k for k, _ in got]
+    assert len(set(keys)) == len(keys), "duplicate hypothesis rows"
+    assert set(keys) == set(ref)
+    for key, w in got:
+        assert abs(w - ref[key]) <= 1e-12 * ref[key], (key, w, ref[key])
 
 
 def _reference_merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float, ca, cb) -> Track:

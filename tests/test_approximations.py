@@ -278,8 +278,8 @@ class TestGate:
             assert got == _bits(min(per_comp)) == _bits(float(stacked.min()))
 
     def test_one_gate_across_interleaved_distributions(self):
-        # The gate keeps the factors of the last distribution it saw; every
-        # call must still answer for the distribution it is given.
+        # One predicate, asked about interleaved distributions and an equal
+        # copy, must answer for the distribution it is given every time.
         sensor = SensorModel(np.eye(2), np.diag([0.5, 0.8]), 0.9, 0.1)
 
         def comp2(w, mean, cov):

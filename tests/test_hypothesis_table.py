@@ -17,16 +17,15 @@ from disptrack import (
     update,
 )
 
-from helpers import birth_1d, motion_1d, obs, reference_update, sensor_1d, unit_dist
-
-
-def assert_matches_reference(state, ref):
-    got = [(h.tracks, h.weight) for h in state.hypotheses]
-    keys = [k for k, _ in got]
-    assert len(set(keys)) == len(keys), "duplicate hypothesis rows"
-    assert set(keys) == set(ref)
-    for key, w in got:
-        assert abs(w - ref[key]) <= 1e-12 * ref[key], (key, w, ref[key])
+from helpers import (
+    assert_matches_reference,
+    birth_1d,
+    motion_1d,
+    obs,
+    reference_update,
+    sensor_1d,
+    unit_dist,
+)
 
 
 @st.composite
@@ -53,6 +52,7 @@ def scenarios(draw):
 @given(scenarios())
 def test_update_matches_reference_enumeration(scenario):
     scans, motion, sensor, birth, gate_threshold = scenario
+    # The update gates the whole scan; the reference asks the one-pair gate.
     gate = None if gate_threshold is None else make_gate(sensor, gate_threshold)
     state = init_filter()
     for scan in scans:
@@ -60,9 +60,9 @@ def test_update_matches_reference_enumeration(scenario):
         ref = reference_update(state, scan, birth, sensor, gate)
         if not ref:
             with pytest.raises(DegenerateUpdateError):
-                update(state, scan, birth, sensor, gate=gate)
+                update(state, scan, birth, sensor, gate_threshold=gate_threshold)
             return
-        state = update(state, scan, birth, sensor, gate=gate)
+        state = update(state, scan, birth, sensor, gate_threshold=gate_threshold)
         assert_matches_reference(state, ref)
 
 
@@ -89,20 +89,21 @@ def test_more_observations_than_one_mask_word():
     # births and their conflicts cross the 64-bit word boundary.
     sensor = sensor_1d(p_d=0.8, p_fa=0.2, r=0.05)
     motion = motion_1d(p_s=0.95, q=0.01)
-    gate = make_gate(sensor, 9.0)
+    threshold = 9.0
+    gate = make_gate(sensor, threshold)  # the reference's one-pair gate
     state = update(
         predict(init_filter(), motion),
         [obs(0, 0, 7.5), obs(0, 1, 8.0)],
         birth_1d([0.4, 0.3, 0.3]),
         sensor,
-        gate=gate,
+        gate_threshold=threshold,
     )
     assert any(len(h.tracks) == 2 for h in state.hypotheses)
     state = predict(state, motion)
     scan = [obs(1, k, 0.25 * k - 8.5) for k in range(70)]
     birth = birth_1d([0.6, 0.4])
     ref = reference_update(state, scan, birth, sensor, gate)
-    state = update(state, scan, birth, sensor, gate=gate)
+    state = update(state, scan, birth, sensor, gate_threshold=threshold)
     assert_matches_reference(state, ref)
     late = {(1, k) for k in range(64, 70)}
     assert any(p.detections[-1] in late and p.birth_scan == 0 for p in state.tracks)

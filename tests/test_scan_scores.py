@@ -1,0 +1,143 @@
+"""The stacked scan scoring against the single-pair API, bit for bit, and the
+update with a state-dependent detection probability against the reference
+enumeration."""
+
+import math
+
+import numpy as np
+import pytest
+
+from disptrack import (
+    AugmentedDistribution,
+    BirthModel,
+    GaussianComponent,
+    Observation,
+    SensorModel,
+    birth_posterior,
+    init_filter,
+    make_gate,
+    predict,
+    update,
+    update_distribution,
+)
+from disptrack.approximations import mahalanobis_sq
+from disptrack.models import _min_distances, _stacked, log_predictive_likelihood, score_scan
+from disptrack.single_target import detection_posteriors
+
+from helpers import assert_matches_reference, birth_1d, motion_1d, obs, reference_update, sensor_1d
+
+
+def random_spd(rng, n):
+    root = rng.normal(size=(n, n)) * rng.uniform(0.2, 3.0)
+    return root @ root.T + 0.05 * np.eye(n)
+
+
+def random_mixture(rng, n, presence):
+    """1-3 components; with two or more, sometimes one of weight zero."""
+    k = int(rng.integers(1, 4))
+    w = rng.dirichlet(np.ones(k))
+    if k > 1 and rng.random() < 0.4:
+        w[int(rng.integers(k))] = 0.0
+        w /= w.sum()
+    comps = (GaussianComponent(x, rng.normal(scale=3.0, size=n), random_spd(rng, n)) for x in w)
+    return AugmentedDistribution(presence, tuple(comps))
+
+
+def random_case(seed):
+    """A sensor, tracks, a birth prior, a scan and a gate threshold, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    p = int(rng.integers(1, n + 1))
+    H = rng.normal(size=(p, n))
+    # A callable p_d that is 0 over half the state space.
+    p_d = 0.9 if rng.random() < 0.5 else (lambda x: 0.0 if x[0] > 0.0 else 0.75)
+    sensor = SensorModel(H, random_spd(rng, p), p_d, 0.1)
+    dists = [random_mixture(rng, n, float(rng.choice([1.0, rng.uniform(0.05, 1.0)])))
+             for _ in range(int(rng.integers(0, 5)))]
+    dists.append(random_mixture(rng, n, 0.0))  # absent, but its gate distance is defined
+    dists.append(AugmentedDistribution(0.0, ()))  # absent and empty: distance inf
+    birth = BirthModel(np.array([0.5, 0.5]), random_mixture(rng, n, 1.0))
+    dists.append(birth.spatial)
+    rng.shuffle(dists)
+    # Observations near a component's prediction, one exactly on it, and some anywhere.
+    means = [c.mean for d in dists for c in d.spatial]
+    values = [H @ means[int(rng.integers(len(means)))] + rng.normal(scale=s, size=p)
+              for s in rng.choice([0.0, 0.5, 2.0, 10.0], size=int(rng.integers(0, 7)))]
+    scan = [Observation((0, j), v) for j, v in enumerate(values)]
+    threshold = [None, 0.0, float(rng.uniform(0.5, 12.0)), math.inf][seed % 4]
+    return sensor, dists, birth, scan, threshold
+
+
+def assert_same_distribution(a, b):
+    assert a.presence == b.presence
+    assert len(a.spatial) == len(b.spatial)
+    for x, y in zip(a.spatial, b.spatial):
+        assert x.weight == y.weight
+        assert np.array_equal(x.mean, y.mean)
+        assert np.array_equal(x.cov, y.cov)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_scan_scores_equal_single_pair_api(seed):
+    sensor, dists, birth, scan, threshold = random_case(seed)
+    values = np.array([o.value for o in scan]).reshape(len(scan), sensor.obs_dim)
+    owner, _, _, S, resid = _stacked(dists, values, sensor)
+    distances = _min_distances(owner, S, resid, len(dists))
+    dist, seen, logl, moments = score_scan(dists, values, sensor, threshold)
+    posts = detection_posteriors(*moments)
+    assert len(posts) == len(dist)
+    pairs = zip(dist.tolist(), seen.tolist(), logl, posts)
+    scored = {(i, j): (lv, post) for i, j, lv, post in pairs}
+    assert len(scored) == len(dist) and list(scored) == sorted(scored)
+    for i, d in enumerate(dists):
+        for j, z in enumerate(scan):
+            single = mahalanobis_sq(d, z, sensor)
+            assert distances[i, j] == single
+            passed = threshold is None or single <= threshold
+            assert passed == (threshold is None or make_gate(sensor, threshold)(d, z))
+            lv = log_predictive_likelihood(d, z, sensor)
+            assert ((i, j) in scored) == (passed and lv != -math.inf)
+            if (i, j) not in scored:
+                continue
+            assert scored[i, j][0] == lv
+            expected = birth_posterior(birth, z, sensor) if d is birth.spatial else (
+                update_distribution(d, z, sensor))
+            assert_same_distribution(scored[i, j][1], expected)
+
+
+def test_empty_scan_and_no_distributions():
+    sensor, dists, _, _, _ = random_case(3)
+    for threshold in (None, 0.0, 4.0, math.inf):
+        empty = score_scan(dists, np.zeros((0, sensor.obs_dim)), sensor, threshold)
+        assert all(len(a) == 0 for a in empty[:3] + empty[3])
+        none = score_scan([], np.zeros((2, sensor.obs_dim)), sensor, threshold)
+        assert all(len(a) == 0 for a in none[:3] + none[3])
+
+
+def blind_past_3(x):
+    return 0.0 if x[0] > 3.0 else 0.8
+
+
+@pytest.mark.parametrize("threshold", [None, 4.0, math.inf])
+def test_update_with_state_dependent_detection_matches_reference(threshold):
+    # A track whose mean is past x = 3 cannot be detected: it gets no
+    # detection option and misses with probability one.
+    sensor = SensorModel(np.array([[1.0]]), np.array([[0.5]]), blind_past_3, 0.1)
+    motion = motion_1d(p_s=0.95, f=1.0, q=0.3)
+    birth = birth_1d([0.5, 0.3, 0.2], mean=2.0, var=4.0)
+    gate = None if threshold is None else make_gate(sensor, threshold)
+    state = init_filter()
+    for t, values in enumerate([[1.0, 3.5], [1.6, 4.2, -0.5], [2.4, 3.3]]):
+        state = predict(state, motion)
+        scan = [obs(t, k, v) for k, v in enumerate(values)]
+        ref = reference_update(state, scan, birth, sensor, gate)
+        state = update(state, scan, birth, sensor, gate_threshold=threshold)
+        assert_matches_reference(state, ref)
+    assert any(c.mean[0] > 3.0 for tr in state.tracks.values() for c in tr.dist.spatial)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, True])
+def test_update_rejects_nan_or_negative_gate_threshold(threshold):
+    state = predict(init_filter(), motion_1d())
+    with pytest.raises(ValueError, match="gate threshold"):
+        update(state, [obs(0, 0, 0.5)], birth_1d([0.5, 0.5]), sensor_1d(0.9, 0.1), threshold)
