@@ -211,6 +211,15 @@ def _pair_distances(alpha, means, covs, first, second) -> np.ndarray:
     return out
 
 
+def _pair_bounds(alpha, means, covs, first, second) -> np.ndarray:
+    """|mean gap|^2 / tr(pooled covariance): never above :func:`_pair_distances`, as λmax <= tr."""
+    even = alpha[first] + alpha[second] == 0.0
+    wa, wb = np.where(even, 0.5, alpha[first]), np.where(even, 0.5, alpha[second])
+    traces = np.trace(covs, axis1=1, axis2=2)
+    gap = ((means[first] - means[second]) ** 2).sum(axis=1)
+    return gap * (wa + wb) / (wa * traces[first] + wb * traces[second])
+
+
 def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     """Collapse near-identical tracks that never co-occur in a hypothesis.
 
@@ -219,7 +228,8 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     the squared Mahalanobis distance between the tracks' moment-matched
     means under their existence-weighted pooled covariance; it depends only
     on the moments before the pass, so every pair is scored before the
-    greedy loop. Pairs under the threshold are then processed greedily in
+    greedy loop, and only where its lower bound (:func:`_pair_bounds`) is
+    under the threshold. Close pairs are then processed greedily in
     descending combined-existence order, each track merging at most once per
     pass. The merged track keeps the path and display status of the
     higher-existence member; its presence is the pair's existence-weighted
@@ -242,8 +252,12 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     dim = tracks[first[0]].dist.dim
     means, covs = np.zeros((n, dim)), np.zeros((n, dim, dim))
     for i in np.union1d(first, second).tolist():
-        c = moment_match(tracks[i].dist.spatial)
+        comps = tracks[i].dist.spatial  # one component is its own moment match
+        c = comps[0] if len(comps) == 1 else moment_match(comps)
         means[i], covs[i] = c.mean, c.cov
+    bound = _pair_bounds(alpha, means, covs, first, second)
+    near = ~np.isfinite(bound) | (bound < d_threshold * (1.0 + 1e-9))  # margin: rounding
+    first, second = first[near], second[near]
     close = ~(_pair_distances(alpha, means, covs, first, second) >= d_threshold)
     first, second = first[close], second[close]
     order = np.lexsort((second, first, -(alpha[first] + alpha[second])))

@@ -178,18 +178,24 @@ def padded_rows(indptr: np.ndarray, indices: np.ndarray, fill: int) -> np.ndarra
 def fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
     """Sort every row, then merge identical rows by adding their weights.
 
-    Merged rows keep the position of their first occurrence. Returns
+    One stable ``lexsort`` groups the rows; merged rows keep the position of
+    their first occurrence, weights added in table order. Returns
     ``(indptr, indices, weights)``.
     """
     fill = np.iinfo(ID_DTYPE).max
     pad = padded_rows(indptr, indices, fill)
     pad.sort(axis=1)
-    uniq, first, inverse = np.unique(pad, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    folded = np.bincount(inverse.reshape(-1), weights=weights, minlength=len(uniq))
-    uniq = uniq[order]
+    order = np.lexsort(pad.T) if pad.shape[1] else np.arange(len(pad))
+    ranked = pad[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    head = np.empty_like(order)  # each row's first occurrence
+    head[order] = order[starts][np.cumsum(starts) - 1]
+    first = head == np.arange(len(head))
+    folded = np.bincount((np.cumsum(first) - 1)[head], weights=weights)
+    uniq = pad[first]
     real = uniq != fill
-    return row_offsets(real.sum(axis=1)), uniq[real], folded[order]
+    return row_offsets(real.sum(axis=1)), uniq[real], folded.astype(float, copy=False)
 
 
 def keep_tracks(tracks: Mapping, indices: np.ndarray):

@@ -209,8 +209,8 @@ def read_observations(path: Path) -> list[list[Observation]]:
     """Observation scans from a JSON-lines file, one line per scan in scan order.
 
     Raises ``ConfigError`` for a line that is not a well-formed scan record
-    (non-integer ids and scans included), a scan out of order, an id naming
-    another scan, and an id or a value repeated within a scan.
+    (ids, scans or values of the wrong JSON type), a scan out of order, an
+    id naming another scan, and an id or a value repeated within a scan.
     """
     scans: list[list[Observation]] = []
     for n, line in enumerate(path.read_text().splitlines(), 1):
@@ -220,11 +220,13 @@ def read_observations(path: Path) -> list[list[Observation]]:
         try:
             row = json.loads(line)
             scan = row["scan"]
-            scan_obs = [
-                Observation(tuple(o["id"]), np.asarray(o["value"], dtype=float))
-                for o in row["observations"]
-            ]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            scan_obs = []
+            for o in row["observations"]:
+                value = o["value"]  # written back flat, so only a flat list round-trips
+                if type(value) is not list or any(type(x) not in (int, float) for x in value):
+                    raise TypeError(f"value {value!r} is not a flat list of numbers")
+                scan_obs.append(Observation(tuple(o["id"]), np.asarray(value, dtype=float)))
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: malformed scan record ({exc!r})") from exc
         if type(scan) is not int or scan != len(scans):
             raise ConfigError(f"{where}: expected scan {len(scans)}, got {scan!r}")

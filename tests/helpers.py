@@ -21,7 +21,7 @@ from disptrack import (
     newborn_path,
 )
 from disptrack.approximations import _cooccurrence
-from disptrack.engine import FilterState, Track, fold_rows, keep_tracks
+from disptrack.engine import ID_DTYPE, FilterState, Track, keep_tracks, padded_rows, row_offsets
 from disptrack.models import log_predictive_likelihood, moment_match
 
 
@@ -152,6 +152,23 @@ def assert_matches_reference(state, ref):
         assert abs(w - ref[key]) <= 1e-12 * ref[key], (key, w, ref[key])
 
 
+def reference_fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
+    """The row fold by ``np.unique(axis=0)``: the reference ``fold_rows`` must match bit for bit.
+
+    Sorts every row, then merges identical rows by adding their weights in
+    table order; merged rows keep the position of their first occurrence.
+    """
+    fill = np.iinfo(ID_DTYPE).max
+    pad = padded_rows(indptr, indices, fill)
+    pad.sort(axis=1)
+    uniq, first, inverse = np.unique(pad, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    folded = np.bincount(inverse.reshape(-1), weights=weights, minlength=len(uniq))
+    uniq = uniq[order]
+    real = uniq != fill
+    return row_offsets(real.sum(axis=1)), uniq[real], folded[order]
+
+
 def _reference_merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float, ca, cb) -> Track:
     """The pair's two-way moment match, written out: existence weights, even when both are zero."""
     total = alpha_a + alpha_b
@@ -239,5 +256,5 @@ def reference_merge_tracks(state: FilterState, d_threshold: float) -> FilterStat
     stands = np.array(stands_for)
     table = {p: merged.get(i, t) for i, (p, t) in enumerate(state.tracks.items())}
     table, indices = keep_tracks(table, stands[state.indices])
-    indptr, indices, weights = fold_rows(state.indptr, indices, state.weights)
+    indptr, indices, weights = reference_fold_rows(state.indptr, indices, state.weights)
     return FilterState.from_table(state.scan, table, indptr, indices, weights)

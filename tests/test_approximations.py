@@ -33,7 +33,7 @@ from disptrack import (
     load_config,
     simulate,
 )
-from disptrack.approximations import _pair_distances, mahalanobis_sq
+from disptrack.approximations import _pair_bounds, _pair_distances, mahalanobis_sq
 from disptrack.models import moment_match
 
 from helpers import birth_1d, dist, motion_1d, obs, reference_merge_tracks, sensor_1d, unit_dist
@@ -337,6 +337,28 @@ class TestMergeTracks:
         assert track_existence(out, P1) == pytest.approx(1.0, abs=1e-12)
         assert len(out.hypotheses) == 1
 
+    def test_pair_whose_bound_rounds_past_its_distance_merges(self):
+        # In 1-D the screening bound is the distance itself up to rounding.
+        # At a threshold equal to a bound that rounded above the distance,
+        # the pair is close, and the screen's margin must still solve it.
+        rng = np.random.default_rng(0)
+        first, second = np.array([0]), np.array([1])
+        for _ in range(1000):
+            gap, var_a, var_b = rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            moments = (np.array([0.5, 0.5]), np.array([[0.0], [gap]]),
+                       np.array([[[var_a]], [[var_b]]]), first, second)
+            bound, exact = _pair_bounds(*moments)[0], _pair_distances(*moments)[0]
+            if bound > exact:
+                break
+        else:
+            pytest.fail("no 1-D pair whose bound rounds above its distance")
+        state = synth_state(
+            [track(P1, mean=0.0, var=var_a), track(P3, mean=gap, var=var_b)],
+            [((P1,), 0.5), ((P3,), 0.5)],
+        )
+        assert set(merge_tracks(state, float(bound)).tracks) == {P1}
+        assert set(merge_tracks(state, float(exact)).tracks) == {P1, P3}
+
     @pytest.mark.parametrize("threshold", [math.nan, -1.0, True])
     def test_nan_or_negative_threshold_rejected(self, threshold):
         # A NaN threshold would merge every eligible pair, as +inf does.
@@ -487,6 +509,32 @@ def test_pair_distances_match_per_pair_solves(scene):
             pooled = 0.5 * (covs[a] + covs[b])
         diff = means[a] - means[b]
         assert _bits(got) == _bits(diff @ np.linalg.solve(pooled, diff))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 4),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_bounds_never_exceed_pair_distances(dim, n, seed):
+    # The merge pass solves only pairs whose bound is under the threshold
+    # times (1 + 1e-9), so no pair it skips may be closer than its bound.
+    # In 1-D the bound is the exact distance and differs only by rounding.
+    rng = np.random.default_rng(seed)
+    alpha = rng.choice([0.0, 0.0, 1e-3, 0.5, 1.0], size=n) * rng.uniform(0.5, 1.0, size=n)
+    means = rng.normal(scale=rng.choice([1e-3, 1.0, 10.0]), size=(n, dim))
+    means[rng.random(n) < 0.2] = means[0]  # zero gaps
+    roots = rng.normal(size=(n, dim, dim)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1, 1))
+    covs = roots @ np.swapaxes(roots, 1, 2) + 1e-4 * np.eye(dim)
+    first, second = np.triu_indices(n, 1)
+    bound = _pair_bounds(alpha, means, covs, first, second)
+    exact = _pair_distances(alpha, means, covs, first, second)
+    assert np.isfinite(bound).all() and np.isfinite(exact).all()
+    assert (bound >= 0.0).all()
+    assert (bound <= exact * (1.0 + 1e-9)).all()
+    if dim > 1:
+        assert (bound <= exact).all()
 
 
 class TestPipeline:

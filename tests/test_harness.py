@@ -487,9 +487,18 @@ class TestCli:
             lambda rows: [rows[0].replace('"id":[0,0]', '"id":[0,0.7]')] + rows[1:],
             lambda rows: rows[:1] + [rows[1].replace('"id":[1,0]', '"id":[true,0]')],
             lambda rows: rows[:1] + [rows[1].replace('"scan":1', '"scan":true')],
+            # A value is written back flat, so only a flat list of numbers round-trips.
+            lambda rows: [rows[0].replace('"value":[2.0]', '"value":[[2.0]]')] + rows[1:],
+            lambda rows: [rows[0].replace('"value":[2.0]', '"value":2.0')] + rows[1:],
+            lambda rows: [rows[0].replace('"value":[2.0]', '"value":["2.0"]')] + rows[1:],
+            lambda rows: [rows[0].replace('"value":[2.0]', '"value":[false]')] + rows[1:],
+            lambda rows: [rows[0].replace('"value":[2.0]', '"value":[1' + '0' * 400 + ']')]
+            + rows[1:],
         ],
         ids=["malformed-json", "scan-out-of-order", "id-of-another-scan", "repeated-id",
-             "missing-value", "repeated-value", "fractional-id", "boolean-id", "boolean-scan"],
+             "missing-value", "repeated-value", "fractional-id", "boolean-id", "boolean-scan",
+             "nested-value", "scalar-value", "string-value", "boolean-value",
+             "integer-past-float-range"],
     )
     def test_malformed_observations_exit_code(self, tmp_path, capsys, corrupt):
         rows = [

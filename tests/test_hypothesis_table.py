@@ -3,7 +3,7 @@ observation bitmasks past one word, and the validated list boundary."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from disptrack import (
     DegenerateUpdateError,
@@ -16,12 +16,14 @@ from disptrack import (
     predict,
     update,
 )
+from disptrack.engine import ID_DTYPE, fold_rows, row_offsets
 
 from helpers import (
     assert_matches_reference,
     birth_1d,
     motion_1d,
     obs,
+    reference_fold_rows,
     reference_update,
     sensor_1d,
     unit_dist,
@@ -108,6 +110,36 @@ def test_more_observations_than_one_mask_word():
     late = {(1, k) for k in range(64, 70)}
     assert any(p.detections[-1] in late and p.birth_scan == 0 for p in state.tracks)
     assert any(p.detections[0] in late and p.birth_scan == 1 for p in state.tracks)
+
+
+def csr_table(rows, weights):
+    indices = np.array([i for r in rows for i in r], dtype=ID_DTYPE)
+    return row_offsets(np.array([len(r) for r in rows])), indices, np.array(weights, dtype=float)
+
+
+@st.composite
+def row_tables(draw):
+    """Ragged rows over a few track ids, each drawn in any order, so that one
+    id set recurs as rows in different orders; empty rows included."""
+    track_ids = st.integers(0, 6) | st.integers(0, np.iinfo(ID_DTYPE).max - 1)
+    sets = draw(st.lists(st.lists(track_ids, unique=True, max_size=4), min_size=1, max_size=6))
+    n = draw(st.integers(0, 40))
+    rows = [draw(st.permutations(draw(st.sampled_from(sets)))) for _ in range(n)]
+    return csr_table(rows, draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(row_tables())
+@example(csr_table([[], [], []], [0.1, 0.2, 0.3]))  # all-empty
+@example(csr_table([], []))  # no rows
+def test_fold_rows_matches_unique_reference(table):
+    indptr, indices, weights = fold_rows(*table)
+    ref_indptr, ref_indices, ref_weights = reference_fold_rows(*table)
+    assert indptr.dtype == np.int64 and np.array_equal(indptr, ref_indptr)
+    assert indices.dtype == ID_DTYPE and np.array_equal(indices, ref_indices)
+    # The reference returns int64 weights for a table without rows.
+    assert weights.dtype == np.float64
+    assert weights.tobytes() == ref_weights.astype(float).tobytes()
 
 
 P1 = ObservationPath(0, ((0, 0),))
