@@ -32,6 +32,7 @@ from .engine import (
     DegenerateUpdateError,
     FilterState,
     Hypothesis,
+    HypothesisBudgetError,
     ObservationPath,
     Track,
     compatible,
@@ -92,6 +93,7 @@ __all__ = [
     "DegenerateUpdateError",
     "FilterState",
     "Hypothesis",
+    "HypothesisBudgetError",
     "ObservationPath",
     "Track",
     "compatible",

@@ -260,11 +260,19 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     first, second = first[near], second[near]
     close = ~(_pair_distances(alpha, means, covs, first, second) >= d_threshold)
     first, second = first[close], second[close]
+    if not len(first):
+        return state
     order = np.lexsort((second, first, -(alpha[first] + alpha[second])))
+    paths = list(state.tracks)
     obs_bit: dict = {}
-    obs_mask = [
-        sum(1 << obs_bit.setdefault(o, len(obs_bit)) for o in p.detections) for p in state.tracks
-    ]
+    masks: dict[int, int] = {}
+
+    def obs_mask(i: int) -> int:
+        """Bitmask of track ``i``'s observations, built when first asked for."""
+        if i not in masks:
+            masks[i] = sum(1 << obs_bit.setdefault(o, len(obs_bit)) for o in paths[i].detections)
+        return masks[i]
+
     # Each track id stands for itself until a merge folds it into another.
     stands_for = list(range(n))
     merged: dict[int, Track] = {}
@@ -280,8 +288,8 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
         # held the dropped one, as earlier merges have relabelled it.
         held_with_b = 0
         for p in np.flatnonzero(co[b]).tolist():
-            held_with_b |= obs_mask[stands_for[p]]
-        if held_with_b & obs_mask[a]:
+            held_with_b |= obs_mask(stands_for[p])
+        if held_with_b & obs_mask(a):
             continue
         moments = (means[a], covs[a]), (means[b], covs[b])
         merged[a] = _merged_track(tracks[a], tracks[b], float(alpha[a]), float(alpha[b]), moments)

@@ -4,7 +4,7 @@ Subcommands: ``simulate`` draws a scenario and writes the observation scans
 plus ground truth; ``track`` runs the filter over stored observations;
 ``run`` does both and attaches metrics; ``report`` prints a human-readable
 summary of a stored report. Exit codes: 0 success, 2 configuration error,
-3 degenerate update.
+3 degenerate update, 4 hypothesis budget exceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_config
-from .engine import DegenerateUpdateError
+from .engine import DegenerateUpdateError, HypothesisBudgetError
 from .models import ModelConfigError
 from .runner import (
     filter_scans,
@@ -32,6 +32,7 @@ from .simulation import simulate
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
+EXIT_BUDGET = 4
 
 
 def _load(config_path: str, seed: int | None) -> ScenarioConfig:
@@ -161,6 +162,9 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateUpdateError as exc:
         print(f"degenerate update: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except HypothesisBudgetError as exc:
+        print(f"hypothesis budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

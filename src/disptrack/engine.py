@@ -32,16 +32,28 @@ The update scores the whole scan in stacked solves (the gate, likelihoods and
 Kalman moments of every track and the birth prior, :func:`models.score_scan`),
 then builds the child rows with a numpy join over the parent rows, one track
 position at a time: each partial row is paired with its next track's options,
-and a per-row observation bitmask drops pairings that reuse an observation. A
-last join adds births over the birthable observations left free. The join
-runs depth first over blocks of at most ``_ROW_BLOCK`` partial rows, so its
-temporaries stay block-sized and the peak memory follows the output.
+and a per-row observation bitmask, read and set through one flat index, drops
+pairings that reuse an observation. Births come last: newborns never share an
+observation, so the birth options a completed row leaves free are tested
+once, and each further newborn takes a later one of them. The join runs depth
+first over blocks of at most ``_ROW_BLOCK`` partial rows, so its temporaries
+stay block-sized and the peak memory follows the output.
+
+A partial row holds no ids, only back pointers: the partial row it extended
+and the option it took. When a row completes, its child ids are gathered once
+by walking the pointers back, and they are already in canonical order, so no
+row is sorted: tracks of one row share no observation, so their children keep
+the parents' order, and newborns are born at the current scan, after every
+older track, and are taken in observation order. The finished blocks are
+copied into one table allocated for them, each block freed as it is copied.
+An update that would emit more than ``_MAX_ROWS`` rows raises
+:class:`HypothesisBudgetError` instead of running out of memory.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -76,10 +88,15 @@ ID_DTYPE = np.int32  # track ids inside hypothesis rows
 _WORD_BITS = 64  # observations per bitmask word
 _VIEW_CHUNK = 1 << 16  # rows per batch when iterating the view or summing existence
 _ROW_BLOCK = 1 << 15  # partial rows extended at once in update
+_MAX_ROWS = 1 << 25  # rows one update may emit: 16 times the exact C9 case
 
 
 class DegenerateUpdateError(RuntimeError):
     """Every admissible association has zero probability: model inconsistency."""
+
+
+class HypothesisBudgetError(RuntimeError):
+    """The update would emit more hypotheses than ``_MAX_ROWS``."""
 
 
 @dataclass(frozen=True, order=True)
@@ -153,18 +170,16 @@ def row_offsets(lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For ``counts[i]`` items in slot ``i``: each item's slot and its rank within the slot."""
+def _ragged(counts: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot ``i`` holds ``first[i] .. first[i] + counts[i] - 1``: each item's slot and value."""
     slot = np.repeat(np.arange(len(counts)), counts)
-    rank = np.arange(len(slot)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return slot, rank
+    return slot, np.arange(len(slot)) + (first - (np.cumsum(counts) - counts))[slot]
 
 
 def _take_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
     """The CSR table restricted to ``rows``, in that order: (indptr, indices)."""
     lengths = indptr[rows + 1] - indptr[rows]
-    slot, rank = _ragged(lengths)
-    return row_offsets(lengths), indices[indptr[rows][slot] + rank]
+    return row_offsets(lengths), indices[_ragged(lengths, indptr[rows])[1]]
 
 
 def padded_rows(indptr: np.ndarray, indices: np.ndarray, fill: int) -> np.ndarray:
@@ -389,40 +404,59 @@ class _Options(NamedTuple):
     det: np.ndarray  # 1 if the option consumes an observation
 
 
+class _Node(NamedTuple):
+    """The last choice of each partial row: the row it extended and the option it took."""
+
+    back: np.ndarray  # index into the parent node's rows
+    opt: np.ndarray  # option taken
+    parent: "_Node | None"  # the choices before; None at the parent row
+
+
 class _Partials(NamedTuple):
     """Child rows under construction, one entry per (parent row, choices so far)."""
 
     row: np.ndarray  # parent row
     logw: np.ndarray  # log weight accumulated so far
     used: np.ndarray  # (n, words) bitmask of the observations consumed so far
-    ids: np.ndarray  # (n, k) child ids chosen so far
     ndet: np.ndarray  # observations consumed so far, by tracks and newborns
+    node: _Node | None  # the choices so far, as back pointers
 
     def take(self, sel) -> "_Partials":
-        return _Partials(*(a[sel] for a in self))
+        node = self.node
+        if node is not None:
+            node = _Node(node.back[sel], node.opt[sel], node.parent)
+        return _Partials(self.row[sel], self.logw[sel], self.used[sel], self.ndet[sel], node)
 
 
-def _extend(parts: _Partials, first: np.ndarray, count: np.ndarray, opts: _Options):
+def _extend(parts: _Partials, first: np.ndarray, count: np.ndarray, opts: _Options) -> _Partials:
     """Pair every partial row with options ``first .. first + count - 1`` of its own.
 
-    Pairings that reuse an observation are dropped. Returns the extended
-    partials and the option each one took.
+    Pairings that reuse an observation are dropped.
     """
-    src, rank = _ragged(count)
-    o = first[src] + rank
+    src, o = _ragged(count, first)
+    words = parts.used.shape[1]
     word, bit = opts.word[o], opts.bit[o]
-    free = (parts.used[src, word] & bit) == 0
+    free = np.flatnonzero((parts.used.reshape(-1)[src * words + word] & bit) == 0)
     src, o, word, bit = src[free], o[free], word[free], bit[free]
-    used = parts.used[src]
-    used[np.arange(len(src)), word] |= bit
-    out = _Partials(
+    used = np.take(parts.used, src, axis=0)
+    used.reshape(-1)[np.arange(len(src)) * words + word] |= bit
+    return _Partials(
         parts.row[src],
         parts.logw[src] + opts.logl[o],
         used,
-        np.column_stack((parts.ids[src], opts.child[o])),
         parts.ndet[src] + opts.det[o],
+        _Node(src, o, parts.node),
     )
-    return out, o
+
+
+def _child_ids(node: _Node | None, rows: int, width: int, child: np.ndarray) -> np.ndarray:
+    """The ``(rows, width)`` child ids of completed rows, gathered along their back pointers."""
+    ids = np.empty((rows, width), dtype=ID_DTYPE)
+    at = slice(None)
+    for col in reversed(range(width)):
+        ids[:, col] = child[node.opt[at]]
+        at, node = node.back[at], node.parent
+    return ids
 
 
 def _child_options(state, obs, birth, sensor, gate_threshold):
@@ -518,29 +552,54 @@ def update(
     if gate_threshold is not None:
         _check_threshold(gate_threshold, "gate threshold", math.inf)
     children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate_threshold)
-    n_opts = len(children)
+    births = np.arange(opt_ptr[-2], len(children))  # newborn options, in observation order
 
     nz = len(obs)
     lcard = [math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality]
     l1mpfa = math.log1p(-sensor.p_fa)
     lpfa = math.log(sensor.p_fa) if sensor.p_fa > 0.0 else NEG_INF
-    # Completed rows by (tracks, newborns), in the order made.
-    out_logw: dict[tuple[int, int], list[np.ndarray]] = defaultdict(list)
-    out_ids: dict[tuple[int, int], list[np.ndarray]] = defaultdict(list)
+    # Completed blocks by (tracks, newborns), in the order made.
+    out: dict[tuple[int, int], deque] = defaultdict(deque)
+    emitted = entries = 0  # rows and ids in them
 
     def finish(parts: _Partials, k: int) -> None:
-        """Add 0..max_births newborns to complete rows and emit them with their weights."""
-        first = np.full(len(parts.row), opt_ptr[-2])
+        """Add 0..max_births newborns to complete rows and emit them with their weights.
+
+        Newborns never share an observation, so the birth options each row
+        leaves free are found once, as one list of (row, option) pairs in
+        row-major order; a further newborn takes a later pair of its row.
+        """
+        nonlocal emitted, entries
+        rows = np.arange(len(parts.row))
+        free = np.empty((len(rows), len(births)), dtype=bool)
+        for j, o in enumerate(births.tolist()):  # a column at a time: 1-D tests are fast
+            np.equal(parts.used[:, opts.word[o]] & opts.bit[o], 0, out=free[:, j])
+        pairs = np.flatnonzero(free)
+        took = births[pairs % len(births)]
+        counts = np.bincount(pairs // len(births), minlength=len(rows))
+        ends = np.cumsum(counts)
+        # pos: the last pair each row took, starting just before its first.
+        root, pos, logw, node = rows, ends - counts - 1, parts.logw, parts.node
         for n in range(birth.max_births + 1):
             if n:
-                parts, took = _extend(parts, first, n_opts - first, opts)
-                first = took + 1
-            if not len(parts.row):
+                src, pos = _ragged(ends[root] - pos - 1, pos + 1)
+                root, logw = root[src], logw[src] + opts.logl[took[pos]]
+                node = _Node(src, took[pos], node)
+            if not len(root):
                 return
-            n_fa = nz - parts.ndet
+            emitted += len(root)
+            entries += len(root) * (k + n)
+            if emitted > _MAX_ROWS:
+                raise HypothesisBudgetError(
+                    f"the update would emit more than {_MAX_ROWS} hypotheses"
+                )
+            ndet = parts.ndet[root] + n
+            n_fa = nz - ndet
             fa = n_fa * lpfa if lpfa > NEG_INF else np.where(n_fa > 0, NEG_INF, 0.0)
-            out_logw[k, n].append(parts.logw + lcard[n] + parts.ndet * l1mpfa + fa)
-            out_ids[k, n].append(np.sort(parts.ids, axis=1))
+            out[k, n].append((
+                logw + lcard[n] + ndet * l1mpfa + fa,
+                _child_ids(node, len(root), k + n, opts.child),
+            ))
 
     lengths = np.diff(state.indptr)
     n_rows = len(lengths)
@@ -551,8 +610,8 @@ def update(
         np.arange(n_rows),
         prior_logw,
         np.zeros((n_rows, words), dtype=np.uint64),
-        np.zeros((n_rows, 0), dtype=ID_DTYPE),
         np.zeros(n_rows, dtype=np.int64),
+        None,
     )
     # Depth first over blocks of partial rows holding k of their tracks: each
     # block is taken to the end before the next, so temporaries stay
@@ -566,25 +625,33 @@ def update(
             continue
         done = lengths[parts.row] == k
         if done.any():
-            finish(parts.take(done), k)
-            parts = parts.take(~done)
+            finish(parts.take(np.flatnonzero(done)), k)
+            parts = parts.take(np.flatnonzero(~done))
         if len(parts.row):
             t = state.indices[state.indptr[parts.row] + k]
-            stack.append((_extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts)[0], k + 1))
+            stack.append((_extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts), k + 1))
 
-    if not out_logw:
+    if not out:
         raise DegenerateUpdateError("no admissible association has a defined posterior")
-    # Blocks are dropped as they are copied out, to keep a large update's peak low.
-    groups = sorted(out_logw)
-    w = np.concatenate([b for g in groups for b in out_logw.pop(g)])
-    m = float(np.max(w))
-    if m == NEG_INF:
+    # Groups in (tracks, newborns) order; each block is dropped as it is copied.
+    weights = np.empty(emitted)
+    indptr = np.empty(emitted + 1, dtype=np.int64)
+    indices = np.empty(entries, dtype=ID_DTYPE)
+    indptr[0] = r = e = 0
+    for group in sorted(out):
+        blocks = out.pop(group)
+        while blocks:
+            logw, ids = blocks.popleft()
+            m, width = ids.shape
+            weights[r:r + m] = logw
+            indptr[r + 1:r + m + 1] = e + width * np.arange(1, m + 1)
+            indices[e:e + ids.size] = ids.ravel()
+            r, e = r + m, e + ids.size
+    top = float(np.max(weights))
+    if top == NEG_INF:
         raise DegenerateUpdateError("all association weights are zero")
-    w = np.exp(w - m, out=w)
-    w /= w.sum()
-    blocks = [b for g in groups for b in out_ids.pop(g)]
-    indptr = row_offsets(np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks]))
-    indices = np.concatenate([b.ravel() for b in blocks])
-    del blocks
+    weights -= top
+    np.exp(weights, out=weights)
+    weights /= weights.sum()
     tracks, indices = keep_tracks({t.path: t for t in children}, indices)
-    return FilterState.from_table(scan, tracks, indptr, indices, w)
+    return FilterState.from_table(scan, tracks, indptr, indices, weights)

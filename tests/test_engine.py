@@ -12,6 +12,7 @@ from disptrack import (
     DegenerateUpdateError,
     FilterState,
     Hypothesis,
+    HypothesisBudgetError,
     MISSED,
     ObservationPath,
     association_weight,
@@ -285,6 +286,26 @@ class TestUpdate:
             (whole.indptr, whole.indices, whole.weights),
         ):
             assert np.array_equal(a, b)
+
+    def test_hypothesis_budget(self, monkeypatch):
+        # An update that would emit more rows than the budget stops with its
+        # own error, not a MemoryError; one at the budget still completes.
+        birth = birth_1d([0.4, 0.4, 0.2], var=8.0)
+        sensor = sensor_1d(p_d=0.7, p_fa=0.2)
+        motion = motion_1d(p_s=0.95, q=0.5)
+        scans = [[obs(t, k, 0.7 * k - 0.3 * t) for k in range(3)] for t in range(3)]
+        state = init_filter()
+        for scan in scans[:2]:
+            state = update(predict(state, motion), scan, birth, sensor)
+        prior = predict(state, motion)
+        rows = len(update(prior, scans[2], birth, sensor).weights)
+        monkeypatch.setattr(engine, "_MAX_ROWS", rows)
+        assert len(update(prior, scans[2], birth, sensor).weights) == rows
+        monkeypatch.setattr(engine, "_ROW_BLOCK", 4)
+        for budget in (rows - 1, 10):
+            monkeypatch.setattr(engine, "_MAX_ROWS", budget)
+            with pytest.raises(HypothesisBudgetError, match=f"more than {budget} hypotheses"):
+                update(prior, scans[2], birth, sensor)
 
     def test_exchange_symmetry(self):
         # Permuting the within-scan observation order relabels ids but

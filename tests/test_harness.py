@@ -21,7 +21,7 @@ from disptrack import (
     run,
     simulate,
 )
-from disptrack import approximations, runner
+from disptrack import approximations, engine, runner
 from disptrack.cli import main as cli_main
 from disptrack.estimation import TrackEstimate
 from disptrack.runner import read_observations, report_jsonable
@@ -470,6 +470,12 @@ class TestCli:
         )
         assert code == 3
         assert "degenerate" in capsys.readouterr().err
+
+    def test_hypothesis_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_ROWS", 1)
+        cfg = self._write_cfg(tmp_path)
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert "hypothesis budget exceeded" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json"),

@@ -1,5 +1,6 @@
 """The integer hypothesis table: the update against the reference enumeration,
-observation bitmasks past one word, and the validated list boundary."""
+observation bitmasks past one word, canonical row order and the validated list
+boundary."""
 
 import numpy as np
 import pytest
@@ -110,6 +111,55 @@ def test_more_observations_than_one_mask_word():
     late = {(1, k) for k in range(64, 70)}
     assert any(p.detections[-1] in late and p.birth_scan == 0 for p in state.tracks)
     assert any(p.detections[0] in late and p.birth_scan == 1 for p in state.tracks)
+
+
+def test_observations_across_three_mask_words():
+    # A 140-observation scan needs three bitmask words. The track's gated
+    # detections straddle bit 128, births reach every word, and a birth on
+    # the track's observation must be dropped inside the third word.
+    sensor = sensor_1d(p_d=0.8, p_fa=0.2, r=0.05)
+    motion = motion_1d(p_s=0.95, q=0.01)
+    threshold = 9.0
+    gate = make_gate(sensor, threshold)
+    state = update(
+        predict(init_filter(), motion),
+        [obs(0, 0, 29.0)],
+        birth_1d([0.5, 0.5], mean=29.0),
+        sensor,
+        gate_threshold=threshold,
+    )
+    state = predict(state, motion)
+    scan = [obs(1, k, 0.5 * k - 35.0) for k in range(140)]
+    birth = birth_1d([0.6, 0.4], var=400.0)
+    ref = reference_update(state, scan, birth, sensor, gate)
+    state = update(state, scan, birth, sensor, gate_threshold=threshold)
+    assert_matches_reference(state, ref)
+    detected = {p.detections[-1][1] for p in state.tracks if len(p.detections) == 2}
+    born = {p.detections[0][1] for p in state.tracks if p.birth_scan == 1}
+    assert {127, 128} <= detected
+    assert min(born) < 64 and max(born) >= 128
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scenarios())
+def test_update_rows_pass_the_validated_constructor(scenario):
+    # The join writes each row's ids without sorting them, so every state
+    # the update returns must rebuild, unchanged, through the checked list
+    # boundary, which rejects rows out of canonical order.
+    scans, motion, sensor, birth, gate_threshold = scenario
+    state = init_filter()
+    for scan in scans:
+        try:
+            state = update(predict(state, motion), scan, birth, sensor, gate_threshold)
+        except DegenerateUpdateError:
+            return
+        rebuilt = FilterState(state.scan, state.tracks, list(state.hypotheses))
+        assert list(rebuilt.tracks) == list(state.tracks)
+        for a, b in zip(
+            (rebuilt.indptr, rebuilt.indices, rebuilt.weights),
+            (state.indptr, state.indices, state.weights),
+        ):
+            assert np.array_equal(a, b)
 
 
 def csr_table(rows, weights):
