@@ -37,7 +37,7 @@ print()
 print("scan  existence  displayed  extracted")
 for scan, alpha in enumerate(trajectory):
     state = snapshot(alpha, displayed)
-    state, estimates = dt.extract_tracks(state, cfg, space)
+    state, estimates, _ = dt.extract_tracks(state, cfg, space)
     displayed = state.tracks[path].displayed
     print(f"{scan:>4}  {alpha:9.2f}  {str(displayed):>9}  {str(bool(estimates)):>9}")
 

@@ -18,13 +18,13 @@ from .models import (
     Observation,
     SensorModel,
     StateSpace,
-    missdetection_mass,
     moment_match,
     predictive_likelihood,
 )
 from .single_target import (
     MISSED,
     birth_posterior,
+    missdetection_mass,
     predict_distribution,
     update_distribution,
 )

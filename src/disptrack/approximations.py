@@ -17,19 +17,19 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import FilterState, Track, fold_rows, keep_tracks, padded_rows, row_offsets
+from .engine import FilterState, TrackTable, fold_rows, keep_tracks, padded_rows, row_offsets
 from .models import (
     AugmentedDistribution,
-    GaussianComponent,
+    Mixtures,
     Observation,
     SensorModel,
     moment_match,
     _check_cap,
     _check_threshold,
-    _derived,
     _min_distances,
     _quad_forms,
     _stacked,
+    symmetrize,
 )
 
 
@@ -98,8 +98,7 @@ def prune_by_presence(state: FilterState, threshold: float) -> FilterState:
     Hypotheses are marginalized over the removals, so total weight is kept.
     """
     _check_threshold(threshold, "presence threshold")
-    presence = np.array([t.dist.presence for t in state.tracks.values()], dtype=float)
-    return _marginalize(state, presence < threshold)
+    return _marginalize(state, state.tracks.dists.presence < threshold)
 
 
 def prune_by_existence(
@@ -156,7 +155,7 @@ def cap_counts(
 def mahalanobis_sq(dist: AugmentedDistribution, obs: Observation, sensor: SensorModel) -> float:
     """Smallest squared Mahalanobis distance of ``obs`` over the mixture components, ``inf``
     for an empty mixture: the one-pair form of :func:`~disptrack.models.score_scan`'s gate."""
-    owner, _, _, S, resid = _stacked([dist], obs.value[None], sensor)
+    owner, _, _, S, resid = _stacked(Mixtures.of([dist]), obs.value[None], sensor)
     return float(_min_distances(owner, S, resid, 1)[0, 0])
 
 
@@ -171,14 +170,31 @@ def make_gate(sensor: SensorModel, threshold: float):
     return lambda dist, obs: mahalanobis_sq(dist, obs, sensor) <= threshold
 
 
-def _merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float, moments) -> Track:
-    """The pair's ``(mean, cov)``s moment-matched by existence (else evenly), on ``a``'s path."""
-    weights = (alpha_a, alpha_b) if alpha_a + alpha_b > 0.0 else (0.5, 0.5)
-    c = moment_match([_derived(GaussianComponent, w, *m) for w, m in zip(weights, moments)])
-    wa, wb = (w / c.weight for w in weights)
-    presence = min(1.0, max(0.0, wa * a.dist.presence + wb * b.dist.presence))
-    comp = _derived(GaussianComponent, 1.0, c.mean, c.cov)
-    return Track(a.path, _derived(AugmentedDistribution, presence, (comp,)), a.displayed)
+def _merged(presence, alpha, a: np.ndarray, b: np.ndarray, means, covs) -> Mixtures:
+    """Row ``k``: tracks ``a[k]`` and ``b[k]`` as one, their moments matched by existence.
+
+    The pair's presence and one Gaussian, weighted by existence (evenly when
+    both are zero), with :func:`~disptrack.models.moment_match`'s arithmetic:
+    where one weight is zero, the other member's moments as they are.
+    """
+    wa, wb = alpha[a], alpha[b]
+    even = ~(wa + wb > 0.0)
+    wa, wb = np.where(even, 0.5, wa), np.where(even, 0.5, wb)
+    lone_a, lone_b = wb == 0.0, wa == 0.0
+    total = wa + wb
+    wa, wb = (wa / total)[:, None], (wb / total)[:, None]
+    mean = np.zeros(means[a].shape)
+    mean += wa * means[a]
+    mean += wb * means[b]
+    cov = np.zeros(covs[a].shape)
+    for w, k in ((wa, a), (wb, b)):
+        dm = means[k] - mean
+        cov += w[..., None] * (covs[k] + dm[:, :, None] * dm[:, None, :])
+    mean[lone_a], mean[lone_b] = means[a[lone_a]], means[b[lone_b]]
+    cov = symmetrize(cov)
+    cov[lone_a], cov[lone_b] = covs[a[lone_a]], covs[b[lone_b]]
+    merged = np.clip(wa[:, 0] * presence[a] + wb[:, 0] * presence[b], 0.0, 1.0)
+    return Mixtures(merged, np.arange(len(a)), np.ones(len(a)), mean, cov)
 
 
 def _cooccurrence(state: FilterState) -> np.ndarray:
@@ -240,20 +256,26 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     """
     _check_threshold(d_threshold, "merge threshold", math.inf)
     alpha = state.existence()
-    tracks = list(state.tracks.values())
+    tracks = state.tracks
+    dists = tracks.dists
     n = len(tracks)
     co = _cooccurrence(state)
-    spatial = np.array([bool(t.dist.spatial) for t in tracks], dtype=bool)
+    counts = np.bincount(dists.owner, minlength=n)
     first, second = np.triu_indices(n, 1)
-    eligible = spatial[first] & spatial[second] & ~co[first, second]
+    eligible = (counts[first] > 0) & (counts[second] > 0) & ~co[first, second]
     first, second = first[eligible], second[eligible]
     if not len(first):
         return state
-    dim = tracks[first[0]].dist.dim
+    # Each track's moments; a one-component track's are its component's.
+    dim = dists.mean.shape[1]
     means, covs = np.zeros((n, dim)), np.zeros((n, dim, dim))
-    for i in np.union1d(first, second).tolist():
-        comps = tracks[i].dist.spatial  # one component is its own moment match
-        c = comps[0] if len(comps) == 1 else moment_match(comps)
+    start = np.cumsum(counts) - counts
+    one = counts == 1
+    means[one], covs[one] = dists.mean[start[one]], dists.cov[start[one]]
+    paired = np.zeros(n, dtype=bool)
+    paired[first] = paired[second] = True
+    for i in np.flatnonzero(paired & (counts > 1)).tolist():
+        c = moment_match(dists.dist(i).spatial)
         means[i], covs[i] = c.mean, c.cov
     bound = _pair_bounds(alpha, means, covs, first, second)
     near = ~np.isfinite(bound) | (bound < d_threshold * (1.0 + 1e-9))  # margin: rounding
@@ -263,7 +285,7 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     if not len(first):
         return state
     order = np.lexsort((second, first, -(alpha[first] + alpha[second])))
-    paths = list(state.tracks)
+    paths = tracks.paths
     obs_bit: dict = {}
     masks: dict[int, int] = {}
 
@@ -275,7 +297,7 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
 
     # Each track id stands for itself until a merge folds it into another.
     stands_for = list(range(n))
-    merged: dict[int, Track] = {}
+    merged: list[tuple[int, int]] = []
     consumed = np.zeros(n, dtype=bool)
     for a, b in zip(first[order].tolist(), second[order].tolist()):
         if consumed[a] or consumed[b]:
@@ -291,16 +313,20 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
             held_with_b |= obs_mask(stands_for[p])
         if held_with_b & obs_mask(a):
             continue
-        moments = (means[a], covs[a]), (means[b], covs[b])
-        merged[a] = _merged_track(tracks[a], tracks[b], float(alpha[a]), float(alpha[b]), moments)
+        merged.append((a, b))
         stands_for[b] = a
         consumed[a] = consumed[b] = True
     if not merged:
         return state
-    table = {p: merged.get(i, t) for i, (p, t) in enumerate(state.tracks.items())}
-    table, indices = keep_tracks(table, np.array(stands_for)[state.indices])
+    # A kept track's row becomes its merged row, appended to the table.
+    a, b = np.array(merged).T
+    src = np.arange(n)
+    src[a] = n + np.arange(len(a))
+    rows = _merged(dists.presence, alpha, a, b, means, covs)
+    tracks = TrackTable(paths, tracks.displayed, Mixtures.concat(dists, rows).take(src))
+    tracks, indices = keep_tracks(tracks, np.array(stands_for)[state.indices])
     indptr, indices, weights = fold_rows(state.indptr, indices, state.weights)
-    return FilterState.from_table(state.scan, table, indptr, indices, weights)
+    return FilterState.from_table(state.scan, tracks, indptr, indices, weights)
 
 
 def apply_pipeline(state: FilterState, cfg: ApproximationConfig) -> FilterState:

@@ -10,23 +10,27 @@ tracks, appearing targets, false alarms), the resulting child hypothesis
 and its Bayes weight.
 
 Track identity is the observation path itself: two association schemes
-producing the same path share one track object, which is what makes the
-hypothesis set a set over shared tracks rather than a tree of private
-copies.
+producing the same path share one track, which is what makes the hypothesis
+set a set over shared tracks rather than a tree of private copies.
 
 State layout:
 
-- ``FilterState.tracks`` holds the tracks in canonical path order, and a
-  track's integer id is its rank in that order.
+- ``FilterState.tracks`` (:class:`TrackTable`) holds the paths in canonical
+  order, a track's integer id being its rank in that order, per-track
+  ``displayed`` flags, and the distributions as one
+  :class:`~disptrack.models.Mixtures` table: a presence per track and one
+  row per Gaussian component (owner id, weight, mean, covariance). Paths
+  are the only per-track objects; predict, the update and the passes read
+  and write these arrays. Read as a mapping, the table builds each
+  :class:`Track` when asked and caches nothing.
 - The hypotheses are the rows of one CSR table over those ids: hypothesis
   ``r`` is the sorted id row ``indices[indptr[r]:indptr[r + 1]]`` with
   weight ``weights[r]``. Since ids follow path order, id rows compare like
   the path tuples they stand for.
 - ``state.hypotheses`` is a read-only view that builds each
-  :class:`Hypothesis` when asked and caches nothing. Building a state from a
-  list of hypotheses, ``FilterState(scan, tracks, hypotheses)``, is the
-  validated entry point; the recursion and the passes build states from
-  arrays with :meth:`FilterState.from_table`.
+  :class:`Hypothesis` when asked and caches nothing.
+  ``FilterState(scan, tracks, hypotheses)`` is the validated entry point;
+  the recursion and the passes build states with :meth:`FilterState.from_table`.
 
 The update scores the whole scan in stacked solves (the gate, likelihoods and
 Kalman moments of every track and the birth prior, :func:`models.score_scan`),
@@ -46,6 +50,8 @@ row is sorted: tracks of one row share no observation, so their children keep
 the parents' order, and newborns are born at the current scan, after every
 older track, and are taken in observation order. The finished blocks are
 copied into one table allocated for them, each block freed as it is copied.
+The join marks the children the rows it keeps take, so the track table is
+cut to the held children without a scan of the output.
 An update that would emit more than ``_MAX_ROWS`` rows raises
 :class:`HypothesisBudgetError` instead of running out of memory.
 """
@@ -53,17 +59,19 @@ An update that would emit more than ``_MAX_ROWS`` rows raises
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict, deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .models import (
     AugmentedDistribution,
     BirthModel,
+    Mixtures,
     ModelConfigError,
     Observation,
     ObsId,
@@ -71,15 +79,19 @@ from .models import (
     MotionModel,
     check_scan,
     log_predictive_likelihood,  # not called: perfbench's tracer patches this name
-    missdetection_mass,
     score_scan,
     _check_threshold,
+    _derived,
+    _logs,
 )
+# Not called: perfbench's tracer patches birth_posterior, predict_distribution
+# and update_distribution here.
 from .single_target import (
-    MISSED,
-    birth_posterior,  # not called: perfbench's tracer patches this name
+    birth_posterior,
     detection_posteriors,
+    miss_posteriors,
     predict_distribution,
+    predict_mixtures,
     update_distribution,
 )
 
@@ -125,16 +137,16 @@ class ObservationPath:
             )
 
     def extended(self, obs_id: ObsId) -> "ObservationPath":
-        """Path after a detection at a later scan."""
-        return ObservationPath(self.birth_scan, self.detections + (obs_id,))
+        """Path after a detection at a later scan (unchecked: the caller ensures it is later)."""
+        return _derived(ObservationPath, self.birth_scan, self.detections + (obs_id,))
 
     def __str__(self) -> str:
         return f"{self.birth_scan}:" + ",".join(f"{s}.{i}" for s, i in self.detections)
 
 
 def newborn_path(obs_id: ObsId) -> ObservationPath:
-    """Path of an appearing target detected through ``obs_id``."""
-    return ObservationPath(obs_id[0], (obs_id,))
+    """Path of an appearing target detected through ``obs_id`` (a pair of ints; unchecked)."""
+    return _derived(ObservationPath, obs_id[0], (obs_id,))
 
 
 def compatible(p1: ObservationPath, p2: ObservationPath) -> bool:
@@ -213,15 +225,74 @@ def fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
     return row_offsets(real.sum(axis=1)), uniq[real], folded.astype(float, copy=False)
 
 
-def keep_tracks(tracks: Mapping, indices: np.ndarray):
+class TrackTable(Mapping):
+    """A state's tracks as arrays, read as a mapping from each path to its :class:`Track`.
+
+    Track ``i`` is ``paths[i]`` (canonical order), shown when
+    ``displayed[i]``, with distribution ``i`` of ``dists``. As a mapping the
+    table is read-only, in path order, and builds each ``Track`` on request.
+    """
+
+    __slots__ = ("paths", "displayed", "dists")
+
+    def __init__(self, paths: list[ObservationPath], displayed: np.ndarray, dists: Mixtures):
+        self.paths, self.displayed, self.dists = paths, displayed, dists
+
+    @classmethod
+    def of(cls, tracks: Mapping[ObservationPath, Track]) -> "TrackTable":
+        """The tracks of ``tracks``, in its order."""
+        records = list(tracks.values())
+        return cls(
+            list(tracks),
+            np.array([t.displayed for t in records], dtype=bool),
+            Mixtures.of([t.dist for t in records]),
+        )
+
+    def take(self, ids: np.ndarray) -> "TrackTable":
+        """Tracks ``ids`` (distinct), in that order."""
+        paths = [self.paths[i] for i in ids.tolist()]
+        return TrackTable(paths, self.displayed[ids], self.dists.take(ids))
+
+    def index(self, path) -> int | None:
+        """The id of ``path``; ``None`` when the table does not hold it."""
+        if isinstance(path, ObservationPath):
+            i = bisect_left(self.paths, path)
+            if i < len(self.paths) and self.paths[i] == path:
+                return i
+        return None
+
+    def track(self, i: int) -> Track:
+        return Track(self.paths[i], self.dists.dist(i), bool(self.displayed[i]))
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self):
+        return iter(self.paths)
+
+    def __contains__(self, path) -> bool:
+        return self.index(path) is not None
+
+    def __getitem__(self, path) -> Track:
+        i = self.index(path)
+        if i is None:
+            raise KeyError(path)
+        return self.track(i)
+
+
+def keep_tracks(table: TrackTable, indices: np.ndarray):
     """The tracks some entry of ``indices`` names, and ``indices`` renumbered over them."""
-    held = np.zeros(len(tracks), dtype=bool)
+    held = np.zeros(len(table), dtype=bool)
     held[indices] = True
+    return _keep(table, held, indices)
+
+
+def _keep(table: TrackTable, held: np.ndarray, indices: np.ndarray):
+    """The tracks flagged in ``held``, and ``indices`` (naming only those) renumbered over them."""
     if held.all():
-        return tracks, indices
+        return table, indices
     new_id = (np.cumsum(held) - 1).astype(ID_DTYPE)
-    kept = {p: t for (p, t), k in zip(tracks.items(), held.tolist()) if k}
-    return kept, new_id[indices]
+    return table.take(np.flatnonzero(held)), new_id[indices]
 
 
 class HypothesisView(Sequence):
@@ -240,13 +311,13 @@ class HypothesisView(Sequence):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self))[i]
         s = self._state
-        paths = list(s.tracks)
+        paths = s.tracks.paths
         ids = s.indices[s.indptr[i]:s.indptr[i + 1]].tolist()
         return Hypothesis(tuple(paths[k] for k in ids), float(s.weights[i]))
 
     def __iter__(self):
         s = self._state
-        get = list(s.tracks).__getitem__
+        get = s.tracks.paths.__getitem__
         # tuple.__new__ skips the generated named-tuple constructor, which
         # would dominate iterating a large table.
         new = tuple.__new__
@@ -261,10 +332,11 @@ class HypothesisView(Sequence):
 class FilterState:
     """Immutable-by-convention snapshot: scan index, track table, hypothesis table.
 
-    ``FilterState(scan, tracks, hypotheses)`` sorts the track table into
-    canonical order and converts the hypothesis list into the CSR table. It
-    raises ``ValueError`` when a hypothesis names a track missing from
-    ``tracks``, repeats a track, or lists its tracks out of canonical order.
+    ``FilterState(scan, tracks, hypotheses)`` sorts the tracks into
+    canonical order, builds the track table from them and converts the
+    hypothesis list into the CSR table. It raises ``ValueError`` when a
+    hypothesis names a track missing from ``tracks``, repeats a track, or
+    lists its tracks out of canonical order.
     """
 
     __slots__ = ("scan", "tracks", "indptr", "indices", "weights")
@@ -297,7 +369,7 @@ class FilterState:
             weights.append(float(h.weight))
         self._assign(
             scan,
-            {p: tracks[p] for p in paths},
+            TrackTable.of({p: tracks[p] for p in paths}),
             row_offsets(np.array(lengths, dtype=np.int64)),
             np.array(ids, dtype=ID_DTYPE),
             np.array(weights, dtype=float),
@@ -307,7 +379,7 @@ class FilterState:
     def from_table(
         cls,
         scan: int,
-        tracks: dict[ObservationPath, Track],
+        tracks: TrackTable,
         indptr: np.ndarray,
         indices: np.ndarray,
         weights: np.ndarray,
@@ -323,7 +395,7 @@ class FilterState:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=ID_DTYPE)
         self.weights = np.asarray(weights, dtype=float)
-        for a in (self.indptr, self.indices, self.weights):
+        for a in (self.indptr, self.indices, self.weights, tracks.displayed, *tracks.dists):
             a.flags.writeable = False
 
     @property
@@ -371,27 +443,26 @@ class FilterState:
 
 def init_filter() -> FilterState:
     """Pre-data state: no tracks, the single empty hypothesis with weight one."""
-    return FilterState.from_table(-1, {}, [0, 0], [], [1.0])
+    return FilterState.from_table(-1, TrackTable.of({}), [0, 0], [], [1.0])
 
 
 def predict(state: FilterState, motion: MotionModel) -> FilterState:
-    """Move every track's distribution one step forward.
+    """Move every track's distribution one step forward, in one stacked step.
 
     Paths, hypothesis composition and weights are untouched: no new data has
     arrived, so there is nothing to reassess.
     """
-    tracks = {
-        path: Track(path, predict_distribution(tr.dist, motion), tr.displayed)
-        for path, tr in state.tracks.items()
-    }
+    t = state.tracks
+    tracks = TrackTable(t.paths, t.displayed, predict_mixtures(t.dists, motion))
     return FilterState.from_table(state.scan, tracks, state.indptr, state.indices, state.weights)
 
 
 def track_existence(state: FilterState, track_id: ObservationPath) -> float:
     """Total weight of the hypotheses containing the track: its credibility."""
-    if track_id not in state.tracks:
+    i = state.tracks.index(track_id)
+    if i is None:
         raise KeyError(f"unknown track {track_id}")
-    return float(state.existence()[list(state.tracks).index(track_id)])
+    return float(state.existence()[i])
 
 
 class _Options(NamedTuple):
@@ -462,51 +533,56 @@ def _child_ids(node: _Node | None, rows: int, width: int, child: np.ndarray) -> 
 def _child_options(state, obs, birth, sensor, gate_threshold):
     """Per-track work: every candidate child track and the option that makes it.
 
-    The scan's detections are scored and updated for all tracks and the
-    birth prior at once (:func:`score_scan`, :func:`detection_posteriors`).
-    Returns the children in canonical path order (a child's id is its
-    index), the options, and offsets ``ptr`` such that track ``t``'s options
-    are ``ptr[t]:ptr[t + 1]`` (its miss first, then its detections in
+    Each track that can be missed makes a miss option, and each scored
+    detection of the scan another (:func:`score_scan`, for all tracks and
+    the birth prior at once); the children's distributions are the miss and
+    detection posteriors, written into one table. Returns the children as a
+    table in canonical path order (a child's id is its index), the options,
+    and offsets ``ptr`` such that track ``t``'s options are
+    ``ptr[t]:ptr[t + 1]`` (its miss first, then its detections in
     observation order) and the newborns' are ``ptr[-2]:ptr[-1]``.
     """
-    tracks = list(state.tracks.values())
-    children: list[Track] = []
-    rows: list[tuple[int, int, float]] = []  # owner, observation index (-1: miss), log factor
-    for i, tr in enumerate(tracks):
-        mass = missdetection_mass(tr.dist, sensor)
-        if mass > 0.0:
-            missed = update_distribution(tr.dist, MISSED, sensor)
-            children.append(Track(tr.path, missed, tr.displayed))
-            rows.append((i, -1, math.log(mass)))
-    dists = [tr.dist for tr in tracks]
-    if birth.max_births >= 1:  # newborns are owned by len(tracks)
-        dists.append(birth.spatial)
+    table = state.tracks
+    n = len(table)
+    mass, missed = miss_posteriors(table.dists, sensor)
+    miss = np.flatnonzero(mass > 0.0)
+    scored = table.dists
+    if birth.max_births >= 1:  # newborns are owned by n
+        scored = Mixtures.concat(scored, Mixtures.of([birth.spatial]))
     values = np.array([o.value for o in obs]).reshape(len(obs), sensor.obs_dim)
-    owner, seen, logl, moments = score_scan(dists, values, sensor, gate_threshold)
-    posts = detection_posteriors(*moments)
-    for i, j, lv, post in zip(owner.tolist(), seen.tolist(), logl.tolist(), posts):
-        if lv == NEG_INF:
-            continue
-        if i < len(tracks):
-            children.append(Track(tracks[i].path.extended(obs[j].id), post, tracks[i].displayed))
-        else:
-            children.append(Track(newborn_path(obs[j].id), post, False))
-        rows.append((i, j, lv))
+    owner, seen, logl, moments = score_scan(scored, values, sensor, gate_threshold)
+    found = np.flatnonzero(logl > NEG_INF)
+    # Options by owner, each miss before its detections; src: the row of
+    # each option's posterior in (miss posteriors, detection posteriors).
+    owner = np.concatenate([miss, owner[found]])
+    by_owner = np.argsort(owner, kind="stable")
+    owner = owner[by_owner]
+    j = np.concatenate([np.full(len(miss), -1), seen[found]])[by_owner]
+    logl = np.concatenate([_logs(mass[miss]), logl[found]])[by_owner]
+    src = np.concatenate([miss, n + found])[by_owner]
 
-    table = np.array(rows, dtype=[("owner", np.int64), ("obs", np.int64), ("logl", float)])
-    by_owner = np.argsort(table["owner"], kind="stable")  # each miss before its detections
-    table, children = table[by_owner], [children[k] for k in by_owner.tolist()]
-    order = sorted(range(len(children)), key=lambda k: children[k].path)
-    child = np.empty(len(children), dtype=ID_DTYPE)
-    child[order] = np.arange(len(children), dtype=ID_DTYPE)
-    j = table["obs"]
+    paths = table.paths
+    made = [
+        paths[i] if k < 0 else paths[i].extended(obs[k].id) if i < n else newborn_path(obs[k].id)
+        for i, k in zip(owner.tolist(), j.tolist())
+    ]
+    # A birth scan is its first detection's scan, so detections alone order paths.
+    keys = [p.detections for p in made]
+    order = np.array(sorted(range(len(made)), key=keys.__getitem__), dtype=np.int64)
+    child = np.empty(len(made), dtype=ID_DTYPE)
+    child[order] = np.arange(len(made), dtype=ID_DTYPE)
+    children = TrackTable(
+        [made[k] for k in order.tolist()],
+        np.append(table.displayed, False)[owner[order]],
+        Mixtures.concat(missed, detection_posteriors(*moments)).take(src[order]),
+    )
     det = j >= 0
     bit = np.zeros(len(j), dtype=np.uint64)
     bit[det] = np.uint64(1) << (j[det] % _WORD_BITS).astype(np.uint64)
     word = np.maximum(j, 0) // _WORD_BITS
-    opts = _Options(child, table["logl"], word, bit, det.astype(np.int64))
-    ptr = np.searchsorted(table["owner"], np.arange(len(state.tracks) + 2))
-    return [children[k] for k in order], opts, ptr
+    opts = _Options(child, logl, word, bit, det.astype(np.int64))
+    ptr = np.searchsorted(owner, np.arange(n + 2))
+    return children, opts, ptr
 
 
 def update(
@@ -552,7 +628,8 @@ def update(
     if gate_threshold is not None:
         _check_threshold(gate_threshold, "gate threshold", math.inf)
     children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate_threshold)
-    births = np.arange(opt_ptr[-2], len(children))  # newborn options, in observation order
+    births = np.arange(opt_ptr[-2], len(opts.child))  # newborn options, in observation order
+    held = np.zeros(len(opts.child), dtype=bool)  # children some emitted row holds
 
     nz = len(obs)
     lcard = [math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality]
@@ -585,6 +662,7 @@ def update(
                 src, pos = _ragged(ends[root] - pos - 1, pos + 1)
                 root, logw = root[src], logw[src] + opts.logl[took[pos]]
                 node = _Node(src, took[pos], node)
+                held[opts.child[node.opt]] = True
             if not len(root):
                 return
             emitted += len(root)
@@ -629,7 +707,9 @@ def update(
             parts = parts.take(np.flatnonzero(~done))
         if len(parts.row):
             t = state.indices[state.indptr[parts.row] + k]
-            stack.append((_extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts), k + 1))
+            parts = _extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts)
+            held[opts.child[parts.node.opt]] = True
+            stack.append((parts, k + 1))
 
     if not out:
         raise DegenerateUpdateError("no admissible association has a defined posterior")
@@ -653,5 +733,10 @@ def update(
     weights -= top
     np.exp(weights, out=weights)
     weights /= weights.sum()
-    tracks, indices = keep_tracks({t.path: t for t in children}, indices)
+    # A partial row can only fail to complete at a track it cannot miss;
+    # only then may a child marked in the join be held by no emitted row.
+    if np.count_nonzero(opts.det[:opt_ptr[-2]] == 0) < len(state.tracks):
+        held[:] = False
+        held[indices] = True
+    tracks, indices = _keep(children, held, indices)
     return FilterState.from_table(scan, tracks, indptr, indices, weights)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FilterState, Hypothesis, ObservationPath, Track
+from .engine import FilterState, Hypothesis, ObservationPath, Track, TrackTable
 from .models import StateSpace, _check_threshold
 
 
@@ -72,7 +72,7 @@ def extract_tracks(
     state: FilterState,
     cfg: ExtractionConfig,
     space: StateSpace,
-) -> tuple[FilterState, list[TrackEstimate]]:
+) -> tuple[FilterState, list[TrackEstimate], Hypothesis]:
     """Extract the display-worthy tracks of the MAP hypothesis.
 
     A track is shown when it is in the MAP hypothesis and its existence
@@ -82,21 +82,29 @@ def extract_tracks(
     probability of presence is at or above the display floor; a track with
     zero presence has no point estimate and is withheld whatever the floor.
 
-    Returns the state with refreshed display flags plus the estimates, in
-    canonical track order.
+    Returns the state with refreshed display flags, the estimates in
+    canonical track order, and the MAP hypothesis.
     """
-    member = set(map_hypothesis(state).tracks)
-    tracks: dict[ObservationPath, Track] = {}
-    estimates: list[TrackEstimate] = []
-    for (path, tr), alpha in zip(state.tracks.items(), state.existence().tolist()):
-        shown = path in member and (
-            alpha > cfg.confirm_threshold or (tr.displayed and alpha > cfg.deconfirm_threshold)
+    best = map_hypothesis(state)
+    table = state.tracks
+    member = np.zeros(len(table.paths), dtype=bool)
+    member[[table.index(p) for p in best.tracks]] = True
+    alpha = state.existence()
+    shown = member & (
+        (alpha > cfg.confirm_threshold) | (table.displayed & (alpha > cfg.deconfirm_threshold))
+    )
+    presence = table.dists.presence
+    listed = shown & (presence > 0.0) & (presence >= cfg.presence_display_floor)
+    estimates = [
+        TrackEstimate(
+            table.paths[i],
+            float(alpha[i]),
+            float(presence[i]),
+            point_estimate(table.track(i), space),
+            True,
         )
-        if shown != tr.displayed:
-            tr = Track(path, tr.dist, shown)
-        tracks[path] = tr
-        presence = tr.dist.presence
-        if shown and presence > 0.0 and presence >= cfg.presence_display_floor:
-            estimates.append(TrackEstimate(path, alpha, presence, point_estimate(tr, space), True))
+        for i in np.flatnonzero(listed).tolist()
+    ]
+    tracks = TrackTable(table.paths, shown, table.dists)
     out = FilterState.from_table(state.scan, tracks, state.indptr, state.indices, state.weights)
-    return out, estimates
+    return out, estimates, best

@@ -7,11 +7,11 @@ The absent state is never materialized as a vector; all linear algebra stays
 on the in-scene space and absence is carried by the presence complement.
 
 Each Gaussian formula has one home, :func:`score_scan`: it forms S = H P H' + R
-and H m of every component of many distributions at once, gates all of a
+and H m of every component of a :class:`Mixtures` table at once, gates all of a
 scan's pairs in one broadcast solve, and takes the likelihoods and the Kalman
 moments from one stacked Cholesky factorisation; no inverse is formed, and
-the single-pair functions are one-pair calls into it. Every moment match, merges
-included, is :func:`moment_match`. Inputs are validated once, at the
+the single-pair functions are one-row calls into it. Every moment match is
+:func:`moment_match`'s arithmetic. Inputs are validated once, at the
 boundary: by the model constructors, which also reject non-finite entries,
 and by ``load_config``. Derived records are built by :func:`_derived`, unchecked.
 A scan is checked by :func:`check_scan` alone, and every threshold and cap by
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -251,6 +251,12 @@ class SensorModel:
             return _check_probability(self.p_d(mean), "p_d(x)")
         return self.p_d
 
+    def detection_probabilities(self, means: np.ndarray) -> np.ndarray:
+        """:meth:`detection_probability` at each row of ``means``."""
+        if callable(self.p_d):
+            return np.array([self.detection_probability(m) for m in means], dtype=float)
+        return np.full(len(means), self.p_d)
+
 
 @dataclass(frozen=True)
 class BirthModel:
@@ -329,6 +335,78 @@ def _derived(cls, *values):
     return record
 
 
+class Mixtures(NamedTuple):
+    """Many augmented distributions as one table.
+
+    Distribution ``i`` has presence ``presence[i]`` and, as its spatial
+    mixture, the components ``k`` with ``owner[k] == i`` in table order
+    (``owner`` never decreases; a distribution may own no component).
+    """
+
+    presence: np.ndarray  # (distributions,)
+    owner: np.ndarray  # (components,) int
+    weight: np.ndarray  # (components,)
+    mean: np.ndarray  # (components, d)
+    cov: np.ndarray  # (components, d, d)
+
+    @classmethod
+    def of(cls, dists: Sequence[AugmentedDistribution]) -> "Mixtures":
+        comps = [c for d in dists for c in d.spatial]
+        dim = comps[0].dim if comps else 0
+        return cls(
+            np.array([d.presence for d in dists], dtype=float),
+            np.repeat(np.arange(len(dists)), [len(d.spatial) for d in dists]),
+            np.array([c.weight for c in comps], dtype=float),
+            np.array([c.mean for c in comps], dtype=float).reshape(len(comps), dim),
+            np.array([c.cov for c in comps], dtype=float).reshape(len(comps), dim, dim),
+        )
+
+    def dist(self, i: int) -> AugmentedDistribution:
+        lo, hi = np.searchsorted(self.owner, (i, i + 1)).tolist()
+        spatial = tuple(
+            _derived(GaussianComponent, w, self.mean[k], self.cov[k])
+            for k, w in enumerate(self.weight[lo:hi].tolist(), lo)
+        )
+        return _derived(AugmentedDistribution, float(self.presence[i]), spatial)
+
+    def take(self, ids: np.ndarray) -> "Mixtures":
+        """Distributions ``ids`` (distinct), in that order."""
+        new_id = np.full(len(self.presence), -1)
+        new_id[ids] = np.arange(len(ids))
+        comp = np.flatnonzero(new_id[self.owner] >= 0)
+        comp = comp[np.argsort(new_id[self.owner[comp]], kind="stable")]
+        owner = new_id[self.owner[comp]]
+        comps = self.weight[comp], self.mean[comp], self.cov[comp]
+        return Mixtures(self.presence[ids], owner, *comps)
+
+    @staticmethod
+    def concat(*parts: "Mixtures") -> "Mixtures":
+        """The distributions of ``parts``, one table after another."""
+        dim = max(p.mean.shape[1] for p in parts)  # an empty table may have dimension 0
+        offsets = np.cumsum([0] + [len(p.presence) for p in parts]).tolist()
+        parts = [
+            p._replace(owner=p.owner + o, mean=p.mean.reshape(len(p.weight), dim),
+                       cov=p.cov.reshape(len(p.weight), dim, dim))
+            for p, o in zip(parts, offsets)
+        ]
+        return Mixtures(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry: numpy's ``log`` may differ from it in the last bit."""
+    return np.array([math.log(v) for v in x.tolist()], dtype=float)
+
+
+def _fsums(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Per distribution, ``math.fsum`` of its components' ``values``."""
+    out = np.zeros(n)
+    np.add.at(out, owner, values)  # exactly rounded for up to two terms
+    counts = np.bincount(owner, minlength=n)
+    for i in np.flatnonzero(counts > 2).tolist():
+        out[i] = math.fsum(values[owner == i].tolist())
+    return out
+
+
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """0.5 (M + M') of a matrix or of each matrix in a stack."""
     return 0.5 * (m + np.swapaxes(m, -1, -2))
@@ -346,20 +424,18 @@ def _log_gauss(chol: np.ndarray, white: np.ndarray) -> np.ndarray:
     return -0.5 * (white.shape[-1] * LOG_2PI + logdet + quad)
 
 
-def _stacked(dists: Sequence[AugmentedDistribution], values: np.ndarray, sensor: SensorModel):
-    """``(owner, means, covs, S, resid)`` of the distributions' components, stacked.
+def _stacked(mix: Mixtures, values: np.ndarray, sensor: SensorModel):
+    """``(owner, means, covs, S, resid)`` of the table's components.
 
     ``owner`` is each component's distribution, S = H P H' + R its innovation
     covariance, and ``resid`` (components, m, p) its residuals z - H m against
     the rows of ``values``. S is left as computed: the Cholesky factorisation
     reads one triangle only, and a general solve does not need symmetry.
     """
-    owner = np.array([i for i, d in enumerate(dists) for _ in d.spatial], dtype=np.int64)
     n, H = sensor.state_dim, sensor.H
-    means = np.array([c.mean for d in dists for c in d.spatial]).reshape(-1, n)
-    covs = np.array([c.cov for d in dists for c in d.spatial]).reshape(-1, n, n)
+    means, covs = mix.mean.reshape(len(mix.weight), n), mix.cov.reshape(len(mix.weight), n, n)
     resid = values[None] - (H @ means[..., None])[..., None, :, 0]
-    return owner, means, covs, H @ covs @ H.T + sensor.R, resid
+    return mix.owner, means, covs, H @ covs @ H.T + sensor.R, resid
 
 
 def _min_distances(owner, S, resid, n_dists: int) -> np.ndarray:
@@ -371,7 +447,7 @@ def _min_distances(owner, S, resid, n_dists: int) -> np.ndarray:
 
 
 def score_scan(
-    dists: Sequence[AugmentedDistribution],
+    mix: Mixtures,
     values: np.ndarray,
     sensor: SensorModel,
     gate_threshold: float | None = None,
@@ -393,44 +469,46 @@ def score_scan(
     (-inf only on underflow); and ``moments``, the ``(pair, log weight, mean,
     cov)`` of each such pair's detecting components, in that order.
     """
-    owner, means, covs, S, resid = _stacked(dists, values, sensor)
-    passed = np.ones((len(dists), len(values)), dtype=bool)
+    owner, means, covs, S, resid = _stacked(mix, values, sensor)
+    n_dists = len(mix.presence)
+    passed = np.ones((n_dists, len(values)), dtype=bool)
     if gate_threshold is not None:
-        passed = _min_distances(owner, S, resid, len(dists)) <= gate_threshold
-    live = passed.any(axis=1).tolist()
-    detect, log_wpd = [], []
-    for k, (i, c) in enumerate(zip(owner.tolist(), (c for d in dists for c in d.spatial))):
-        if live[i] and dists[i].presence > 0.0:
-            pd = sensor.detection_probability(c.mean)
-            if c.weight > 0.0 and pd > 0.0:
-                detect.append(k)
-                log_wpd.append(math.log(c.weight) + math.log(pd))
-    detect = np.array(detect, dtype=np.int64)
+        passed = _min_distances(owner, S, resid, n_dists) <= gate_threshold
+    cand = np.flatnonzero(passed.any(axis=1)[owner] & (mix.presence[owner] > 0.0))
+    pd = sensor.detection_probabilities(means[cand])
+    can = (mix.weight[cand] > 0.0) & (pd > 0.0)
+    detect = cand[can]
+    log_wpd = _logs(mix.weight[detect]) + _logs(pd[can])
     factor, obs = np.nonzero(passed[owner[detect]])
     key = owner[detect[factor]] * len(values) + obs
     order = np.argsort(key, kind="stable")
     factor, obs, key = factor[order], obs[order], key[order]
-    comp, log_wpd = detect[factor], np.array(log_wpd)[factor]
+    comp, log_wpd = detect[factor], log_wpd[factor]
     chol = np.linalg.cholesky(S[detect])[factor]
     r = resid[comp, obs]
     white = np.linalg.solve(chol, r[..., None])[..., 0]
     sol = np.linalg.solve(chol, np.concatenate((r[..., None], sensor.H @ covs[comp]), axis=-1))
     G, Gt = sol[..., 1:], np.swapaxes(sol[..., 1:], -1, -2)
-    terms = (log_wpd + _log_gauss(chol, white)).tolist()
+    terms = log_wpd + _log_gauss(chol, white)
     starts = np.diff(key, prepend=-1) != 0
     first = np.flatnonzero(starts)
-    dist, logl = owner[comp[first]], []
-    for a, b, i in zip(first.tolist(), first[1:].tolist() + [len(key)], dist.tolist()):
-        m = max(terms[a:b])
-        total = math.fsum(math.exp(t - m) for t in terms[a:b])
-        logl.append(math.log(dists[i].presence) + m + math.log(total))
+    dist = owner[comp[first]]
+    # A one-component pair's sum is its term; the others are summed exactly.
+    logl = _logs(mix.presence[dist]) + terms[first]
+    size = np.diff(np.append(first, len(key)))
+    for p in np.flatnonzero(size > 1).tolist():
+        a = first[p]
+        t = terms[a:a + size[p]].tolist()
+        m = max(t)
+        total = math.fsum(math.exp(x - m) for x in t)
+        logl[p] = math.log(mix.presence[dist[p]]) + m + math.log(total)
     moments = (
         np.cumsum(starts) - 1,
         log_wpd + _log_gauss(chol, sol[..., 0]),
         means[comp] + (Gt @ sol[..., :1])[..., 0],
         symmetrize(covs[comp] - Gt @ G),
     )
-    return dist, obs[first], np.array(logl), moments
+    return dist, obs[first], logl, moments
 
 
 def log_predictive_likelihood(
@@ -453,7 +531,7 @@ def log_predictive_likelihood(
         raise ModelConfigError(
             f"state dim {dist.dim} does not match sensor input dim {sensor.state_dim}"
         )
-    logl = score_scan([dist], z[None], sensor)[2]
+    logl = score_scan(Mixtures.of([dist]), z[None], sensor)[2]
     return float(logl[0]) if len(logl) else -math.inf
 
 
@@ -462,19 +540,6 @@ def predictive_likelihood(
 ) -> float:
     """Predictive mass of observing ``obs``: exp of :func:`log_predictive_likelihood`."""
     return math.exp(log_predictive_likelihood(dist, obs, sensor))
-
-
-def missdetection_mass(dist: AugmentedDistribution, sensor: SensorModel) -> float:
-    """Probability that a target described by ``dist`` yields no observation.
-
-    (1 - presence) + presence * sum_i w_i (1 - p_d(m_i)); equals one for an
-    absent target, zero only for a surely present, surely detected one.
-    """
-    q = dist.presence
-    if q <= 0.0:
-        return 1.0
-    acc = math.fsum(c.weight * (1.0 - sensor.detection_probability(c.mean)) for c in dist.spatial)
-    return (1.0 - q) + q * acc
 
 
 def moment_match(components: Sequence[GaussianComponent]) -> GaussianComponent:
@@ -501,4 +566,3 @@ def moment_match(components: Sequence[GaussianComponent]) -> GaussianComponent:
         dm = (c.mean - mean).reshape(-1, 1)
         cov += (c.weight / total) * (c.cov + dm @ dm.T)
     return _derived(GaussianComponent, total, mean, symmetrize(cov))
-

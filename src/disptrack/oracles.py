@@ -26,8 +26,8 @@ from .models import (
     Observation,
     SensorModel,
     log_predictive_likelihood,
-    missdetection_mass,
 )
+from .single_target import missdetection_mass
 
 MAX_ORACLE_PATHS = 20
 MAX_ORACLE_SCANS = 2

@@ -19,6 +19,7 @@ import numpy as np
 from .approximations import apply_pipeline, make_gate  # make_gate: perfbench's tracer patches it
 from .config import ConfigError, ScenarioConfig
 from .engine import FilterState, init_filter, predict, update
+# map_hypothesis: not called here, perfbench's tracer patches this name.
 from .estimation import TrackEstimate, extract_tracks, map_hypothesis
 from .models import ModelConfigError, Observation, check_scan
 from .simulation import GroundTruth, simulate
@@ -57,8 +58,7 @@ def filter_scans(
         total = state.total_weight()
         state = apply_pipeline(state, cfg.approx)
         retained = state.total_weight()
-        state, estimates = extract_tracks(state, cfg.extract, cfg.space)
-        best = map_hypothesis(state)
+        state, estimates, best = extract_tracks(state, cfg.extract, cfg.space)
         records.append(
             ScanRecord(
                 scan=state.scan,

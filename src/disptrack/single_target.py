@@ -1,17 +1,19 @@
 """Single-target measure transforms: time prediction and Bayes update.
 
-Two operations act on :class:`~disptrack.models.AugmentedDistribution`:
+Each transform acts on a whole :class:`~disptrack.models.Mixtures` table at
+once; its form on one :class:`~disptrack.models.AugmentedDistribution` is a
+one-row call into it.
 
-* :func:`predict_distribution` pushes the distribution through the motion
-  kernel. Presence decays by the survival probability; each mixture
-  component moves through the linear-Gaussian in-scene kernel.
-* :func:`update_distribution` conditions on one observation outcome, either
-  a concrete detection or :data:`MISSED`. Detection pins presence to one
-  and applies a per-component Kalman update in factorised form (one
-  Cholesky factor of the innovation covariance gives the gain, the
-  posterior covariance and the component's density alike); a miss shrinks
-  presence by the closed-form posterior odds and, for constant detection
-  probability, returns the spatial mixture itself, untouched.
+* :func:`predict_mixtures` (one row: :func:`predict_distribution`) pushes
+  every distribution through the motion kernel in one stacked step: presence
+  decays by the survival probability, each component moves through the
+  linear-Gaussian in-scene kernel.
+* :func:`miss_posteriors` and :func:`detection_posteriors` (one row:
+  :func:`update_distribution`) condition on :data:`MISSED` or on a
+  detection. A miss shrinks presence by the closed-form posterior odds and,
+  for constant detection probability, keeps the spatial mixture as it is.
+  Detection pins presence to one and takes the per-component Kalman moments
+  that :func:`~disptrack.models.score_scan` computes in factorised form.
 
 :func:`birth_posterior` is the detection update applied to the shared
 appearing-target prior, producing a newborn track distribution with
@@ -29,13 +31,13 @@ from .models import (
     AssociationImpossibleError,
     AugmentedDistribution,
     BirthModel,
-    GaussianComponent,
+    Mixtures,
     MotionModel,
     Observation,
     SensorModel,
     score_scan,
     symmetrize,
-    _derived,
+    _fsums,
 )
 
 # Mixture hygiene: lighter posterior components are dropped. There is no length
@@ -57,56 +59,95 @@ MISSED = _Missed()
 ObservationOrMissed = Union[Observation, _Missed]
 
 
-def predict_distribution(dist: AugmentedDistribution, motion: MotionModel) -> AugmentedDistribution:
-    """Propagate a target distribution one step through the motion model.
+def predict_mixtures(mix: Mixtures, motion: MotionModel) -> Mixtures:
+    """Propagate every distribution of the table one step through the motion model.
 
     Presence becomes presence * p_s (a target cannot re-enter the scene, so
     presence never grows here). Component means map through F, covariances
     through F P F' + Q; mixture weights are unchanged.
     """
-    q = dist.presence * motion.p_s
-    F, Q = motion.F, motion.Q
-    spatial = tuple(
-        _derived(GaussianComponent, c.weight, F @ c.mean, symmetrize(F @ c.cov @ F.T + Q))
-        for c in dist.spatial
+    F, Q, c = motion.F, motion.Q, len(mix.weight)
+    means, covs = mix.mean.reshape(c, len(F)), mix.cov.reshape(c, len(F), len(F))
+    return mix._replace(
+        presence=mix.presence * motion.p_s,
+        mean=(F @ means[..., None])[..., 0],
+        cov=symmetrize(F @ covs @ F.T + Q),
     )
-    return _derived(AugmentedDistribution, q, spatial)
 
 
-def _kalman_posterior(log_weights: list[float], means: np.ndarray, covs: np.ndarray):
-    """Detected-target posterior from one pair's Kalman moments: presence one.
+def predict_distribution(dist: AugmentedDistribution, motion: MotionModel) -> AugmentedDistribution:
+    """The one-row form of :func:`predict_mixtures`."""
+    return predict_mixtures(Mixtures.of([dist]), motion).dist(0)
 
+
+def miss_posteriors(mix: Mixtures, sensor: SensorModel) -> tuple[np.ndarray, Mixtures]:
+    """Each distribution's miss-detection mass, and its posterior given a miss.
+
+    The mass is (1-q) + q sum_i w_i (1-p_d(m_i)). The posterior presence is
+    q(1-p_d) / (1-q + q(1-p_d)), and its spatial part is reweighted by the
+    per-component miss probability (kept as it is when the detection
+    probability is constant). An absent distribution has mass one and is its
+    own posterior; where the mass is zero, the posterior presence is NaN.
+    """
+    q = mix.presence
+    live = q > 0.0
+    terms = np.zeros(len(mix.owner))
+    k = np.flatnonzero(live[mix.owner])
+    terms[k] = mix.weight[k] * (1.0 - sensor.detection_probabilities(mix.mean[k]))
+    sums = _fsums(mix.owner, terms, len(q))
+    in_scene = q * sums
+    mass = np.where(live, (1.0 - q) + in_scene, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        presence = np.where(live, in_scene / mass, q)
+        if not callable(sensor.p_d):
+            # A constant detection probability scales every component alike.
+            return mass, mix._replace(presence=presence)
+        moved = (presence > 0.0)[mix.owner]
+        weight = np.where(moved, terms / sums[mix.owner], mix.weight)
+    keep = ~moved | (terms > 0.0)
+    return mass, Mixtures(presence, mix.owner[keep], weight[keep], mix.mean[keep], mix.cov[keep])
+
+
+def missdetection_mass(dist: AugmentedDistribution, sensor: SensorModel) -> float:
+    """Probability that a target described by ``dist`` yields no observation.
+
+    The one-row form of :func:`miss_posteriors`: one for an absent target,
+    zero only for a surely present, surely detected one.
+    """
+    return float(miss_posteriors(Mixtures.of([dist]), sensor)[0][0])
+
+
+def detection_posteriors(pair, log_w, means, covs) -> Mixtures:
+    """The detected-target posterior of each pair in ``score_scan``'s ``moments``, as one table.
+
+    Each has presence one, and the pair's Kalman moments as components.
     Component weights are renormalized in log domain so that far-away
     observations cannot underflow the whole mixture to zero; components at
     or below ``WEIGHT_FLOOR`` are then dropped and the rest renormalized.
     """
-    m = max(log_weights)
-    rel = [math.exp(lw - m) for lw in log_weights]
-    total = math.fsum(rel)
-    kept = [(r / total, k) for k, r in enumerate(rel) if r / total > WEIGHT_FLOOR]
-    total = math.fsum(w for w, _ in kept)
-    spatial = tuple(_derived(GaussianComponent, w / total, means[k], covs[k]) for w, k in kept)
-    return _derived(AugmentedDistribution, 1.0, spatial)
-
-
-def detection_posteriors(pair, log_w, means, covs) -> list[AugmentedDistribution]:
-    """The detected-target posterior of each pair in ``score_scan``'s ``moments``, in order."""
-    first = np.flatnonzero(np.diff(pair, prepend=-1)).tolist()
-    log_w = log_w.tolist()
-    return [
-        _kalman_posterior(log_w[a:b], means[a:b], covs[a:b])
-        for a, b in zip(first, first[1:] + [len(pair)])
-    ]
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    size = np.diff(np.append(first, len(pair)))
+    weight = np.ones(len(pair))  # a lone component's
+    for a, n in zip(first[size > 1].tolist(), size[size > 1].tolist()):
+        lw = log_w[a:a + n].tolist()
+        m = max(lw)
+        rel = [math.exp(x - m) for x in lw]
+        total = math.fsum(rel)
+        kept = [r / total if r / total > WEIGHT_FLOOR else 0.0 for r in rel]
+        total = math.fsum(kept)
+        weight[a:a + n] = [w / total for w in kept]
+    keep = weight > 0.0
+    return Mixtures(np.ones(len(first)), pair[keep], weight[keep], means[keep], covs[keep])
 
 
 def _detection_posterior(dist: AugmentedDistribution, obs: Observation, sensor: SensorModel):
     """The one-pair form of :func:`detection_posteriors`."""
-    dists, _, _, moments = score_scan([dist], obs.value[None], sensor)
+    dists, _, _, moments = score_scan(Mixtures.of([dist]), obs.value[None], sensor)
     if not len(dists):
         raise AssociationImpossibleError(
             "detection has zero probability under every mixture component"
         )
-    return detection_posteriors(*moments)[0]
+    return detection_posteriors(*moments).dist(0)
 
 
 def update_distribution(
@@ -119,7 +160,7 @@ def update_distribution(
     Detection: presence bursts to exactly 1 (only in-scene targets can be
     detected) and the spatial mixture gets a per-component Kalman update.
     Miss: presence becomes q(1-p_d) / (1-q + q(1-p_d)) and the spatial part
-    is reweighted by the per-component miss probability (returned as is when
+    is reweighted by the per-component miss probability (kept as it is when
     the detection probability is constant).
 
     Raises :class:`AssociationImpossibleError` when the conditioning event
@@ -127,34 +168,15 @@ def update_distribution(
     present, surely detected one).
     """
     if isinstance(obs, _Missed):
-        return _miss_update(dist, sensor)
+        mass, post = miss_posteriors(Mixtures.of([dist]), sensor)
+        if mass[0] <= 0.0:
+            raise AssociationImpossibleError(
+                "miss-detection has zero probability: target is present and detected almost surely"
+            )
+        return post.dist(0)
     if dist.presence <= 0.0:
         raise AssociationImpossibleError("cannot detect a target with zero presence")
     return _detection_posterior(dist, obs, sensor)
-
-
-def _miss_update(dist: AugmentedDistribution, sensor: SensorModel) -> AugmentedDistribution:
-    q = dist.presence
-    if q <= 0.0:
-        return dist
-    miss_terms = [c.weight * (1.0 - sensor.detection_probability(c.mean)) for c in dist.spatial]
-    in_scene_miss = q * math.fsum(miss_terms)
-    denom = (1.0 - q) + in_scene_miss
-    if denom <= 0.0:
-        raise AssociationImpossibleError(
-            "miss-detection has zero probability: target is present and detected almost surely"
-        )
-    presence = in_scene_miss / denom
-    if presence <= 0.0 or not callable(sensor.p_d):
-        # A constant detection probability scales every component alike.
-        return _derived(AugmentedDistribution, presence, dist.spatial)
-    total = math.fsum(miss_terms)
-    spatial = tuple(
-        _derived(GaussianComponent, t / total, c.mean, c.cov)
-        for t, c in zip(miss_terms, dist.spatial)
-        if t > 0.0
-    )
-    return _derived(AugmentedDistribution, presence, spatial)
 
 
 def birth_posterior(

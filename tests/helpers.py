@@ -21,7 +21,16 @@ from disptrack import (
     newborn_path,
 )
 from disptrack.approximations import _cooccurrence
-from disptrack.engine import ID_DTYPE, FilterState, Track, keep_tracks, padded_rows, row_offsets
+from disptrack.engine import (
+    ID_DTYPE,
+    FilterState,
+    ObservationPath,
+    Track,
+    TrackTable,
+    keep_tracks,
+    padded_rows,
+    row_offsets,
+)
 from disptrack.models import log_predictive_likelihood, moment_match
 
 
@@ -37,14 +46,22 @@ def unit_dist(presence: float = 1.0, mean: float = 0.0, var: float = 1.0) -> Aug
     return dist(presence, (1.0, mean, var))
 
 
-def rebuild_checked(d: AugmentedDistribution) -> AugmentedDistribution:
-    """Rebuild a derived distribution through the checked constructors.
+def rebuild_checked(d):
+    """Rebuild a derived distribution, path or track through the checked constructors.
 
     The filter builds derived records without the constructors' checks; this
-    raises ``ModelConfigError`` wherever a check would have failed, and
-    asserts the derived values are in the form the checked constructors
-    store (so reports serialize alike either way).
+    raises ``ModelConfigError`` (``ValueError`` for a path) wherever a check
+    would have failed, and asserts the derived values are in the form the
+    checked constructors store (so reports serialize alike either way).
     """
+    if isinstance(d, Track):
+        return Track(rebuild_checked(d.path), rebuild_checked(d.dist), d.displayed)
+    if isinstance(d, ObservationPath):
+        assert type(d.birth_scan) is int and type(d.detections) is tuple
+        assert all(type(s) is int and type(i) is int for s, i in d.detections)
+        path = ObservationPath(d.birth_scan, d.detections)
+        assert path == d
+        return path
     assert type(d.presence) is float and type(d.spatial) is tuple
     for c in d.spatial:
         assert type(c.weight) is float
@@ -254,7 +271,7 @@ def reference_merge_tracks(state: FilterState, d_threshold: float) -> FilterStat
     if not merged:
         return state
     stands = np.array(stands_for)
-    table = {p: merged.get(i, t) for i, (p, t) in enumerate(state.tracks.items())}
+    table = TrackTable.of({p: merged.get(i, t) for i, (p, t) in enumerate(state.tracks.items())})
     table, indices = keep_tracks(table, stands[state.indices])
     indptr, indices, weights = reference_fold_rows(state.indptr, indices, state.weights)
     return FilterState.from_table(state.scan, table, indptr, indices, weights)

@@ -263,7 +263,7 @@ def test_c08_extraction_hysteresis():
     trajectory = [0.99] + [0.95, 0.93, 0.91] + [0.85]
     for alpha in trajectory:
         state = synth(alpha, displayed)
-        state, estimates = dt.extract_tracks(state, cfg, space)
+        state, estimates, _ = dt.extract_tracks(state, cfg, space)
         displayed = state.tracks[p].displayed
         if 0.90 < alpha < 0.98:
             extracted_during_dwell.append(bool(estimates))
@@ -273,7 +273,7 @@ def test_c08_extraction_hysteresis():
 
     # A displayed track outside the MAP hypothesis is cleared.
     state = synth(0.99, True, other=True)
-    state, estimates = dt.extract_tracks(state, cfg, space)
+    state, estimates, _ = dt.extract_tracks(state, cfg, space)
     assert not state.tracks[q].displayed
     assert [e.track_id for e in estimates] == [p]
     print("[C8] confirm/de-confirm hysteresis and MAP clearing: PASS")

@@ -89,25 +89,25 @@ class TestExtraction:
 
     def test_confirmation_displays_new_track(self):
         s = state_of([track(P1)], [((P1,), 0.99), ((), 0.01)])
-        out, est = extract_tracks(s, self.CFG, space_1d())
+        out, est, _ = extract_tracks(s, self.CFG, space_1d())
         assert [e.track_id for e in est] == [P1]
         assert out.tracks[P1].displayed
 
     def test_dwell_keeps_displayed_track(self):
         s = state_of([track(P1, displayed=True)], [((P1,), 0.95), ((), 0.05)])
-        out, est = extract_tracks(s, self.CFG, space_1d())
+        out, est, _ = extract_tracks(s, self.CFG, space_1d())
         assert [e.track_id for e in est] == [P1]
         assert out.tracks[P1].displayed
 
     def test_dwell_does_not_confirm_fresh_track(self):
         s = state_of([track(P1, displayed=False)], [((P1,), 0.95), ((), 0.05)])
-        out, est = extract_tracks(s, self.CFG, space_1d())
+        out, est, _ = extract_tracks(s, self.CFG, space_1d())
         assert est == []
         assert not out.tracks[P1].displayed
 
     def test_drop_below_deconfirm_clears_status(self):
         s = state_of([track(P1, displayed=True)], [((P1,), 0.5), ((), 0.5)])
-        out, est = extract_tracks(s, self.CFG, space_1d())
+        out, est, _ = extract_tracks(s, self.CFG, space_1d())
         assert est == []
         assert not out.tracks[P1].displayed
 
@@ -116,13 +116,13 @@ class TestExtraction:
             [track(P1, displayed=True), track(P2, displayed=True)],
             [((P1,), 0.99), ((P2,), 0.01)],
         )
-        out, est = extract_tracks(s, self.CFG, space_1d())
+        out, est, _ = extract_tracks(s, self.CFG, space_1d())
         assert [e.track_id for e in est] == [P1]
         assert not out.tracks[P2].displayed
 
     def test_presence_floor_withholds_output(self):
         s = state_of([track(P1, presence=0.01)], [((P1,), 0.99), ((), 0.01)])
-        out, est = extract_tracks(s, self.CFG, space_1d())
+        out, est, _ = extract_tracks(s, self.CFG, space_1d())
         assert est == []
         # The hysteresis flag is still driven by existence.
         assert out.tracks[P1].displayed
@@ -132,21 +132,21 @@ class TestExtraction:
         # confirmed; a zero floor must not send it to point_estimate.
         cfg = ExtractionConfig(presence_display_floor=0.0)
         s = state_of([track(P1, presence=0.0, displayed=True)], [((P1,), 0.99), ((), 0.01)])
-        out, est = extract_tracks(s, cfg, space_1d())
+        out, est, _ = extract_tracks(s, cfg, space_1d())
         assert est == []
         assert out.tracks[P1].displayed
 
     def test_flicker_free_dwell(self):
         # Existence held between the thresholds: status never toggles.
         s = state_of([track(P1)], [((P1,), 0.99), ((), 0.01)])
-        s, est = extract_tracks(s, self.CFG, space_1d())
+        s, est, _ = extract_tracks(s, self.CFG, space_1d())
         assert est
         for _ in range(10):
             s = state_of(
                 [track(P1, displayed=s.tracks[P1].displayed)],
                 [((P1,), 0.94), ((), 0.06)],
             )
-            s, est = extract_tracks(s, self.CFG, space_1d())
+            s, est, _ = extract_tracks(s, self.CFG, space_1d())
             assert [e.track_id for e in est] == [P1]
             assert s.tracks[P1].displayed
 

@@ -13,6 +13,7 @@ from disptrack import (
     ConfigError,
     GaussianComponent,
     GroundTruth,
+    ObservationPath,
     RunReport,
     ScanRecord,
     TruthTarget,
@@ -269,12 +270,12 @@ class TestRun:
 
 def test_filter_builds_no_checked_records(monkeypatch):
     # Models are validated once, at the boundary: after load_config, the
-    # filter derives every Gaussian component and distribution unchecked.
-    # Each derived one must still pass the checked constructors.
+    # filter derives every Gaussian component, distribution and observation
+    # path unchecked. Each derived one must still pass the checked constructors.
     cfg = load_config(CLUTTERED)
     scenes = [simulate(dataclasses.replace(cfg, seed=seed))[1] for seed in (0, 1)]
     checks = Counter()
-    for cls in (GaussianComponent, AugmentedDistribution):
+    for cls in (GaussianComponent, AugmentedDistribution, ObservationPath):
         def counted(self, check=cls.__post_init__, name=cls.__name__):
             checks[name] += 1
             check(self)
@@ -294,7 +295,7 @@ def test_filter_builds_no_checked_records(monkeypatch):
     monkeypatch.undo()
     for state in states:
         for track in state.tracks.values():
-            rebuild_checked(track.dist)
+            rebuild_checked(track)
 
 
 def test_no_mixture_outgrows_the_birth_prior(monkeypatch):
@@ -306,9 +307,16 @@ def test_no_mixture_outgrows_the_birth_prior(monkeypatch):
     runs.append((large, simulate(large)[1]))
     states, merged = [], []
 
+    def changed(t, before):
+        a, b = t.dist, before.dist
+        return a.presence != b.presence or len(a.spatial) != len(b.spatial) or any(
+            not (np.array_equal(x.mean, y.mean) and np.array_equal(x.cov, y.cov))
+            for x, y in zip(a.spatial, b.spatial)
+        )
+
     def merging(state, threshold, step=approximations.merge_tracks):
         out = step(state, threshold)
-        merged[-1] += [t for p, t in out.tracks.items() if t is not state.tracks.get(p)]
+        merged[-1] += [t for p, t in out.tracks.items() if changed(t, state.tracks[p])]
         return out
 
     monkeypatch.setattr(approximations, "merge_tracks", merging)

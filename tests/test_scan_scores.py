@@ -21,7 +21,13 @@ from disptrack import (
     update_distribution,
 )
 from disptrack.approximations import mahalanobis_sq
-from disptrack.models import _min_distances, _stacked, log_predictive_likelihood, score_scan
+from disptrack.models import (
+    Mixtures,
+    _min_distances,
+    _stacked,
+    log_predictive_likelihood,
+    score_scan,
+)
 from disptrack.single_target import detection_posteriors
 
 from helpers import assert_matches_reference, birth_1d, motion_1d, obs, reference_update, sensor_1d
@@ -81,12 +87,13 @@ def assert_same_distribution(a, b):
 def test_scan_scores_equal_single_pair_api(seed):
     sensor, dists, birth, scan, threshold = random_case(seed)
     values = np.array([o.value for o in scan]).reshape(len(scan), sensor.obs_dim)
-    owner, _, _, S, resid = _stacked(dists, values, sensor)
+    mix = Mixtures.of(dists)
+    owner, _, _, S, resid = _stacked(mix, values, sensor)
     distances = _min_distances(owner, S, resid, len(dists))
-    dist, seen, logl, moments = score_scan(dists, values, sensor, threshold)
+    dist, seen, logl, moments = score_scan(mix, values, sensor, threshold)
     posts = detection_posteriors(*moments)
-    assert len(posts) == len(dist)
-    pairs = zip(dist.tolist(), seen.tolist(), logl, posts)
+    assert len(posts.presence) == len(dist)
+    pairs = zip(dist.tolist(), seen.tolist(), logl, map(posts.dist, range(len(dist))))
     scored = {(i, j): (lv, post) for i, j, lv, post in pairs}
     assert len(scored) == len(dist) and list(scored) == sorted(scored)
     for i, d in enumerate(dists):
@@ -108,9 +115,9 @@ def test_scan_scores_equal_single_pair_api(seed):
 def test_empty_scan_and_no_distributions():
     sensor, dists, _, _, _ = random_case(3)
     for threshold in (None, 0.0, 4.0, math.inf):
-        empty = score_scan(dists, np.zeros((0, sensor.obs_dim)), sensor, threshold)
+        empty = score_scan(Mixtures.of(dists), np.zeros((0, sensor.obs_dim)), sensor, threshold)
         assert all(len(a) == 0 for a in empty[:3] + empty[3])
-        none = score_scan([], np.zeros((2, sensor.obs_dim)), sensor, threshold)
+        none = score_scan(Mixtures.of([]), np.zeros((2, sensor.obs_dim)), sensor, threshold)
         assert all(len(a) == 0 for a in none[:3] + none[3])
 
 
