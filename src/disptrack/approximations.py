@@ -23,13 +23,13 @@ from .models import (
     Mixtures,
     Observation,
     SensorModel,
+    matched_moments,
     moment_match,
     _check_cap,
     _check_threshold,
     _min_distances,
     _quad_forms,
     _stacked,
-    symmetrize,
 )
 
 
@@ -173,27 +173,15 @@ def make_gate(sensor: SensorModel, threshold: float):
 def _merged(presence, alpha, a: np.ndarray, b: np.ndarray, means, covs) -> Mixtures:
     """Row ``k``: tracks ``a[k]`` and ``b[k]`` as one, their moments matched by existence.
 
-    The pair's presence and one Gaussian, weighted by existence (evenly when
-    both are zero), with :func:`~disptrack.models.moment_match`'s arithmetic:
-    where one weight is zero, the other member's moments as they are.
+    The pair's presence and one :func:`~disptrack.models.matched_moments`
+    Gaussian, both weighted by existence (evenly when both are zero).
     """
-    wa, wb = alpha[a], alpha[b]
-    even = ~(wa + wb > 0.0)
-    wa, wb = np.where(even, 0.5, wa), np.where(even, 0.5, wb)
-    lone_a, lone_b = wb == 0.0, wa == 0.0
-    total = wa + wb
-    wa, wb = (wa / total)[:, None], (wb / total)[:, None]
-    mean = np.zeros(means[a].shape)
-    mean += wa * means[a]
-    mean += wb * means[b]
-    cov = np.zeros(covs[a].shape)
-    for w, k in ((wa, a), (wb, b)):
-        dm = means[k] - mean
-        cov += w[..., None] * (covs[k] + dm[:, :, None] * dm[:, None, :])
-    mean[lone_a], mean[lone_b] = means[a[lone_a]], means[b[lone_b]]
-    cov = symmetrize(cov)
-    cov[lone_a], cov[lone_b] = covs[a[lone_a]], covs[b[lone_b]]
-    merged = np.clip(wa[:, 0] * presence[a] + wb[:, 0] * presence[b], 0.0, 1.0)
+    pair = np.stack([a, b], axis=1)
+    w = alpha[pair]
+    w[~(w.sum(axis=1) > 0.0)] = 0.5
+    w /= w.sum(axis=1, keepdims=True)
+    mean, cov = matched_moments(w, means[pair], covs[pair])
+    merged = np.clip((w * presence[pair]).sum(axis=1), 0.0, 1.0)
     return Mixtures(merged, np.arange(len(a)), np.ones(len(a)), mean, cov)
 
 

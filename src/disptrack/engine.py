@@ -50,8 +50,6 @@ row is sorted: tracks of one row share no observation, so their children keep
 the parents' order, and newborns are born at the current scan, after every
 older track, and are taken in observation order. The finished blocks are
 copied into one table allocated for them, each block freed as it is copied.
-The join marks the children the rows it keeps take, so the track table is
-cut to the held children without a scan of the output.
 An update that would emit more than ``_MAX_ROWS`` rows raises
 :class:`HypothesisBudgetError` instead of running out of memory.
 """
@@ -137,16 +135,16 @@ class ObservationPath:
             )
 
     def extended(self, obs_id: ObsId) -> "ObservationPath":
-        """Path after a detection at a later scan (unchecked: the caller ensures it is later)."""
-        return _derived(ObservationPath, self.birth_scan, self.detections + (obs_id,))
+        """Path after a detection at a later scan."""
+        return ObservationPath(self.birth_scan, self.detections + (obs_id,))
 
     def __str__(self) -> str:
         return f"{self.birth_scan}:" + ",".join(f"{s}.{i}" for s, i in self.detections)
 
 
 def newborn_path(obs_id: ObsId) -> ObservationPath:
-    """Path of an appearing target detected through ``obs_id`` (a pair of ints; unchecked)."""
-    return _derived(ObservationPath, obs_id[0], (obs_id,))
+    """Path of an appearing target detected through ``obs_id``."""
+    return ObservationPath(obs_id[0], (obs_id,))
 
 
 def compatible(p1: ObservationPath, p2: ObservationPath) -> bool:
@@ -284,11 +282,6 @@ def keep_tracks(table: TrackTable, indices: np.ndarray):
     """The tracks some entry of ``indices`` names, and ``indices`` renumbered over them."""
     held = np.zeros(len(table), dtype=bool)
     held[indices] = True
-    return _keep(table, held, indices)
-
-
-def _keep(table: TrackTable, held: np.ndarray, indices: np.ndarray):
-    """The tracks flagged in ``held``, and ``indices`` (naming only those) renumbered over them."""
     if held.all():
         return table, indices
     new_id = (np.cumsum(held) - 1).astype(ID_DTYPE)
@@ -561,9 +554,13 @@ def _child_options(state, obs, birth, sensor, gate_threshold):
     logl = np.concatenate([_logs(mass[miss]), logl[found]])[by_owner]
     src = np.concatenate([miss, n + found])[by_owner]
 
-    paths = table.paths
+    # Child paths are built unchecked: each adds a detection at the current
+    # scan, after every earlier one, so they are valid by construction.
+    paths, ids = table.paths, [o.id for o in obs]
     made = [
-        paths[i] if k < 0 else paths[i].extended(obs[k].id) if i < n else newborn_path(obs[k].id)
+        paths[i] if k < 0
+        else _derived(ObservationPath, paths[i].birth_scan, paths[i].detections + (ids[k],))
+        if i < n else _derived(ObservationPath, ids[k][0], (ids[k],))
         for i, k in zip(owner.tolist(), j.tolist())
     ]
     # A birth scan is its first detection's scan, so detections alone order paths.
@@ -629,7 +626,6 @@ def update(
         _check_threshold(gate_threshold, "gate threshold", math.inf)
     children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate_threshold)
     births = np.arange(opt_ptr[-2], len(opts.child))  # newborn options, in observation order
-    held = np.zeros(len(opts.child), dtype=bool)  # children some emitted row holds
 
     nz = len(obs)
     lcard = [math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality]
@@ -662,7 +658,6 @@ def update(
                 src, pos = _ragged(ends[root] - pos - 1, pos + 1)
                 root, logw = root[src], logw[src] + opts.logl[took[pos]]
                 node = _Node(src, took[pos], node)
-                held[opts.child[node.opt]] = True
             if not len(root):
                 return
             emitted += len(root)
@@ -707,9 +702,7 @@ def update(
             parts = parts.take(np.flatnonzero(~done))
         if len(parts.row):
             t = state.indices[state.indptr[parts.row] + k]
-            parts = _extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts)
-            held[opts.child[parts.node.opt]] = True
-            stack.append((parts, k + 1))
+            stack.append((_extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts), k + 1))
 
     if not out:
         raise DegenerateUpdateError("no admissible association has a defined posterior")
@@ -733,10 +726,5 @@ def update(
     weights -= top
     np.exp(weights, out=weights)
     weights /= weights.sum()
-    # A partial row can only fail to complete at a track it cannot miss;
-    # only then may a child marked in the join be held by no emitted row.
-    if np.count_nonzero(opts.det[:opt_ptr[-2]] == 0) < len(state.tracks):
-        held[:] = False
-        held[indices] = True
-    tracks, indices = _keep(children, held, indices)
+    tracks, indices = keep_tracks(children, indices)
     return FilterState.from_table(scan, tracks, indptr, indices, weights)

@@ -112,7 +112,7 @@ def simulate(cfg: ScenarioConfig) -> tuple[GroundTruth, list[list[Observation]]]
         sources: list[tuple[int | None, np.ndarray]] = []
         for idx, x in alive:
             forced = targets[idx].birth_scan == t
-            p_d = cfg.sensor.detection_probability(x)
+            p_d = cfg.sensor.detection_probabilities(x[None])[0]
             if forced or rng.random() < p_d:
                 z = cfg.sensor.H @ x + rng.multivariate_normal(
                     np.zeros(cfg.sensor.obs_dim), cfg.sensor.R

@@ -33,8 +33,8 @@ from disptrack import (
     load_config,
     simulate,
 )
-from disptrack.approximations import _pair_bounds, _pair_distances, mahalanobis_sq
-from disptrack.models import moment_match
+from disptrack.approximations import _merged, _pair_bounds, _pair_distances, mahalanobis_sq
+from disptrack.models import _derived, moment_match
 
 from helpers import birth_1d, dist, motion_1d, obs, reference_merge_tracks, sensor_1d, unit_dist
 
@@ -509,6 +509,29 @@ def test_pair_distances_match_per_pair_solves(scene):
             pooled = 0.5 * (covs[a] + covs[b])
         diff = means[a] - means[b]
         assert _bits(got) == _bits(diff @ np.linalg.solve(pooled, diff))
+
+
+def test_merged_rows_equal_moment_match_per_pair():
+    # Pairs: a lone first member, an even split, two positive weights, a
+    # lone second member. Covariances are asymmetric in the last bit, so a
+    # lone member passes through unsymmetrized.
+    rng = np.random.default_rng(11)
+    roots = rng.normal(size=(6, 3, 3))
+    covs = roots @ np.swapaxes(roots, 1, 2) + np.eye(3)
+    covs[:, 0, 1] = np.nextafter(covs[:, 0, 1], np.inf)
+    means, presence = rng.normal(size=(6, 3)), rng.uniform(size=6)
+    alpha = np.array([0.3, 0.0, 0.0, 0.5, 0.2, 0.0])
+    a, b = np.array([0, 1, 3, 5]), np.array([1, 2, 4, 3])
+    rows = _merged(presence, alpha, a, b, means, covs)
+    assert rows.owner.tolist() == [0, 1, 2, 3] and rows.weight.tolist() == [1.0] * 4
+    for k, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
+        w = (alpha[i], alpha[j]) if alpha[i] + alpha[j] > 0.0 else (0.5, 0.5)
+        c = moment_match([_derived(GaussianComponent, w[0], means[i], covs[i]),
+                          _derived(GaussianComponent, w[1], means[j], covs[j])])
+        q = min(1.0, max(0.0, w[0] / c.weight * presence[i] + w[1] / c.weight * presence[j]))
+        assert _bits(rows.mean[k]) == _bits(c.mean) and _bits(rows.cov[k]) == _bits(c.cov)
+        assert _bits(rows.presence[k]) == _bits(q)
+    assert _bits(rows.cov[0]) == _bits(covs[0]) and _bits(rows.cov[3]) == _bits(covs[3])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -21,6 +21,7 @@ from disptrack import (
     enumerate_associations,
     init_filter,
     is_consistent,
+    newborn_path,
     predict,
     predictive_likelihood,
     track_existence,
@@ -53,6 +54,15 @@ class TestPaths:
         q = p.extended((3, 1))
         assert q.detections == ((0, 0), (3, 1))
         assert q.birth_scan == 0
+
+    def test_derived_paths_are_checked(self):
+        p = path(2, (2, 0))
+        for scan in (1, 2):  # not after the last detection
+            with pytest.raises(ValueError):
+                p.extended((scan, 1))
+        assert newborn_path((4, 1)) == path(4, (4, 1))
+        with pytest.raises(ValueError):
+            newborn_path((4,))
 
 
 class TestCompatibility:

@@ -156,6 +156,15 @@ class TestMomentMatch:
         assert m.mean[0] == pytest.approx(0.5)
         assert m.cov[0, 0] == pytest.approx(1.0)
 
+    def test_lone_component_kept_as_is(self):
+        # Off-diagonals one ulp apart: symmetrizing would change one of them.
+        cov = np.array([[2.0, 0.3], [np.nextafter(0.3, 1.0), 1.0]])
+        c = GaussianComponent(0.7, np.array([1.0, -2.0]), cov)
+        for comps in ([c], [GaussianComponent(0.0, np.zeros(2), np.eye(2)), c]):
+            m = moment_match(comps)
+            assert m.weight == 0.7
+            assert np.array_equal(m.mean, c.mean) and np.array_equal(m.cov, cov)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             moment_match([])
