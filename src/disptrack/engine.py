@@ -32,33 +32,21 @@ State layout:
   ``FilterState(scan, tracks, hypotheses)`` is the validated entry point;
   the recursion and the passes build states with :meth:`FilterState.from_table`.
 
-The update scores the whole scan in stacked solves (the gate, likelihoods and
-Kalman moments of every track and the birth prior, :func:`models.score_scan`),
-then builds the child rows with a numpy join over the parent rows, one track
-position at a time: each partial row is paired with its next track's options,
-and a per-row observation bitmask, read and set through one flat index, drops
-pairings that reuse an observation. Births come last: newborns never share an
-observation, so the birth options a completed row leaves free are tested
-once, and each further newborn takes a later one of them. The join runs depth
-first over blocks of at most ``_ROW_BLOCK`` partial rows, so its temporaries
-stay block-sized and the peak memory follows the output.
-
-A partial row holds no ids, only back pointers: the partial row it extended
-and the option it took. When a row completes, its child ids are gathered once
-by walking the pointers back, and they are already in canonical order, so no
-row is sorted: tracks of one row share no observation, so their children keep
-the parents' order, and newborns are born at the current scan, after every
-older track, and are taken in observation order. The finished blocks are
-copied into one table allocated for them, each block freed as it is copied.
-An update that would emit more than ``_MAX_ROWS`` rows raises
-:class:`HypothesisBudgetError` instead of running out of memory.
+The update scores the whole scan in stacked solves (:func:`models.score_scan`).
+Which associations a row admits depends only on which observations its tracks
+can take, so each track gets a signature, its option layout, and rows with the
+same signatures share one set of patterns (:func:`_patterns`). The patterns
+count the rows before any is built (past ``_MAX_ROWS`` rows, the update raises
+:class:`HypothesisBudgetError` at once) and tell which children some row holds.
+Each is then broadcast over its parents straight into the table, ``_BLOCK`` rows
+at a time. No row is sorted: tracks of a row share no observation, so their
+children keep the parents' order, and newborns come last, in observation order.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict, deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -97,7 +85,7 @@ NEG_INF = -math.inf
 ID_DTYPE = np.int32  # track ids inside hypothesis rows
 _WORD_BITS = 64  # observations per bitmask word
 _VIEW_CHUNK = 1 << 16  # rows per batch when iterating the view or summing existence
-_ROW_BLOCK = 1 << 15  # partial rows extended at once in update
+_BLOCK = 1 << 15  # partial patterns extended, or rows written, at once in update
 _MAX_ROWS = 1 << 25  # rows one update may emit: 16 times the exact C9 case
 
 
@@ -182,8 +170,8 @@ def row_offsets(lengths: np.ndarray) -> np.ndarray:
 
 def _ragged(counts: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slot ``i`` holds ``first[i] .. first[i] + counts[i] - 1``: each item's slot and value."""
-    slot = np.repeat(np.arange(len(counts)), counts)
-    return slot, np.arange(len(slot)) + (first - (np.cumsum(counts) - counts))[slot]
+    slot = np.arange(len(counts)).repeat(counts)
+    return slot, np.arange(len(slot)) + (first - (counts.cumsum() - counts)).take(slot)
 
 
 def _take_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
@@ -194,31 +182,40 @@ def _take_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
 
 def padded_rows(indptr: np.ndarray, indices: np.ndarray, fill: int) -> np.ndarray:
     """The CSR rows as one 2-D array, short rows filled with ``fill``."""
-    lengths = np.diff(indptr)
-    out = np.full((len(lengths), int(lengths.max(initial=0))), fill, dtype=ID_DTYPE)
+    lengths = indptr[1:] - indptr[:-1]
+    out = np.empty((len(lengths), int(lengths.max(initial=0))), dtype=ID_DTYPE)
+    out.fill(fill)
     out[np.arange(out.shape[1]) < lengths[:, None]] = indices
     return out
+
+
+def _row_runs(pad: np.ndarray):
+    """Stable ``lexsort`` order of a 2-D array's rows (last column first), a flag on
+    the first (earliest) row of each run of identical rows, and each row's run."""
+    order = np.lexsort(pad.T) if pad.shape[1] else np.arange(len(pad))
+    ranked = pad[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    (ranked[1:] != ranked[:-1]).any(axis=1, out=starts[1:])
+    label = np.empty(len(order), dtype=np.int64)
+    label[order] = starts.cumsum() - 1
+    return order, starts, label
 
 
 def fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
     """Sort every row, then merge identical rows by adding their weights.
 
-    One stable ``lexsort`` groups the rows; merged rows keep the position of
-    their first occurrence, weights added in table order. Returns
-    ``(indptr, indices, weights)``.
+    Merged rows keep the position of their first occurrence, weights added
+    in table order. Returns ``(indptr, indices, weights)``.
     """
     fill = np.iinfo(ID_DTYPE).max
     pad = padded_rows(indptr, indices, fill)
     pad.sort(axis=1)
-    order = np.lexsort(pad.T) if pad.shape[1] else np.arange(len(pad))
-    ranked = pad[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    head = np.empty_like(order)  # each row's first occurrence
-    head[order] = order[starts][np.cumsum(starts) - 1]
-    first = head == np.arange(len(head))
-    folded = np.bincount((np.cumsum(first) - 1)[head], weights=weights)
-    uniq = pad[first]
+    order, starts, run = _row_runs(pad)
+    first = order[starts]  # each run's earliest row
+    by_first = first.argsort()
+    folded = np.bincount(run, weights=weights)[by_first]
+    uniq = pad[first[by_first]]
     real = uniq != fill
     return row_offsets(real.sum(axis=1)), uniq[real], folded.astype(float, copy=False)
 
@@ -468,72 +465,18 @@ class _Options(NamedTuple):
     det: np.ndarray  # 1 if the option consumes an observation
 
 
-class _Node(NamedTuple):
-    """The last choice of each partial row: the row it extended and the option it took."""
-
-    back: np.ndarray  # index into the parent node's rows
-    opt: np.ndarray  # option taken
-    parent: "_Node | None"  # the choices before; None at the parent row
-
-
-class _Partials(NamedTuple):
-    """Child rows under construction, one entry per (parent row, choices so far)."""
-
-    row: np.ndarray  # parent row
-    logw: np.ndarray  # log weight accumulated so far
-    used: np.ndarray  # (n, words) bitmask of the observations consumed so far
-    ndet: np.ndarray  # observations consumed so far, by tracks and newborns
-    node: _Node | None  # the choices so far, as back pointers
-
-    def take(self, sel) -> "_Partials":
-        node = self.node
-        if node is not None:
-            node = _Node(node.back[sel], node.opt[sel], node.parent)
-        return _Partials(self.row[sel], self.logw[sel], self.used[sel], self.ndet[sel], node)
-
-
-def _extend(parts: _Partials, first: np.ndarray, count: np.ndarray, opts: _Options) -> _Partials:
-    """Pair every partial row with options ``first .. first + count - 1`` of its own.
-
-    Pairings that reuse an observation are dropped.
-    """
-    src, o = _ragged(count, first)
-    words = parts.used.shape[1]
-    word, bit = opts.word[o], opts.bit[o]
-    free = np.flatnonzero((parts.used.reshape(-1)[src * words + word] & bit) == 0)
-    src, o, word, bit = src[free], o[free], word[free], bit[free]
-    used = np.take(parts.used, src, axis=0)
-    used.reshape(-1)[np.arange(len(src)) * words + word] |= bit
-    return _Partials(
-        parts.row[src],
-        parts.logw[src] + opts.logl[o],
-        used,
-        parts.ndet[src] + opts.det[o],
-        _Node(src, o, parts.node),
-    )
-
-
-def _child_ids(node: _Node | None, rows: int, width: int, child: np.ndarray) -> np.ndarray:
-    """The ``(rows, width)`` child ids of completed rows, gathered along their back pointers."""
-    ids = np.empty((rows, width), dtype=ID_DTYPE)
-    at = slice(None)
-    for col in reversed(range(width)):
-        ids[:, col] = child[node.opt[at]]
-        at, node = node.back[at], node.parent
-    return ids
-
-
 def _child_options(state, obs, birth, sensor, gate_threshold):
     """Per-track work: every candidate child track and the option that makes it.
 
     Each track that can be missed makes a miss option, and each scored
     detection of the scan another (:func:`score_scan`, for all tracks and
     the birth prior at once); the children's distributions are the miss and
-    detection posteriors, written into one table. Returns the children as a
-    table in canonical path order (a child's id is its index), the options,
-    and offsets ``ptr`` such that track ``t``'s options are
-    ``ptr[t]:ptr[t + 1]`` (its miss first, then its detections in
-    observation order) and the newborns' are ``ptr[-2]:ptr[-1]``.
+    detection posteriors. Returns a function building the table of any
+    children (a child's id is its rank in canonical path order), the options,
+    offsets ``ptr`` such that track ``t``'s options are ``ptr[t]:ptr[t + 1]``
+    (its miss first, then its detections in observation order) and the
+    newborns' are ``ptr[-2]:ptr[-1]``, and a signature per track and the birth
+    prior, shared exactly by those whose options are laid out alike.
     """
     table = state.tracks
     n = len(table)
@@ -568,18 +511,93 @@ def _child_options(state, obs, birth, sensor, gate_threshold):
     order = np.array(sorted(range(len(made)), key=keys.__getitem__), dtype=np.int64)
     child = np.empty(len(made), dtype=ID_DTYPE)
     child[order] = np.arange(len(made), dtype=ID_DTYPE)
-    children = TrackTable(
-        [made[k] for k in order.tolist()],
-        np.append(table.displayed, False)[owner[order]],
-        Mixtures.concat(missed, detection_posteriors(*moments)).take(src[order]),
-    )
+    posteriors = Mixtures.concat(missed, detection_posteriors(*moments))
+
+    def children(ids: np.ndarray) -> TrackTable:  # the children ``ids``, ascending, as a table
+        k = order[ids]
+        shown = np.append(table.displayed, False)[owner[k]]
+        return TrackTable([made[i] for i in k.tolist()], shown, posteriors.take(src[k]))
     det = j >= 0
     bit = np.zeros(len(j), dtype=np.uint64)
     bit[det] = np.uint64(1) << (j[det] % _WORD_BITS).astype(np.uint64)
     word = np.maximum(j, 0) // _WORD_BITS
     opts = _Options(child, logl, word, bit, det.astype(np.int64))
     ptr = np.searchsorted(owner, np.arange(n + 2))
-    return children, opts, ptr
+    signature = _row_runs(padded_rows(ptr, j, -2))[2]
+    return children, opts, ptr, signature
+
+
+def _patterns(tracks, lengths, opts, opt_ptr, max_births):
+    """Every admissible association of the rows ``tracks`` (padded ids; ``lengths`` nondecreasing).
+
+    The join pairs each partial pattern with its next track's options, depth first
+    over blocks of at most ``_BLOCK``; a per-pattern observation bitmask, read and
+    set through one flat index, drops pairings that reuse an observation. Births
+    come last: newborns never share an observation, so the birth options a pattern
+    leaves free are tested once, and each further newborn takes a later one.
+    Returns ``(row, opt, ndet, n)``, by (n, row), each run in lexicographic order:
+    pattern ``i``, of row ``row[i]`` of length ``k``, takes the options of ranks
+    ``opt[i, :k]`` and birth options of ranks ``opt[i, k:k + n[i]]``, using
+    ``ndet[i]`` observations. Raises :class:`DegenerateUpdateError` if none
+    completes, :class:`HypothesisBudgetError` past ``_MAX_ROWS`` patterns.
+    """
+    made, completed = 0, []
+
+    def counted(m: int) -> int:
+        nonlocal made
+        made += m
+        if made > _MAX_ROWS:
+            raise HypothesisBudgetError(f"the update would emit more than {_MAX_ROWS} hypotheses")
+        return m
+
+    g, words = len(lengths), int(opts.word.max(initial=0)) + 1
+    births = np.arange(opt_ptr[-2], opt_ptr[-1])  # in observation order
+    stack = [(np.arange(g), np.zeros((g, words), np.uint64), np.zeros(g, np.int64),
+              np.zeros((g, tracks.shape[1] + max_births), np.int64), 0)]
+    while stack:
+        *part, k = stack.pop()
+        if len(part[0]) > _BLOCK:
+            starts = reversed(range(0, len(part[0]), _BLOCK))
+            stack += [(*(a[s:s + _BLOCK] for a in part), k) for s in starts]
+            continue
+        # Rows run by length, so those ending here come first (and complete in row order).
+        done = int(lengths.take(part[0]).searchsorted(k, "right"))
+        if counted(done):
+            completed.append([a[:done] for a in part])
+        row, used, ndet, opt = (a[done:] for a in part)
+        if len(row):
+            first = opt_ptr.take(tracks[row, k])
+            src, o = _ragged(opt_ptr.take(tracks[row, k] + 1) - first, first)
+            word, bit = opts.word.take(o), opts.bit.take(o)
+            free = ((used.reshape(-1).take(src * words + word) & bit) == 0).nonzero()[0]
+            src, o = src.take(free), o.take(free)
+            used = used.take(src, axis=0)
+            used.reshape(-1)[np.arange(len(src)) * words + word.take(free)] |= bit.take(free)
+            opt = opt.take(src, axis=0)
+            opt[:, k] = o - first.take(src)
+            stack.append((row.take(src), used, ndet.take(src) + opts.det.take(o), opt, k + 1))
+    if not completed:
+        raise DegenerateUpdateError("no admissible association has a defined posterior")
+
+    row, used, ndet, opt = (np.concatenate(a) for a in zip(*completed))
+    levels = [[(row, opt, ndet, np.zeros(len(row), np.int64))]] + [[] for _ in range(max_births)]
+    k = lengths.take(row)
+    for lo in range(0, len(row) if max_births else 0, _BLOCK):
+        # (pattern, free birth option) pairs, row-major; newborns rank among birth options.
+        free = (used[lo:lo + _BLOCK, opts.word[births]] & opts.bit[births]) == 0
+        at, took = np.divmod(free.ravel().nonzero()[0], len(births))
+        counts = np.bincount(at, minlength=len(free))
+        ends = counts.cumsum()
+        # pos: the last pair each pattern took, starting just before its first.
+        root, pos, last = np.arange(lo, lo + len(free)), ends - counts - 1, opt[lo:lo + _BLOCK]
+        for n in range(1, max_births + 1):
+            src, pos = _ragged(ends.take(root - lo) - pos - 1, pos + 1)
+            if not counted(len(src)):
+                break
+            root, last = root.take(src), last.take(src, axis=0)
+            last[np.arange(len(src)), k.take(root) + n - 1] = took.take(pos)
+            levels[n].append((row.take(root), last, ndet.take(root) + n, np.full(len(src), n)))
+    return tuple(np.concatenate(a) for a in zip(*(p for level in levels for p in level)))
 
 
 def update(
@@ -608,7 +626,8 @@ def update(
     Every other association yields a row, at weight zero when its prior,
     cardinality or false-alarm factor is zero. Raises
     :class:`DegenerateUpdateError` when nothing admissible has positive
-    probability.
+    probability, and :class:`HypothesisBudgetError`, before building any
+    row, when the update would emit more than ``_MAX_ROWS`` rows.
     """
     scan = state.scan + 1
     obs = sorted(scan_obs, key=lambda o: o.id)
@@ -624,107 +643,87 @@ def update(
 
     if gate_threshold is not None:
         _check_threshold(gate_threshold, "gate threshold", math.inf)
-    children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate_threshold)
-    births = np.arange(opt_ptr[-2], len(opts.child))  # newborn options, in observation order
+    children, opts, opt_ptr, signature = _child_options(state, obs, birth, sensor, gate_threshold)
+    lengths = state.indptr[1:] - state.indptr[:-1]
+    tracks = padded_rows(state.indptr, state.indices, len(state.tracks))  # the birth prior pads
+    # Rows with equal signatures admit the same patterns: join the first of each, by length.
+    order, starts, group = _row_runs(np.concatenate((signature[tracks], lengths[:, None]), axis=1))
+    reps = order[starts]
+    rep, opt, ndet, n = _patterns(tracks[reps], lengths[reps], opts, opt_ptr, birth.max_births)
 
-    nz = len(obs)
-    lcard = [math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality]
-    l1mpfa = math.log1p(-sensor.p_fa)
-    lpfa = math.log(sensor.p_fa) if sensor.p_fa > 0.0 else NEG_INF
-    # Completed blocks by (tracks, newborns), in the order made.
-    out: dict[tuple[int, int], deque] = defaultdict(deque)
-    emitted = entries = 0  # rows and ids in them
+    # Rows come by (k, n), then by parent and pattern: pair (parent, n) makes
+    # a row per pattern of n newborns of its group's first row.
+    depth, g = birth.max_births + 1, len(reps)
+    per_cell = np.bincount(n * g + rep, minlength=depth * g)  # the table runs by cell
+    count = per_cell.reshape(depth, g).take(group, axis=1).ravel()
+    newborns, parent = np.divmod(count.nonzero()[0], len(lengths))
+    by_group = (lengths.take(parent) * depth + newborns).argsort(kind="stable")
+    parent, newborns = parent[by_group], newborns[by_group]
+    count = count[newborns * len(lengths) + parent]
+    pair_rows = row_offsets(count)
+    rows = int(pair_rows[-1])
+    if rows > _MAX_ROWS:
+        raise HypothesisBudgetError(f"the update would emit more than {_MAX_ROWS} hypotheses: {rows}")
+    width = lengths[parent] + newborns
+    shift = (per_cell.cumsum() - per_cell)[newborns * g + group[parent]] - pair_rows[:-1]
 
-    def finish(parts: _Partials, k: int) -> None:
-        """Add 0..max_births newborns to complete rows and emit them with their weights.
+    # A row's options: its parent's tracks' first options plus the pattern's
+    # ranks (newborns rank among the birth prior's, whose id pads), per width.
+    base = np.full((len(lengths), opt.shape[1]), opt_ptr[-2], dtype=np.int64)
+    base[:, :tracks.shape[1]] = opt_ptr.take(tracks)
+    tables = {w: (np.ascontiguousarray(base[:, :w]), np.ascontiguousarray(opt[:, :w]))
+              for w in set(width.tolist())}  # contiguous rows: take() gathers them whole
 
-        Newborns never share an observation, so the birth options each row
-        leaves free are found once, as one list of (row, option) pairs in
-        row-major order; a further newborn takes a later pair of its row.
-        """
-        nonlocal emitted, entries
-        rows = np.arange(len(parts.row))
-        free = np.empty((len(rows), len(births)), dtype=bool)
-        for j, o in enumerate(births.tolist()):  # a column at a time: 1-D tests are fast
-            np.equal(parts.used[:, opts.word[o]] & opts.bit[o], 0, out=free[:, j])
-        pairs = np.flatnonzero(free)
-        took = births[pairs % len(births)]
-        counts = np.bincount(pairs // len(births), minlength=len(rows))
-        ends = np.cumsum(counts)
-        # pos: the last pair each row took, starting just before its first.
-        root, pos, logw, node = rows, ends - counts - 1, parts.logw, parts.node
-        for n in range(birth.max_births + 1):
-            if n:
-                src, pos = _ragged(ends[root] - pos - 1, pos + 1)
-                root, logw = root[src], logw[src] + opts.logl[took[pos]]
-                node = _Node(src, took[pos], node)
-            if not len(root):
-                return
-            emitted += len(root)
-            entries += len(root) * (k + n)
-            if emitted > _MAX_ROWS:
-                raise HypothesisBudgetError(
-                    f"the update would emit more than {_MAX_ROWS} hypotheses"
-                )
-            ndet = parts.ndet[root] + n
-            n_fa = nz - ndet
-            fa = n_fa * lpfa if lpfa > NEG_INF else np.where(n_fa > 0, NEG_INF, 0.0)
-            out[k, n].append((
-                logw + lcard[n] + ndet * l1mpfa + fa,
-                _child_ids(node, len(root), k + n, opts.child),
-            ))
+    # A child is held exactly when a pattern of some parent takes it: marks
+    # go on (first row, column, rank) and spread to the parents.
+    taken = np.zeros((g, opt.shape[1], int((opt_ptr[1:] - opt_ptr[:-1]).max())), dtype=bool)
+    q, c = (np.arange(opt.shape[1]) < (lengths[reps].take(rep) + n)[:, None]).nonzero()
+    taken[rep[q], c, opt[q, c]] = True
+    p, c, r = taken[group].nonzero()
+    held = np.zeros(len(opts.child), dtype=bool)
+    held[opts.child[base[p, c] + r]] = True
+    children = children(held.nonzero()[0])
+    child = (held.cumsum() - 1).astype(ID_DTYPE).take(opts.child)  # new ids, where held
 
-    lengths = np.diff(state.indptr)
-    n_rows = len(lengths)
     with np.errstate(divide="ignore"):
-        prior_logw = np.log(state.weights)
-    words = max(1, -(-nz // _WORD_BITS))
-    parts = _Partials(
-        np.arange(n_rows),
-        prior_logw,
-        np.zeros((n_rows, words), dtype=np.uint64),
-        np.zeros(n_rows, dtype=np.int64),
-        None,
-    )
-    # Depth first over blocks of partial rows holding k of their tracks: each
-    # block is taken to the end before the next, so temporaries stay
-    # block-sized, and every output group still gets its rows in table order.
-    stack = [(parts, 0)]
-    while stack:
-        parts, k = stack.pop()
-        if len(parts.row) > _ROW_BLOCK:
-            starts = reversed(range(0, len(parts.row), _ROW_BLOCK))
-            stack += [(parts.take(slice(s, s + _ROW_BLOCK)), k) for s in starts]
-            continue
-        done = lengths[parts.row] == k
-        if done.any():
-            finish(parts.take(np.flatnonzero(done)), k)
-            parts = parts.take(np.flatnonzero(~done))
-        if len(parts.row):
-            t = state.indices[state.indptr[parts.row] + k]
-            stack.append((_extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t], opts), k + 1))
-
-    if not out:
-        raise DegenerateUpdateError("no admissible association has a defined posterior")
-    # Groups in (tracks, newborns) order; each block is dropped as it is copied.
-    weights = np.empty(emitted)
-    indptr = np.empty(emitted + 1, dtype=np.int64)
-    indices = np.empty(entries, dtype=ID_DTYPE)
-    indptr[0] = r = e = 0
-    for group in sorted(out):
-        blocks = out.pop(group)
-        while blocks:
-            logw, ids = blocks.popleft()
-            m, width = ids.shape
-            weights[r:r + m] = logw
-            indptr[r + 1:r + m + 1] = e + width * np.arange(1, m + 1)
-            indices[e:e + ids.size] = ids.ravel()
-            r, e = r + m, e + ids.size
+        prior = np.log(state.weights)
+    lpfa = math.log(sensor.p_fa) if sensor.p_fa > 0.0 else NEG_INF
+    fa = (len(obs) - ndet) * lpfa if lpfa > NEG_INF else np.where(len(obs) > ndet, NEG_INF, 0.0)
+    lcard = np.array([math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality.tolist()])
+    tail = np.array([lcard.take(n), ndet * math.log1p(-sensor.p_fa), fa])
+    # Runs of pairs whose rows have one width: (first row, end row, width).
+    cut = np.concatenate(([0], (width[1:] != width[:-1]).nonzero()[0] + 1))
+    bounds = pair_rows[cut].tolist() + [rows]
+    runs = list(zip(bounds, bounds[1:], width[cut].tolist()))
+    weights = np.empty(rows)
+    out_ptr = np.zeros(rows + 1, dtype=np.int64)
+    out_ids = np.empty(int(count @ width), dtype=ID_DTYPE)
+    for lo in range(0, rows, _BLOCK):
+        hi = min(lo + _BLOCK, rows)
+        a, b = pair_rows.searchsorted(lo, "right") - 1, pair_rows.searchsorted(hi)
+        clip = np.minimum(pair_rows[a + 1:b + 1], hi) - np.maximum(pair_rows[a:b], lo)
+        slot = np.arange(a, b).repeat(clip)
+        q = np.arange(lo, hi) + shift.take(slot)
+        at = parent.take(slot)
+        width.take(slot).cumsum(out=out_ptr[lo + 1:hi + 1])
+        out_ptr[lo + 1:hi + 1] += out_ptr[lo]
+        logw = prior.take(at)  # log weights add up column by column, as the factors arise
+        for start, stop, w in runs:
+            start, stop = max(start, lo), min(stop, hi)
+            if start < stop:
+                s = slice(start - lo, stop - lo)
+                o = tables[w][0].take(at[s], axis=0) + tables[w][1].take(q[s], axis=0)
+                out_ids[out_ptr[start]:out_ptr[stop]].reshape(stop - start, w)[...] = child.take(o)
+                factors, part = opts.logl.take(o), logw[s]
+                for c in range(w):
+                    part += factors[:, c]
+        for term in tail.take(q, axis=1):
+            logw += term
+        weights[lo:hi] = logw
     top = float(np.max(weights))
     if top == NEG_INF:
         raise DegenerateUpdateError("all association weights are zero")
     weights -= top
     np.exp(weights, out=weights)
     weights /= weights.sum()
-    tracks, indices = keep_tracks(children, indices)
-    return FilterState.from_table(scan, tracks, indptr, indices, weights)
+    return FilterState.from_table(scan, children, out_ptr, out_ids, weights)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -10,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from disptrack import (
     AugmentedDistribution,
     BirthModel,
+    DegenerateUpdateError,
     GaussianComponent,
     MotionModel,
     Observation,
@@ -23,10 +26,13 @@ from disptrack import (
 from disptrack.approximations import _cooccurrence
 from disptrack.engine import (
     ID_DTYPE,
+    NEG_INF,
     FilterState,
     ObservationPath,
     Track,
     TrackTable,
+    _child_options,
+    _ragged,
     keep_tracks,
     padded_rows,
     row_offsets,
@@ -184,6 +190,148 @@ def reference_fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.nda
     uniq = uniq[order]
     real = uniq != fill
     return row_offsets(real.sum(axis=1)), uniq[real], folded[order]
+
+
+class _Node(NamedTuple):
+    """The last choice of each partial row: the row it extended and the option it took."""
+
+    back: np.ndarray  # index into the parent node's rows
+    opt: np.ndarray  # option taken
+    parent: "_Node | None"  # the choices before; None at the parent row
+
+
+class _Partials(NamedTuple):
+    """Child rows under construction, one entry per (parent row, choices so far)."""
+
+    row: np.ndarray  # parent row
+    logw: np.ndarray  # log weight accumulated so far
+    used: np.ndarray  # (n, words) bitmask of the observations consumed so far
+    ndet: np.ndarray  # observations consumed so far, by tracks and newborns
+    node: _Node | None  # the choices so far, as back pointers
+
+    def take(self, sel) -> "_Partials":
+        node = self.node
+        if node is not None:
+            node = _Node(node.back[sel], node.opt[sel], node.parent)
+        return _Partials(self.row[sel], self.logw[sel], self.used[sel], self.ndet[sel], node)
+
+
+def _child_ids(node: _Node | None, rows: int, width: int, child: np.ndarray) -> np.ndarray:
+    """The ``(rows, width)`` child ids of completed rows, gathered along their back pointers."""
+    ids = np.empty((rows, width), dtype=ID_DTYPE)
+    at = slice(None)
+    for col in reversed(range(width)):
+        ids[:, col] = child[node.opt[at]]
+        at, node = node.back[at], node.parent
+    return ids
+
+
+def reference_join_update(state, scan_obs, birth, sensor, gate_threshold=None):
+    """The update by a back-pointer join over every parent row: ``update`` must match it bit for bit.
+
+    It enumerates each parent row's associations itself, where ``update``
+    shares them between rows of equal track signatures, and so pins the
+    table's bytes and row order. Each partial row pairs with its next
+    track's options, a per-row observation bitmask dropping pairings that
+    reuse an observation; births come last, each further newborn taking a
+    later free birth option. It runs depth first over blocks of partial
+    rows, has no hypothesis budget and does not validate its inputs.
+    """
+    block = 1 << 15
+    scan = state.scan + 1
+    obs = sorted(scan_obs, key=lambda o: o.id)
+    children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate_threshold)[:3]
+    children = children(np.arange(len(opts.child)))
+    births = np.arange(opt_ptr[-2], len(opts.child))
+    nz = len(obs)
+    lcard = [math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality]
+    l1mpfa = math.log1p(-sensor.p_fa)
+    lpfa = math.log(sensor.p_fa) if sensor.p_fa > 0.0 else NEG_INF
+    out: dict = defaultdict(list)  # completed blocks by (tracks, newborns), in the order made
+
+    def extend(parts: _Partials, first: np.ndarray, count: np.ndarray) -> _Partials:
+        src, o = _ragged(count, first)
+        words = parts.used.shape[1]
+        word, bit = opts.word[o], opts.bit[o]
+        free = np.flatnonzero((parts.used.reshape(-1)[src * words + word] & bit) == 0)
+        src, o, word, bit = src[free], o[free], word[free], bit[free]
+        used = np.take(parts.used, src, axis=0)
+        used.reshape(-1)[np.arange(len(src)) * words + word] |= bit
+        logw = parts.logw[src] + opts.logl[o]
+        return _Partials(parts.row[src], logw, used, parts.ndet[src] + opts.det[o], _Node(src, o, parts.node))
+
+    def finish(parts: _Partials, k: int) -> None:
+        rows = np.arange(len(parts.row))
+        free = np.empty((len(rows), len(births)), dtype=bool)
+        for j, o in enumerate(births.tolist()):
+            np.equal(parts.used[:, opts.word[o]] & opts.bit[o], 0, out=free[:, j])
+        pairs = np.flatnonzero(free)
+        took = births[pairs % len(births)]
+        counts = np.bincount(pairs // len(births), minlength=len(rows))
+        ends = np.cumsum(counts)
+        root, pos, logw, node = rows, ends - counts - 1, parts.logw, parts.node
+        for n in range(birth.max_births + 1):
+            if n:
+                src, pos = _ragged(ends[root] - pos - 1, pos + 1)
+                root, logw = root[src], logw[src] + opts.logl[took[pos]]
+                node = _Node(src, took[pos], node)
+            if not len(root):
+                return
+            ndet = parts.ndet[root] + n
+            n_fa = nz - ndet
+            fa = n_fa * lpfa if lpfa > NEG_INF else np.where(n_fa > 0, NEG_INF, 0.0)
+            out[k, n].append((
+                logw + lcard[n] + ndet * l1mpfa + fa,
+                _child_ids(node, len(root), k + n, opts.child),
+            ))
+
+    lengths = np.diff(state.indptr)
+    n_rows = len(lengths)
+    with np.errstate(divide="ignore"):
+        prior_logw = np.log(state.weights)
+    words = max(1, -(-nz // 64))
+    parts = _Partials(
+        np.arange(n_rows),
+        prior_logw,
+        np.zeros((n_rows, words), dtype=np.uint64),
+        np.zeros(n_rows, dtype=np.int64),
+        None,
+    )
+    stack = [(parts, 0)]
+    while stack:
+        parts, k = stack.pop()
+        if len(parts.row) > block:
+            starts = reversed(range(0, len(parts.row), block))
+            stack += [(parts.take(slice(s, s + block)), k) for s in starts]
+            continue
+        done = lengths[parts.row] == k
+        if done.any():
+            finish(parts.take(np.flatnonzero(done)), k)
+            parts = parts.take(np.flatnonzero(~done))
+        if len(parts.row):
+            t = state.indices[state.indptr[parts.row] + k]
+            parts = extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t])
+            stack.append((parts, k + 1))
+
+    if not out:
+        raise DegenerateUpdateError("no admissible association has a defined posterior")
+    weights, ids, indptr, e = [], [], [0], 0
+    for group in sorted(out):
+        for logw, block_ids in out[group]:
+            weights.append(logw)
+            ids.append(block_ids.ravel())
+            width = block_ids.shape[1]
+            indptr.extend((e + width * np.arange(1, len(logw) + 1)).tolist())
+            e += block_ids.size
+    weights = np.concatenate(weights)
+    top = float(np.max(weights))
+    if top == NEG_INF:
+        raise DegenerateUpdateError("all association weights are zero")
+    weights -= top
+    np.exp(weights, out=weights)
+    weights /= weights.sum()
+    tracks, indices = keep_tracks(children, np.concatenate(ids).astype(ID_DTYPE))
+    return FilterState.from_table(scan, tracks, np.array(indptr, dtype=np.int64), indices, weights)
 
 
 def _reference_merged_track(a: Track, b: Track, alpha_a: float, alpha_b: float, ca, cb) -> Track:

@@ -1,6 +1,7 @@
 """Hypothesis engine: association enumeration, weighting, Bayes update."""
 
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -268,10 +269,11 @@ class TestUpdate:
                 assert np.allclose(ca.mean, cb.mean, atol=1e-12)
 
     def test_blocked_enumeration_matches_one_block(self, monkeypatch):
-        # Splitting the partial rows into tiny blocks must give the same
-        # table, bit for bit and in the same row order, as one block. The
-        # prior rows are fed longest first, so that the blocks reach the
-        # output groups in another order than a level-by-level pass.
+        # Splitting the partial patterns and the written rows into tiny
+        # blocks must give the same table, bit for bit and in the same row
+        # order, as one block. The prior rows are fed longest first, so
+        # that the blocks reach the output groups in another order than a
+        # level-by-level pass.
         rng = np.random.default_rng(5)
         birth = birth_1d([0.4, 0.4, 0.2], var=8.0)
         sensor = sensor_1d(p_d=0.7, p_fa=0.2)
@@ -287,9 +289,9 @@ class TestUpdate:
             return state
 
         whole = run()
-        monkeypatch.setattr(engine, "_ROW_BLOCK", 2)
+        monkeypatch.setattr(engine, "_BLOCK", 2)
         blocked = run()
-        assert len(whole.weights) > 100 * engine._ROW_BLOCK
+        assert len(whole.weights) > 100 * engine._BLOCK
         assert list(blocked.tracks) == list(whole.tracks)
         for a, b in zip(
             (blocked.indptr, blocked.indices, blocked.weights),
@@ -299,7 +301,8 @@ class TestUpdate:
 
     def test_hypothesis_budget(self, monkeypatch):
         # An update that would emit more rows than the budget stops with its
-        # own error, not a MemoryError; one at the budget still completes.
+        # own error, not a MemoryError, naming the count when the patterns
+        # give it; one at the budget still completes.
         birth = birth_1d([0.4, 0.4, 0.2], var=8.0)
         sensor = sensor_1d(p_d=0.7, p_fa=0.2)
         motion = motion_1d(p_s=0.95, q=0.5)
@@ -311,11 +314,38 @@ class TestUpdate:
         rows = len(update(prior, scans[2], birth, sensor).weights)
         monkeypatch.setattr(engine, "_MAX_ROWS", rows)
         assert len(update(prior, scans[2], birth, sensor).weights) == rows
-        monkeypatch.setattr(engine, "_ROW_BLOCK", 4)
-        for budget in (rows - 1, 10):
-            monkeypatch.setattr(engine, "_MAX_ROWS", budget)
-            with pytest.raises(HypothesisBudgetError, match=f"more than {budget} hypotheses"):
-                update(prior, scans[2], birth, sensor)
+        monkeypatch.setattr(engine, "_BLOCK", 4)
+        monkeypatch.setattr(engine, "_MAX_ROWS", rows - 1)
+        with pytest.raises(HypothesisBudgetError, match=f"more than {rows - 1} hypotheses: {rows}$"):
+            update(prior, scans[2], birth, sensor)
+        # Past the budget in patterns alone, the join stops before counting rows.
+        monkeypatch.setattr(engine, "_MAX_ROWS", 10)
+        with pytest.raises(HypothesisBudgetError, match="more than 10 hypotheses$"):
+            update(prior, scans[2], birth, sensor)
+
+    def test_hypothesis_budget_refuses_before_building_rows(self, monkeypatch):
+        # The exact C9 case's last scan, refused: the rows are counted from
+        # the association patterns, so the refusal allocates less than eight
+        # bytes per refused row (the table would take 38 bytes per row).
+        birth = birth_1d([0.4, 0.4, 0.2], var=25.0)
+        sensor = sensor_1d(p_d=0.7, p_fa=0.2)
+        motion = motion_1d(p_s=0.95, q=0.5)
+        scans = [[obs(t, k, 2.5 * k - 0.5 * t - 2.0) for k in range(3)] for t in range(4)]
+        state = init_filter()
+        for scan in scans[:3]:
+            state = update(predict(state, motion), scan, birth, sensor)
+        prior = predict(state, motion)
+        monkeypatch.setattr(engine, "_MAX_ROWS", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(HypothesisBudgetError) as refused:
+                update(prior, scans[3], birth, sensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = int(str(refused.value).rsplit(": ", 1)[1])
+        assert rows == 2_092_741
+        assert peak < 8 * rows
 
     def test_exchange_symmetry(self):
         # Permuting the within-scan observation order relabels ids but

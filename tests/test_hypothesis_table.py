@@ -7,10 +7,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from disptrack import (
+    AugmentedDistribution,
+    BirthModel,
     DegenerateUpdateError,
     FilterState,
+    GaussianComponent,
     Hypothesis,
+    MotionModel,
+    Observation,
     ObservationPath,
+    SensorModel,
     Track,
     init_filter,
     make_gate,
@@ -25,6 +31,7 @@ from helpers import (
     motion_1d,
     obs,
     reference_fold_rows,
+    reference_join_update,
     reference_update,
     sensor_1d,
     unit_dist,
@@ -160,6 +167,102 @@ def test_update_rows_pass_the_validated_constructor(scenario):
             (state.indptr, state.indices, state.weights),
         ):
             assert np.array_equal(a, b)
+
+
+def signature_models(dim, p_d, p_s, p_fa, card):
+    """1-D or 2-D (position only) motion, sensor and birth models."""
+    if dim == 1:
+        return motion_1d(p_s=p_s, q=0.3), sensor_1d(p_d=p_d, p_fa=p_fa), birth_1d(card)
+    eye = np.eye(2)
+    motion = MotionModel(eye, 0.3 * eye, p_s)
+    sensor = SensorModel(eye, 0.5 * eye, p_d, p_fa)
+    spatial = AugmentedDistribution(1.0, (GaussianComponent(1.0, np.zeros(2), 10.0 * eye),))
+    return motion, sensor, BirthModel(card, spatial)
+
+
+@st.composite
+def signature_scenes(draw):
+    """Scenes whose tracks differ in option layout, over every shape the join meets.
+
+    Tracks that cannot be missed (p_d = 1 at presence 1), zero-presence
+    tracks that can only be missed, gated tracks with a few detections each,
+    p_fa = 0, up to three newborns, and a last scan of 70 observations (two
+    mask words) whose first 64 lie out of every gate. Before each update
+    the parent rows are shuffled and some get weight zero.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    p_d, p_s = draw(st.sampled_from([(1.0, 1.0), (0.7, 0.9), (0.9, 1.0)]))
+    p_fa = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    card = np.array(draw(st.lists(st.sampled_from([0.0, 0.2, 0.5]), min_size=1, max_size=4)))
+    card[0] += card.sum() == 0.0
+    wide = draw(st.booleans())
+    gate = draw(st.sampled_from([9.0] if wide else [None, 4.0, 16.0]))
+    counts = draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
+    counts.append(70 if wide else draw(st.integers(1, 3)))
+    point = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    scans = []
+    for t, c in enumerate(counts):
+        far = 64 if c == 70 else 0
+        near = draw(st.lists(
+            st.tuples(point, point), min_size=c - far, max_size=c - far, unique_by=lambda z: z[0]
+        ))
+        points = [(50.0 + k, 50.0) for k in range(far)] + near
+        scans.append([Observation((t, k), np.array(z[:dim])) for k, z in enumerate(points)])
+    absent = draw(st.booleans())
+    mixing = draw(st.randoms(use_true_random=False))
+    return signature_models(dim, p_d, p_s, p_fa, card / card.sum()), gate, scans, absent, mixing
+
+
+def mixed_rows(state, absent, mixing):
+    """``state``'s rows shuffled, some at weight zero, optionally with a zero-presence track."""
+    tracks, rows = dict(state.tracks.items()), list(state.hypotheses)
+    if absent:
+        path = ObservationPath(state.scan, ((state.scan, 99),))
+        comps = next(iter(tracks.values())).dist.spatial if tracks else None
+        if comps:
+            tracks[path] = Track(path, AugmentedDistribution(0.0, comps), True)
+            rows = [Hypothesis(tuple(sorted(h.tracks + (path,))), h.weight) for h in rows]
+    mixing.shuffle(rows)
+    heavy = max(range(len(rows)), key=lambda i: rows[i].weight)
+    rows = [
+        h if i == heavy or mixing.random() < 0.7 else Hypothesis(h.tracks, 0.0)
+        for i, h in enumerate(rows)
+    ]
+    return FilterState(state.scan, tracks, rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signature_scenes())
+def test_update_matches_the_per_parent_join_bit_for_bit(scene):
+    # The update enumerates association patterns once per row of track
+    # signatures and broadcasts them; the per-parent back-pointer join it
+    # replaced must give the same table, byte for byte and in row order.
+    # The explicit enumeration checks the weights too, except on the
+    # 70-observation scan, where it would walk every birth subset.
+    (motion, sensor, birth), gate_threshold, scans, absent, mixing = scene
+    gate = None if gate_threshold is None else make_gate(sensor, gate_threshold)
+    state = init_filter()
+    for t, scan in enumerate(scans):
+        prior = predict(state if t == 0 else mixed_rows(state, absent, mixing), motion)
+        ref = reference_update(prior, scan, birth, sensor, gate) if len(scan) < 70 else None
+        try:
+            joined = reference_join_update(prior, scan, birth, sensor, gate_threshold)
+        except DegenerateUpdateError:
+            assert not ref
+            with pytest.raises(DegenerateUpdateError):
+                update(prior, scan, birth, sensor, gate_threshold)
+            return
+        state = update(prior, scan, birth, sensor, gate_threshold)
+        assert list(state.tracks) == list(joined.tracks)
+        for name in ("indptr", "indices", "weights"):
+            got, want = getattr(state, name), getattr(joined, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        for name in ("presence", "owner", "weight", "mean", "cov"):
+            got, want = getattr(state.tracks.dists, name), getattr(joined.tracks.dists, name)
+            assert got.tobytes() == want.tobytes(), name
+        assert np.array_equal(state.tracks.displayed, joined.tracks.displayed)
+        if ref is not None:
+            assert_matches_reference(state, ref)
 
 
 def csr_table(rows, weights):
