@@ -39,8 +39,9 @@ same signatures share one set of patterns (:func:`_patterns`). The patterns
 count the rows before any is built (past ``_MAX_ROWS`` rows, the update raises
 :class:`HypothesisBudgetError` at once) and tell which children some row holds.
 Each is then broadcast over its parents straight into the table, ``_BLOCK`` rows
-at a time. No row is sorted: tracks of a row share no observation, so their
-children keep the parents' order, and newborns come last, in observation order.
+at a time; rows of one width are contiguous, so each width run's offsets are
+one arithmetic progression. No row is sorted: tracks of a row share no
+observation, so their children keep the parents' order, and newborns come last.
 """
 
 from __future__ import annotations
@@ -395,14 +396,21 @@ class FilterState:
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 
-    def existence(self) -> np.ndarray:
-        """Per track id, the total weight of the hypotheses holding the track."""
+    def existence(self, only: np.ndarray | None = None) -> np.ndarray:
+        """Per track id, the total weight of the hypotheses holding the track.
+
+        A boolean mask ``only`` sums just the tracks it flags, to the same bits,
+        and reads no row when it flags none; the other tracks read 0.
+        """
         # Row blocks keep the temporaries small; add.at sums in table order.
         out = np.zeros(len(self.tracks))
-        for start in range(0, len(self.weights), _VIEW_CHUNK):
+        rows = len(self.weights) if only is None or only.any() else 0
+        for start in range(0, rows, _VIEW_CHUNK):
             ptr = self.indptr[start:start + _VIEW_CHUNK + 1]
+            ids = self.indices[ptr[0]:ptr[-1]]
             weights = np.repeat(self.weights[start:start + _VIEW_CHUNK], np.diff(ptr))
-            np.add.at(out, self.indices[ptr[0]:ptr[-1]], weights)
+            keep = slice(None) if only is None else only.take(ids)
+            np.add.at(out, ids[keep], weights[keep])
         return out
 
     def top_rows(self, k: int) -> np.ndarray:
@@ -410,12 +418,13 @@ class FilterState:
 
         Canonical hypothesis order is fewest tracks first, then lexicographic
         ids. Rows above the cut weight come first, in table order, then the
-        tied rows in canonical order.
+        tied rows in canonical order. For ``k == 1`` the cut is the maximum,
+        read without the partitioned copy of the weights.
         """
         w = self.weights
         if k >= len(w):
             return np.arange(len(w))
-        cut = np.partition(w, len(w) - k)[len(w) - k]
+        cut = w.max() if k == 1 else np.partition(w, len(w) - k)[len(w) - k]
         above = np.flatnonzero(w > cut)
         tied = np.flatnonzero(w == cut)
         if len(above) + len(tied) > k:
@@ -452,7 +461,7 @@ def track_existence(state: FilterState, track_id: ObservationPath) -> float:
     i = state.tracks.index(track_id)
     if i is None:
         raise KeyError(f"unknown track {track_id}")
-    return float(state.existence()[i])
+    return float(state.existence(np.arange(len(state.tracks)) == i)[i])
 
 
 class _Options(NamedTuple):
@@ -698,28 +707,28 @@ def update(
     weights = np.empty(rows)
     out_ptr = np.zeros(rows + 1, dtype=np.int64)
     out_ids = np.empty(int(count @ width), dtype=ID_DTYPE)
+    # take(out=) buffers under mode="raise"; the indices are valid by construction.
     for lo in range(0, rows, _BLOCK):
         hi = min(lo + _BLOCK, rows)
         a, b = pair_rows.searchsorted(lo, "right") - 1, pair_rows.searchsorted(hi)
         clip = np.minimum(pair_rows[a + 1:b + 1], hi) - np.maximum(pair_rows[a:b], lo)
-        slot = np.arange(a, b).repeat(clip)
-        q = np.arange(lo, hi) + shift.take(slot)
-        at = parent.take(slot)
-        width.take(slot).cumsum(out=out_ptr[lo + 1:hi + 1])
-        out_ptr[lo + 1:hi + 1] += out_ptr[lo]
-        logw = prior.take(at)  # log weights add up column by column, as the factors arise
+        at, q = parent[a:b].repeat(clip), shift[a:b].repeat(clip)
+        q += np.arange(lo, hi)
+        logw = weights[lo:hi]  # log weights add up column by column, as the factors arise
+        prior.take(at, out=logw, mode="wrap")
         for start, stop, w in runs:
             start, stop = max(start, lo), min(stop, hi)
             if start < stop:
                 s = slice(start - lo, stop - lo)
-                o = tables[w][0].take(at[s], axis=0) + tables[w][1].take(q[s], axis=0)
-                out_ids[out_ptr[start]:out_ptr[stop]].reshape(stop - start, w)[...] = child.take(o)
+                out_ptr[start + 1:stop + 1] = np.arange(1, stop - start + 1) * w + out_ptr[start]
+                o = tables[w][0].take(at[s], axis=0)
+                o += tables[w][1].take(q[s], axis=0)
+                child.take(o, out=out_ids[out_ptr[start]:out_ptr[stop]].reshape(o.shape), mode="wrap")
                 factors, part = opts.logl.take(o), logw[s]
                 for c in range(w):
                     part += factors[:, c]
-        for term in tail.take(q, axis=1):
-            logw += term
-        weights[lo:hi] = logw
+        for term in tail:
+            logw += term.take(q)
     top = float(np.max(weights))
     if top == NEG_INF:
         raise DegenerateUpdateError("all association weights are zero")

@@ -89,7 +89,7 @@ def extract_tracks(
     table = state.tracks
     member = np.zeros(len(table.paths), dtype=bool)
     member[[table.index(p) for p in best.tracks]] = True
-    alpha = state.existence()
+    alpha = state.existence(member)  # shown needs members only
     shown = member & (
         (alpha > cfg.confirm_threshold) | (table.displayed & (alpha > cfg.deconfirm_threshold))
     )

@@ -18,10 +18,12 @@ from disptrack import (
     Observation,
     SensorModel,
     StateSpace,
+    TrackEstimate,
     association_weight,
     enumerate_associations,
     missdetection_mass,
     newborn_path,
+    point_estimate,
 )
 from disptrack.approximations import _cooccurrence
 from disptrack.engine import (
@@ -33,6 +35,7 @@ from disptrack.engine import (
     TrackTable,
     _child_options,
     _ragged,
+    _take_rows,
     keep_tracks,
     padded_rows,
     row_offsets,
@@ -190,6 +193,58 @@ def reference_fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.nda
     uniq = uniq[order]
     real = uniq != fill
     return row_offsets(real.sum(axis=1)), uniq[real], folded[order]
+
+
+def reference_top_rows(state: FilterState, k: int) -> np.ndarray:
+    """``FilterState.top_rows`` with the cut read from ``np.partition`` for every ``k``.
+
+    Rows above the cut weight come first, in table order, then the tied rows
+    in canonical order (fewest tracks, then lexicographic ids).
+    """
+    w = state.weights
+    if k >= len(w):
+        return np.arange(len(w))
+    cut = np.partition(w, len(w) - k)[len(w) - k]
+    above = np.flatnonzero(w > cut)
+    tied = np.flatnonzero(w == cut)
+    if len(above) + len(tied) > k:
+        indptr, indices = _take_rows(state.indptr, state.indices, tied)
+        pad = padded_rows(indptr, indices, -1)
+        tied = tied[np.lexsort((*pad.T[::-1], np.diff(indptr)))]
+    return np.concatenate([above, tied[:k - len(above)]])
+
+
+def reference_extract_tracks(state: FilterState, cfg, space: StateSpace):
+    """Extraction from every track's existence: ``extract_tracks`` must match it bit for bit.
+
+    Sums the existence of all tracks over the whole table, where
+    ``extract_tracks`` sums it only for the MAP hypothesis's tracks, and
+    picks the MAP row by ``reference_top_rows``. Returns ``(state,
+    estimates, MAP hypothesis)`` like ``extract_tracks``.
+    """
+    best = state.hypotheses[reference_top_rows(state, 1)[0]]
+    table = state.tracks
+    member = np.zeros(len(table.paths), dtype=bool)
+    member[[table.index(p) for p in best.tracks]] = True
+    alpha = state.existence()
+    shown = member & (
+        (alpha > cfg.confirm_threshold) | (table.displayed & (alpha > cfg.deconfirm_threshold))
+    )
+    presence = table.dists.presence
+    listed = shown & (presence > 0.0) & (presence >= cfg.presence_display_floor)
+    estimates = [
+        TrackEstimate(
+            table.paths[i],
+            float(alpha[i]),
+            float(presence[i]),
+            point_estimate(table.track(i), space),
+            True,
+        )
+        for i in np.flatnonzero(listed).tolist()
+    ]
+    tracks = TrackTable(table.paths, shown, table.dists)
+    out = FilterState.from_table(state.scan, tracks, state.indptr, state.indices, state.weights)
+    return out, estimates, best
 
 
 class _Node(NamedTuple):

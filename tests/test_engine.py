@@ -445,6 +445,25 @@ class TestTrackExistence:
         monkeypatch.setattr(engine, "_VIEW_CHUNK", 3)
         assert np.array_equal(state.existence(), one_pass)
 
+    def test_blocked_masked_sum_and_track_existence_match_the_full_sum(self, monkeypatch):
+        # A mask keeps each track's terms and their order, block by block, so
+        # masked sums and track_existence give the one-pass full sum's bits.
+        rng = np.random.default_rng(3)
+        birth, sensor = birth_1d([0.4, 0.4, 0.2]), sensor_1d(p_d=0.7, p_fa=0.2)
+        state = init_filter()
+        for t in range(3):
+            scan = [obs(t, k, float(rng.uniform(-4, 4))) for k in range(3)]
+            state = update(predict(state, motion_1d(p_s=0.9)), scan, birth, sensor)
+        entry_weight = np.repeat(state.weights, np.diff(state.indptr))
+        full = np.bincount(state.indices, weights=entry_weight, minlength=len(state.tracks))
+        monkeypatch.setattr(engine, "_VIEW_CHUNK", 7)
+        for _ in range(5):
+            only = rng.random(len(full)) < 0.3
+            masked = state.existence(only)
+            assert masked[only].tobytes() == full[only].tobytes() and not masked[~only].any()
+        for i, p in enumerate(state.tracks):
+            assert np.float64(track_existence(state, p)).tobytes() == full[i].tobytes()
+
     def test_unknown_track_raises(self):
         state = self._two_hypothesis_state()
         with pytest.raises(KeyError):
