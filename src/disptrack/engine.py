@@ -38,10 +38,18 @@ can take, so each track gets a signature, its option layout, and rows with the
 same signatures share one set of patterns (:func:`_patterns`). The patterns
 count the rows before any is built (past ``_MAX_ROWS`` rows, the update raises
 :class:`HypothesisBudgetError` at once) and tell which children some row holds.
-Each is then broadcast over its parents straight into the table, ``_BLOCK`` rows
-at a time; rows of one width are contiguous, so each width run's offsets are
-one arithmetic progression. No row is sorted: tracks of a row share no
-observation, so their children keep the parents' order, and newborns come last.
+Rows of one width are contiguous, so each width run's offsets are one
+arithmetic progression. The rows split into segments, each of parents of one
+group taking every pattern of one newborn count, parent-major. A segment of
+at least ``_BROADCAST_ROWS`` rows is written as a parents x patterns broadcast
+(:func:`_broadcast`); the rows between such segments go through the row
+writer, which gathers an option index per row. Each writes ``_BLOCK`` rows at
+a time. Both stay because a broadcast's set-up per segment outweighs its
+saving on short segments: the largest segments of the cluttered and 60-track
+benchmark scenes hold 1,813 and 351 rows, while exact C9's last scan puts
+2,091,537 of its 2,092,741 rows in 15 segments of 8,505 to 419,823 rows.
+No row is sorted: tracks of a row share no observation, so their children
+keep the parents' order, and newborns come last.
 """
 
 from __future__ import annotations
@@ -87,6 +95,7 @@ ID_DTYPE = np.int32  # track ids inside hypothesis rows
 _WORD_BITS = 64  # observations per bitmask word
 _VIEW_CHUNK = 1 << 16  # rows per batch when iterating the view or summing existence
 _BLOCK = 1 << 15  # partial patterns extended, or rows written, at once in update
+_BROADCAST_ROWS = 1 << 12  # rows from which update writes a segment as one broadcast
 _MAX_ROWS = 1 << 25  # rows one update may emit: 16 times the exact C9 case
 
 
@@ -609,6 +618,59 @@ def _patterns(tracks, lengths, opts, opt_ptr, max_births):
     return tuple(np.concatenate(a) for a in zip(*(p for level in levels for p in level)))
 
 
+def _held(child, base, group, rep, opt, width):
+    """Flags, per child id, the children some row takes.
+
+    Pattern ``i``, of group ``rep[i]``, takes rank ``opt[i, c]`` at each column
+    ``c < width[i]``. Each group's distinct (column, rank) pairs spread to its
+    parents, parent ``p`` taking option ``base[p, c] + rank``, whose child is
+    ``child[option]``.
+    """
+    g = int(group.max()) + 1
+    taken = np.zeros((g, opt.shape[1], int(opt.max(initial=0)) + 1), dtype=bool)
+    q, c = (np.arange(opt.shape[1]) < width[:, None]).nonzero()
+    taken[rep[q], c, opt[q, c]] = True
+    pg, c, r = taken.nonzero()  # by group
+    pairs = np.bincount(pg, minlength=g)
+    p, k = _ragged(pairs.take(group), (pairs.cumsum() - pairs).take(group))
+    held = np.zeros(len(child), dtype=bool)
+    held[child[base[p, c.take(k)] + r.take(k)]] = True
+    return held
+
+
+def _broadcast(ids, logw, prior, first, pats, tail, child, logl):
+    """Write one segment's rows: each parent with each pattern, parent-major.
+
+    Row ``(i, j)`` takes option ``first[i, c] + pats[j, c]`` at column ``c``;
+    its ids go to ``ids`` and its log weight, ``prior[i]`` plus the options'
+    ``logl`` and the pattern's ``tail`` terms, to ``logw``, added in that
+    order. Each parent's children and log factors are tabled by (column,
+    rank) first, so all parents gather through one index, ``_BLOCK`` rows
+    at a time.
+    """
+    (m, w), c = first.shape, len(pats)
+    ranks = np.arange(int(pats.max(initial=0)) + 1)
+    at = pats + np.arange(w) * len(ranks)  # a pattern's cells in a parent's (column, rank) table
+    cols = np.ascontiguousarray(at.T)
+    ids, logw = ids.reshape(m, c, w), logw.reshape(m, c)
+    step = min(c, _BLOCK)
+    per = _BLOCK // step  # parents per block; one when a parent's rows span blocks
+    for i in range(0, m, per):
+        o = first[i:i + per, :, None] + ranks  # past a track's options: never read
+        kids = child.take(o, mode="clip").reshape(len(o), -1)
+        factors = logl.take(o, mode="clip").reshape(len(o), -1)
+        for j in range(0, c, step):
+            s = slice(j, j + step)
+            np.take(kids, at[s], axis=1, out=ids[i:i + per, s], mode="wrap")
+            part = logw[i:i + per, s]
+            part[...] = prior[i:i + per, None]
+            buf = np.empty(part.shape)
+            for col in cols[:, s]:
+                part += np.take(factors, col, axis=1, out=buf, mode="wrap")
+            for term in tail[:, s]:
+                part += term
+
+
 def update(
     state: FilterState,
     scan_obs: Sequence[Observation],
@@ -677,20 +739,10 @@ def update(
     shift = (per_cell.cumsum() - per_cell)[newborns * g + group[parent]] - pair_rows[:-1]
 
     # A row's options: its parent's tracks' first options plus the pattern's
-    # ranks (newborns rank among the birth prior's, whose id pads), per width.
+    # ranks (newborns rank among the birth prior's, whose id pads).
     base = np.full((len(lengths), opt.shape[1]), opt_ptr[-2], dtype=np.int64)
     base[:, :tracks.shape[1]] = opt_ptr.take(tracks)
-    tables = {w: (np.ascontiguousarray(base[:, :w]), np.ascontiguousarray(opt[:, :w]))
-              for w in set(width.tolist())}  # contiguous rows: take() gathers them whole
-
-    # A child is held exactly when a pattern of some parent takes it: marks
-    # go on (first row, column, rank) and spread to the parents.
-    taken = np.zeros((g, opt.shape[1], int((opt_ptr[1:] - opt_ptr[:-1]).max())), dtype=bool)
-    q, c = (np.arange(opt.shape[1]) < (lengths[reps].take(rep) + n)[:, None]).nonzero()
-    taken[rep[q], c, opt[q, c]] = True
-    p, c, r = taken[group].nonzero()
-    held = np.zeros(len(opts.child), dtype=bool)
-    held[opts.child[base[p, c] + r]] = True
+    held = _held(opts.child, base, group, rep, opt, lengths[reps].take(rep) + n)
     children = children(held.nonzero()[0])
     child = (held.cumsum() - 1).astype(ID_DTYPE).take(opts.child)  # new ids, where held
 
@@ -706,10 +758,30 @@ def update(
     runs = list(zip(bounds, bounds[1:], width[cut].tolist()))
     weights = np.empty(rows)
     out_ptr = np.zeros(rows + 1, dtype=np.int64)
-    out_ids = np.empty(int(count @ width), dtype=ID_DTYPE)
+    for start, stop, w in runs:  # each run's offsets step by its width
+        first = int(out_ptr[start])
+        out_ptr[start + 1:stop + 1] = np.arange(first + w, first + (stop - start) * w + 1, w) if w else first
+    out_ids = np.empty(int(out_ptr[-1]), dtype=ID_DTYPE)
+
+    # Pairs in a row of one group and newborn count form a segment: its rows
+    # are each of its parents with each pattern of one cell, parent-major.
+    new = (newborns[1:] != newborns[:-1]) | (group[parent[1:]] != group[parent[:-1]])
+    seg = np.concatenate(([0], new.nonzero()[0] + 1, [len(parent)]))
+    large = (pair_rows[seg[1:]] - pair_rows[seg[:-1]] >= _BROADCAST_ROWS).nonzero()[0]
+    spans, lo = [], 0  # the rows between large segments, for the row writer
+    for a, b in zip(seg[large].tolist(), seg[large + 1].tolist()):
+        start, stop, w = int(pair_rows[a]), int(pair_rows[b]), int(width[a])
+        q0 = start + int(shift[a])  # the cell's first pattern
+        q = slice(q0, q0 + int(count[a]))
+        _broadcast(out_ids[out_ptr[start]:out_ptr[stop]], weights[start:stop], prior.take(parent[a:b]),
+                   base[parent[a:b], :w], opt[q, :w], tail[:, q], child, opts.logl)
+        spans.append((lo, start))
+        lo = stop
+    spans.append((lo, rows))
+    tables = {}  # per width: contiguous rows, so take() gathers them whole
     # take(out=) buffers under mode="raise"; the indices are valid by construction.
-    for lo in range(0, rows, _BLOCK):
-        hi = min(lo + _BLOCK, rows)
+    blocks = [(lo, min(lo + _BLOCK, end)) for begin, end in spans for lo in range(begin, end, _BLOCK)]
+    for lo, hi in blocks:
         a, b = pair_rows.searchsorted(lo, "right") - 1, pair_rows.searchsorted(hi)
         clip = np.minimum(pair_rows[a + 1:b + 1], hi) - np.maximum(pair_rows[a:b], lo)
         at, q = parent[a:b].repeat(clip), shift[a:b].repeat(clip)
@@ -720,7 +792,8 @@ def update(
             start, stop = max(start, lo), min(stop, hi)
             if start < stop:
                 s = slice(start - lo, stop - lo)
-                out_ptr[start + 1:stop + 1] = np.arange(1, stop - start + 1) * w + out_ptr[start]
+                if w not in tables:
+                    tables[w] = np.ascontiguousarray(base[:, :w]), np.ascontiguousarray(opt[:, :w])
                 o = tables[w][0].take(at[s], axis=0)
                 o += tables[w][1].take(q[s], axis=0)
                 child.take(o, out=out_ids[out_ptr[start]:out_ptr[stop]].reshape(o.shape), mode="wrap")

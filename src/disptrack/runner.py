@@ -56,8 +56,9 @@ def filter_scans(
         state = predict(state, cfg.motion)
         state = update(state, scan_obs, cfg.birth, cfg.sensor, cfg.approx.gate_threshold)
         total = state.total_weight()
-        state = apply_pipeline(state, cfg.approx)
-        retained = state.total_weight()
+        kept = apply_pipeline(state, cfg.approx)
+        retained = total if kept is state else kept.total_weight()
+        state = kept
         state, estimates, best = extract_tracks(state, cfg.extract, cfg.space)
         records.append(
             ScanRecord(

@@ -30,7 +30,15 @@ from disptrack import (
     update_distribution,
 )
 
-from helpers import birth_1d, motion_1d, obs, reference_update, sensor_1d, unit_dist
+from helpers import (
+    birth_1d,
+    motion_1d,
+    obs,
+    reference_join_update,
+    reference_update,
+    sensor_1d,
+    unit_dist,
+)
 
 
 def path(birth, *ids):
@@ -270,10 +278,12 @@ class TestUpdate:
 
     def test_blocked_enumeration_matches_one_block(self, monkeypatch):
         # Splitting the partial patterns and the written rows into tiny
-        # blocks must give the same table, bit for bit and in the same row
-        # order, as one block. The prior rows are fed longest first, so
+        # blocks, writing every segment as a broadcast, or both, must give
+        # the same table, bit for bit and in the same row order, as one
+        # block of the row writer. The prior rows are fed longest first, so
         # that the blocks reach the output groups in another order than a
-        # level-by-level pass.
+        # level-by-level pass, and groups interleave into segments too short
+        # for the broadcast at its default threshold.
         rng = np.random.default_rng(5)
         birth = birth_1d([0.4, 0.4, 0.2], var=8.0)
         sensor = sensor_1d(p_d=0.7, p_fa=0.2)
@@ -289,15 +299,62 @@ class TestUpdate:
             return state
 
         whole = run()
-        monkeypatch.setattr(engine, "_BLOCK", 2)
-        blocked = run()
-        assert len(whole.weights) > 100 * engine._BLOCK
-        assert list(blocked.tracks) == list(whole.tracks)
-        for a, b in zip(
-            (blocked.indptr, blocked.indices, blocked.weights),
-            (whole.indptr, whole.indices, whole.weights),
-        ):
-            assert np.array_equal(a, b)
+        assert len(whole.weights) > 100 * 2
+        for block, broadcast_rows in ((2, engine._BROADCAST_ROWS), (engine._BLOCK, 1), (2, 1)):
+            monkeypatch.setattr(engine, "_BLOCK", block)
+            monkeypatch.setattr(engine, "_BROADCAST_ROWS", broadcast_rows)
+            blocked = run()
+            assert list(blocked.tracks) == list(whole.tracks)
+            for a, b in zip(
+                (blocked.indptr, blocked.indices, blocked.weights),
+                (whole.indptr, whole.indices, whole.weights),
+            ):
+                assert a.tobytes() == b.tobytes()
+
+    def test_broadcast_writer_edge_cases_match_the_per_parent_join(self, monkeypatch):
+        # Every segment written as a broadcast, through rows of width zero
+        # (the empty hypothesis with no newborns), a scan with no birth
+        # (max_births = 0), prior rows of weight zero, and p_fa = 0, where
+        # rows that leave an observation unexplained weigh -inf: the table
+        # must equal the per-parent join's byte for byte.
+        monkeypatch.setattr(engine, "_BROADCAST_ROWS", 1)
+        motion = motion_1d(p_s=0.95, q=0.5)
+        births = [birth_1d([0.4, 0.4, 0.2], var=8.0)] * 2 + [birth_1d([1.0], var=8.0)]
+        for p_fa in (0.0, 0.2):
+            sensor = sensor_1d(p_d=0.7, p_fa=p_fa)
+            state = init_filter()
+            for t, birth in enumerate(births):
+                prior = predict(state, motion)
+                scan = [obs(t, k, 1.5 * k - 0.5 * t) for k in range(2)]
+                joined = reference_join_update(prior, scan, birth, sensor)
+                state = update(prior, scan, birth, sensor)
+                for name in ("indptr", "indices", "weights"):
+                    assert getattr(state, name).tobytes() == getattr(joined, name).tobytes(), name
+                if t == 0:
+                    assert (np.diff(state.indptr) == 0).any()
+                    assert (state.weights == 0.0).any() == (p_fa == 0.0)
+
+    def test_exact_c9_last_scan_is_written_as_broadcasts(self, monkeypatch):
+        # Exact C9's last scan writes 2,092,741 rows, nearly all of them in
+        # large segments; the broadcast writer must take at least 99 % of them.
+        birth = birth_1d([0.4, 0.4, 0.2], var=25.0)
+        sensor = sensor_1d(p_d=0.7, p_fa=0.2)
+        motion = motion_1d(p_s=0.95, q=0.5)
+        scans = [[obs(t, k, 2.5 * k - 0.5 * t - 2.0) for k in range(3)] for t in range(4)]
+        state = init_filter()
+        for scan in scans[:3]:
+            state = update(predict(state, motion), scan, birth, sensor)
+        prior = predict(state, motion)
+        broadcast, written = engine._broadcast, []
+
+        def counted(ids, logw, *rest):
+            written.append(len(logw))
+            broadcast(ids, logw, *rest)
+
+        monkeypatch.setattr(engine, "_broadcast", counted)
+        rows = len(update(prior, scans[3], birth, sensor).weights)
+        assert rows == 2_092_741
+        assert sum(written) >= 0.99 * rows
 
     def test_hypothesis_budget(self, monkeypatch):
         # An update that would emit more rows than the budget stops with its

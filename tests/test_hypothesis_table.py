@@ -2,6 +2,8 @@
 observation bitmasks past one word, canonical row order and the validated list
 boundary."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +25,7 @@ from disptrack import (
     predict,
     update,
 )
+import disptrack.engine as engine
 from disptrack.engine import ID_DTYPE, fold_rows, row_offsets
 
 from helpers import (
@@ -231,14 +234,8 @@ def mixed_rows(state, absent, mixing):
     return FilterState(state.scan, tracks, rows)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(signature_scenes())
-def test_update_matches_the_per_parent_join_bit_for_bit(scene):
-    # The update enumerates association patterns once per row of track
-    # signatures and broadcasts them; the per-parent back-pointer join it
-    # replaced must give the same table, byte for byte and in row order.
-    # The explicit enumeration checks the weights too, except on the
-    # 70-observation scan, where it would walk every birth subset.
+def check_against_the_join(scene):
+    """Run ``scene``'s updates and compare each with the per-parent join and the enumeration."""
     (motion, sensor, birth), gate_threshold, scans, absent, mixing = scene
     gate = None if gate_threshold is None else make_gate(sensor, gate_threshold)
     state = init_filter()
@@ -263,6 +260,28 @@ def test_update_matches_the_per_parent_join_bit_for_bit(scene):
         assert np.array_equal(state.tracks.displayed, joined.tracks.displayed)
         if ref is not None:
             assert_matches_reference(state, ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signature_scenes())
+def test_update_matches_the_per_parent_join_bit_for_bit(scene):
+    # The update enumerates association patterns once per row of track
+    # signatures and writes them over the parents; the per-parent
+    # back-pointer join it replaced must give the same table, byte for byte
+    # and in row order. The explicit enumeration checks the weights too,
+    # except on the 70-observation scan, where it would walk every birth
+    # subset. These scenes are small, so the row writer takes their rows.
+    check_against_the_join(scene)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signature_scenes())
+def test_broadcast_writer_matches_the_per_parent_join_bit_for_bit(scene):
+    # The same scenes with every segment, however short, written as a
+    # parents x patterns broadcast. The shuffled parent rows interleave the
+    # groups, so one cell's rows split into several segments.
+    with mock.patch.object(engine, "_BROADCAST_ROWS", 1):
+        check_against_the_join(scene)
 
 
 def csr_table(rows, weights):
