@@ -27,6 +27,11 @@ State layout:
   ``r`` is the sorted id row ``indices[indptr[r]:indptr[r + 1]]`` with
   weight ``weights[r]``. Since ids follow path order, id rows compare like
   the path tuples they stand for.
+- Every state stores ``indices`` at the narrowest unsigned type that holds
+  its largest id (:func:`id_dtype`: one byte up to 256 tracks, two up to
+  65,536) and ``indptr`` as int32. Tables padded from the rows
+  (:func:`padded_rows`) hold int32 ids, so the passes work in one type.
+  Arithmetic on stored ids runs on a wider copy, as uint8 255 + 1 is 0.
 - ``state.hypotheses`` is a read-only view that builds each
   :class:`Hypothesis` when asked and caches nothing.
   ``FilterState(scan, tracks, hypotheses)`` is the validated entry point;
@@ -36,8 +41,10 @@ The update scores the whole scan in stacked solves (:func:`models.score_scan`).
 Which associations a row admits depends only on which observations its tracks
 can take, so each track gets a signature, its option layout, and rows with the
 same signatures share one set of patterns (:func:`_patterns`). The patterns
-count the rows before any is built (past ``_MAX_ROWS`` rows, the update raises
-:class:`HypothesisBudgetError` at once) and tell which children some row holds.
+count the rows and their ids before any is built (past ``_MAX_ROWS`` rows, or
+``_MAX_ENTRIES`` ids, where int32 offsets would overflow, the update raises
+:class:`HypothesisBudgetError` at once) and tell which children some row holds;
+the rows are then written in place at the stored types.
 Rows of one width are contiguous, so each width run's offsets are one
 arithmetic progression. The rows split into segments, each of parents of one
 group taking every pattern of one newborn count, parent-major. A segment of
@@ -91,12 +98,14 @@ from .single_target import (
 )
 
 NEG_INF = -math.inf
-ID_DTYPE = np.int32  # track ids inside hypothesis rows
+ID_DTYPE = np.int32  # track ids inside padded work tables
+PTR_DTYPE = np.int32  # stored row offsets
 _WORD_BITS = 64  # observations per bitmask word
 _VIEW_CHUNK = 1 << 16  # rows per batch when iterating the view or summing existence
 _BLOCK = 1 << 15  # partial patterns extended, or rows written, at once in update
 _BROADCAST_ROWS = 1 << 12  # rows from which update writes a segment as one broadcast
 _MAX_ROWS = 1 << 25  # rows one update may emit: 16 times the exact C9 case
+_MAX_ENTRIES = np.iinfo(PTR_DTYPE).max  # track ids one update may emit: its offsets must fit
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -104,7 +113,8 @@ class DegenerateUpdateError(RuntimeError):
 
 
 class HypothesisBudgetError(RuntimeError):
-    """The update would emit more hypotheses than ``_MAX_ROWS``."""
+    """The update would emit more hypotheses than ``_MAX_ROWS``, or more track ids
+    in its rows than ``_MAX_ENTRIES``."""
 
 
 @dataclass(frozen=True, order=True)
@@ -172,6 +182,12 @@ class Hypothesis(NamedTuple):
     weight: float
 
 
+def id_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned type holding ``0 .. n - 1``: a table of ``n`` tracks
+    stores its ids so, in one byte up to 256 tracks."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
 def row_offsets(lengths: np.ndarray) -> np.ndarray:
     out = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=out[1:])
@@ -215,12 +231,15 @@ def _row_runs(pad: np.ndarray):
 def fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
     """Sort every row, then merge identical rows by adding their weights.
 
-    Merged rows keep the position of their first occurrence, weights added
-    in table order. Returns ``(indptr, indices, weights)``.
+    Rows already in order, as every row is but those a merge relabelled, are
+    not sorted again. Merged rows keep the position of their first
+    occurrence, weights added in table order. Returns ``(indptr, indices,
+    weights)``, the ids as ``ID_DTYPE``.
     """
     fill = np.iinfo(ID_DTYPE).max
     pad = padded_rows(indptr, indices, fill)
-    pad.sort(axis=1)
+    if (pad[:, 1:] < pad[:, :-1]).any():
+        pad.sort(axis=1)
     order, starts, run = _row_runs(pad)
     first = order[starts]  # each run's earliest row
     by_first = first.argsort()
@@ -371,7 +390,7 @@ class FilterState:
             scan,
             TrackTable.of({p: tracks[p] for p in paths}),
             row_offsets(np.array(lengths, dtype=np.int64)),
-            np.array(ids, dtype=ID_DTYPE),
+            ids,
             np.array(weights, dtype=float),
         )
 
@@ -392,8 +411,8 @@ class FilterState:
     def _assign(self, scan, tracks, indptr, indices, weights) -> None:
         self.scan = scan
         self.tracks = tracks
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=ID_DTYPE)
+        self.indptr = np.asarray(indptr, dtype=PTR_DTYPE)
+        self.indices = np.asarray(indices, dtype=id_dtype(len(tracks)))
         self.weights = np.asarray(weights, dtype=float)
         for a in (self.indptr, self.indices, self.weights, tracks.displayed, *tracks.dists):
             a.flags.writeable = False
@@ -556,8 +575,9 @@ def _patterns(tracks, lengths, opts, opt_ptr, max_births):
     Returns ``(row, opt, ndet, n)``, by (n, row), each run in lexicographic order:
     pattern ``i``, of row ``row[i]`` of length ``k``, takes the options of ranks
     ``opt[i, :k]`` and birth options of ranks ``opt[i, k:k + n[i]]``, using
-    ``ndet[i]`` observations. Raises :class:`DegenerateUpdateError` if none
-    completes, :class:`HypothesisBudgetError` past ``_MAX_ROWS`` patterns.
+    ``ndet[i]`` observations; ``opt`` holds ranks at the narrowest unsigned type
+    for the most options any track has. Raises :class:`DegenerateUpdateError` if
+    none completes, :class:`HypothesisBudgetError` past ``_MAX_ROWS`` patterns.
     """
     made, completed = 0, []
 
@@ -570,8 +590,9 @@ def _patterns(tracks, lengths, opts, opt_ptr, max_births):
 
     g, words = len(lengths), int(opts.word.max(initial=0)) + 1
     births = np.arange(opt_ptr[-2], opt_ptr[-1])  # in observation order
+    ranks = id_dtype(int(np.diff(opt_ptr).max(initial=0)))  # holds any option's rank
     stack = [(np.arange(g), np.zeros((g, words), np.uint64), np.zeros(g, np.int64),
-              np.zeros((g, tracks.shape[1] + max_births), np.int64), 0)]
+              np.zeros((g, tracks.shape[1] + max_births), ranks), 0)]
     while stack:
         *part, k = stack.pop()
         if len(part[0]) > _BLOCK:
@@ -698,7 +719,9 @@ def update(
     cardinality or false-alarm factor is zero. Raises
     :class:`DegenerateUpdateError` when nothing admissible has positive
     probability, and :class:`HypothesisBudgetError`, before building any
-    row, when the update would emit more than ``_MAX_ROWS`` rows.
+    row, when the update would emit more than ``_MAX_ROWS`` rows or more
+    than ``_MAX_ENTRIES`` track ids in them, past which its int32 row
+    offsets would overflow.
     """
     scan = state.scan + 1
     obs = sorted(scan_obs, key=lambda o: o.id)
@@ -736,15 +759,19 @@ def update(
     if rows > _MAX_ROWS:
         raise HypothesisBudgetError(f"the update would emit more than {_MAX_ROWS} hypotheses: {rows}")
     width = lengths[parent] + newborns
+    entries = int(count @ width)
+    if entries > _MAX_ENTRIES:
+        raise HypothesisBudgetError(f"the update would emit more than {_MAX_ENTRIES} track ids: {entries}")
     shift = (per_cell.cumsum() - per_cell)[newborns * g + group[parent]] - pair_rows[:-1]
 
     # A row's options: its parent's tracks' first options plus the pattern's
     # ranks (newborns rank among the birth prior's, whose id pads).
-    base = np.full((len(lengths), opt.shape[1]), opt_ptr[-2], dtype=np.int64)
+    base = np.full((len(lengths), opt.shape[1]), opt_ptr[-2], dtype=np.int32)
     base[:, :tracks.shape[1]] = opt_ptr.take(tracks)
     held = _held(opts.child, base, group, rep, opt, lengths[reps].take(rep) + n)
     children = children(held.nonzero()[0])
-    child = (held.cumsum() - 1).astype(ID_DTYPE).take(opts.child)  # new ids, where held
+    id_type = id_dtype(len(children))  # the stored type: no id is cast after it is written
+    child = (held.cumsum() - 1).astype(id_type).take(opts.child)  # new ids, where held
 
     with np.errstate(divide="ignore"):
         prior = np.log(state.weights)
@@ -757,11 +784,11 @@ def update(
     bounds = pair_rows[cut].tolist() + [rows]
     runs = list(zip(bounds, bounds[1:], width[cut].tolist()))
     weights = np.empty(rows)
-    out_ptr = np.zeros(rows + 1, dtype=np.int64)
+    out_ptr = np.zeros(rows + 1, dtype=PTR_DTYPE)
     for start, stop, w in runs:  # each run's offsets step by its width
         first = int(out_ptr[start])
         out_ptr[start + 1:stop + 1] = np.arange(first + w, first + (stop - start) * w + 1, w) if w else first
-    out_ids = np.empty(int(out_ptr[-1]), dtype=ID_DTYPE)
+    out_ids = np.empty(entries, dtype=id_type)
 
     # Pairs in a row of one group and newborn count form a segment: its rows
     # are each of its parents with each pattern of one cell, parent-major.

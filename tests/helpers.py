@@ -364,7 +364,8 @@ def reference_join_update(state, scan_obs, birth, sensor, gate_threshold=None):
             finish(parts.take(np.flatnonzero(done)), k)
             parts = parts.take(np.flatnonzero(~done))
         if len(parts.row):
-            t = state.indices[state.indptr[parts.row] + k]
+            # Widened: a stored id is as narrow as uint8, where 255 + 1 wraps to 0.
+            t = state.indices[state.indptr[parts.row] + k].astype(np.intp)
             parts = extend(parts, opt_ptr[t], opt_ptr[t + 1] - opt_ptr[t])
             stack.append((parts, k + 1))
 

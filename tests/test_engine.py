@@ -185,6 +185,18 @@ class TestAssociationWeight:
         assert lw == pytest.approx(math.log(0.9 * lik), abs=1e-12)
 
 
+def exact_c9_last_scan():
+    """The exact C9 case's prior before its last scan: (prior, scan, birth, sensor)."""
+    birth = birth_1d([0.4, 0.4, 0.2], var=25.0)
+    sensor = sensor_1d(p_d=0.7, p_fa=0.2)
+    motion = motion_1d(p_s=0.95, q=0.5)
+    scans = [[obs(t, k, 2.5 * k - 0.5 * t - 2.0) for k in range(3)] for t in range(4)]
+    state = init_filter()
+    for scan in scans[:3]:
+        state = update(predict(state, motion), scan, birth, sensor)
+    return predict(state, motion), scans[3], birth, sensor
+
+
 class TestUpdate:
     def test_empty_scan_keeps_empty_hypothesis(self):
         state = update(init_filter(), [], birth_1d([0.6, 0.4]), sensor_1d(p_d=0.9, p_fa=0.1))
@@ -383,7 +395,7 @@ class TestUpdate:
     def test_hypothesis_budget_refuses_before_building_rows(self, monkeypatch):
         # The exact C9 case's last scan, refused: the rows are counted from
         # the association patterns, so the refusal allocates less than eight
-        # bytes per refused row (the table would take 38 bytes per row).
+        # bytes per refused row (the table would take about 17 bytes per row).
         birth = birth_1d([0.4, 0.4, 0.2], var=25.0)
         sensor = sensor_1d(p_d=0.7, p_fa=0.2)
         motion = motion_1d(p_s=0.95, q=0.5)
@@ -403,6 +415,40 @@ class TestUpdate:
         rows = int(str(refused.value).rsplit(": ", 1)[1])
         assert rows == 2_092_741
         assert peak < 8 * rows
+
+    def test_exact_c9_last_update_stores_its_table_narrow(self):
+        # 2,092,741 rows of 10,141,722 ids over 255 tracks: one-byte ids,
+        # int32 offsets and float64 weights take 35.25 MB, written in place,
+        # so the update peaks well under the 74 MB the int32 ids and int64
+        # offsets alone would take.
+        prior, scan, birth, sensor = exact_c9_last_scan()
+        tracemalloc.start()
+        try:
+            state = update(prior, scan, birth, sensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(state.weights), len(state.indices), len(state.tracks)) == (2_092_741, 10_141_722, 255)
+        assert state.indices.dtype == np.uint8 and state.indptr.dtype == np.int32
+        assert state.indptr.nbytes + state.indices.nbytes + state.weights.nbytes <= 35.3e6
+        assert peak < 48e6
+
+    def test_entry_budget(self, monkeypatch):
+        # Past _MAX_ENTRIES track ids the int32 row offsets would overflow:
+        # the update refuses with the id count, which the patterns give
+        # before any row is allocated; one at the budget still completes.
+        prior, scan, birth, sensor = exact_c9_last_scan()
+        monkeypatch.setattr(engine, "_MAX_ENTRIES", 10_141_721)
+        tracemalloc.start()
+        try:
+            with pytest.raises(HypothesisBudgetError, match="more than 10141721 track ids: 10141722$"):
+                update(prior, scan, birth, sensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2_092_741
+        monkeypatch.setattr(engine, "_MAX_ENTRIES", 10_141_722)
+        assert len(update(prior, scan, birth, sensor).indices) == 10_141_722
 
     def test_exchange_symmetry(self):
         # Permuting the within-scan observation order relabels ids but

@@ -32,6 +32,7 @@ from helpers import rebuild_checked
 ROOT = Path(__file__).resolve().parents[1]
 CLUTTERED = ROOT / "demos" / "configs" / "cluttered.json"
 SCENE_LARGE = ROOT / "perfbench" / "scene_large.json"
+EXACT_C9 = ROOT / "tests" / "data" / "exact_c9"
 
 
 def base_config(**overrides):
@@ -298,6 +299,30 @@ def test_filter_builds_no_checked_records(monkeypatch):
             rebuild_checked(track)
 
 
+def test_filter_stores_the_narrowest_table_types(monkeypatch):
+    # A table of n tracks holds its ids at the narrowest unsigned type for
+    # n - 1 (one byte for cluttered's and exact C9's, at most 255 tracks)
+    # and its row offsets as int32, whichever step built it.
+    cfg = load_config(CLUTTERED)
+    runs = [(cfg, simulate(dataclasses.replace(cfg, seed=seed))[1]) for seed in (0, 1)]
+    runs.append((load_config(EXACT_C9 / "config.json"), read_observations(EXACT_C9 / "observations.jsonl")))
+    states = []
+    for name in ("predict", "update", "apply_pipeline", "extract_tracks"):
+        def recorded(*args, step=getattr(runner, name), **kwargs):
+            out = step(*args, **kwargs)
+            states.append(out[0] if isinstance(out, tuple) else out)
+            return out
+
+        monkeypatch.setattr(runner, name, recorded)
+    for cfg, scans in runs:
+        runner.filter_scans(cfg, scans)
+    assert len(states) == 4 * sum(len(scans) for _, scans in runs)
+    assert max(len(s.tracks) for s in states) == 255
+    for state in states:
+        assert state.indices.dtype == np.min_scalar_type(max(len(state.tracks) - 1, 0))
+        assert state.indptr.dtype == np.int32
+
+
 def test_no_mixture_outgrows_the_birth_prior(monkeypatch):
     # A birth starts with the prior's components, the Kalman step, the miss
     # update and predict never add one, and a merge yields one moment-matched
@@ -484,6 +509,15 @@ class TestCli:
         cfg = self._write_cfg(tmp_path)
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
         assert "hypothesis budget exceeded" in capsys.readouterr().err
+
+    def test_entry_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Exact C9's last scan would write 10,141,722 track ids: one more
+        # than the entry budget allows, so tracking it stops with exit 4.
+        monkeypatch.setattr(engine, "_MAX_ENTRIES", 10_141_721)
+        track = ["track", "--config", str(EXACT_C9 / "config.json"), "--obs", str(EXACT_C9),
+                 "--out", str(tmp_path / "t")]
+        assert cli_main(track) == 4
+        assert "more than 10141721 track ids: 10141722" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json"),

@@ -12,6 +12,7 @@ from disptrack import (
     AugmentedDistribution,
     BirthModel,
     DegenerateUpdateError,
+    ExtractionConfig,
     FilterState,
     GaussianComponent,
     Hypothesis,
@@ -20,9 +21,14 @@ from disptrack import (
     ObservationPath,
     SensorModel,
     Track,
+    cap_counts,
+    extract_tracks,
     init_filter,
     make_gate,
+    merge_tracks,
     predict,
+    prune_by_existence,
+    prune_by_presence,
     update,
 )
 import disptrack.engine as engine
@@ -37,6 +43,7 @@ from helpers import (
     reference_join_update,
     reference_update,
     sensor_1d,
+    space_1d,
     unit_dist,
 )
 
@@ -303,6 +310,7 @@ def row_tables(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(row_tables())
 @example(csr_table([[], [], []], [0.1, 0.2, 0.3]))  # all-empty
+@example(csr_table([[0, 2], [1], [0, 2], []], [0.1, 0.2, 0.3, 0.4]))  # sorted: no row sort
 @example(csr_table([], []))  # no rows
 def test_fold_rows_matches_unique_reference(table):
     indptr, indices, weights = fold_rows(*table)
@@ -357,3 +365,81 @@ class TestBoundary:
         assert list(out.tracks) == [P2]
         assert out.indices.tolist() == [0]
         assert list(out.hypotheses) == [Hypothesis((), 0.2), Hypothesis((P2,), 0.3)]
+
+
+def readings(build, second_scan, small):
+    """Per state that ``build()``'s state yields under update, the passes and
+    ``with_rows``: its stored types, and its paths, rows (ids as int64) and
+    weights with what ``top_rows``, ``existence``, ``extract_tracks`` and the
+    view read from it. A ``small`` table also runs ``merge_tracks`` and
+    checks the update against the per-parent join."""
+    sensor, birth = sensor_1d(p_d=0.9, p_fa=0.1), birth_1d([0.5, 0.5])
+    state = build()
+    alpha = state.existence()
+    states = [
+        state,
+        update(predict(state, motion_1d()), second_scan, birth, sensor),
+        prune_by_presence(state, 0.5),
+        prune_by_existence(state, float(np.median(alpha)), float(np.median(state.weights))),
+        cap_counts(state, max_tracks=len(state.tracks) - 1, max_hypotheses=len(state.weights) // 2),
+        state.with_rows(np.arange(len(state.weights)) % 3 > 0),
+    ]
+    if small:
+        states.append(merge_tracks(state, 0.05))
+        joined = reference_join_update(predict(state, motion_1d()), second_scan, birth, sensor)
+        for name in ("indptr", "indices", "weights"):
+            assert getattr(joined, name).tobytes() == getattr(states[1], name).tobytes(), name
+    out = []
+    for s in states:
+        shown, estimates, best = extract_tracks(s, ExtractionConfig(0.3, 0.2), space_1d())
+        out.append(((s.indices.dtype, s.indptr.dtype), (
+            list(s.tracks),
+            s.indptr.astype(np.int64).tobytes(),
+            s.indices.astype(np.int64).tobytes(),
+            s.weights.tobytes(),
+            s.existence().tobytes(),
+            s.existence(np.arange(len(s.tracks)) % 2 == 0).tobytes(),
+            s.top_rows(1).tolist(),
+            s.top_rows(7).tolist(),
+            list(s.hypotheses),
+            [(e.track_id, e.existence, e.presence, e.point.tolist()) for e in estimates],
+            shown.tracks.displayed.tobytes(),
+            best,
+        )))
+    return out
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 65_536, 65_537])
+def test_stored_types_at_the_id_width_boundaries(n, monkeypatch):
+    # A table of n tracks stores its ids in one byte up to n = 256, two up
+    # to 65,536 and four beyond, and its offsets as int32, however it was
+    # built; every reader and pass must see the rows, weights and paths the
+    # int32 ids and int64 offsets gave. One scan of n observations with one
+    # birth makes n tracks; the update after it reads ids up to n - 1, where
+    # one byte's 255 + 1 would wrap.
+    paths = [ObservationPath(0, ((0, k),)) for k in range(n)]
+    dists = [unit_dist(presence=p, mean=m) for p in (0.3, 0.7) for m in (-1.0, 0.0, 1.5)]
+    scan = [obs(0, k, v) for k, v in enumerate(np.linspace(-3.0, 3.0, n))]
+
+    def listed():
+        tracks = {p: Track(p, dists[k % len(dists)]) for k, p in enumerate(paths)}
+        rows = [Hypothesis((), 0.2), Hypothesis((paths[0],), 0.3), Hypothesis((paths[-1],), 0.5)]
+        return FilterState(0, tracks, rows)
+
+    def updated():
+        return update(predict(init_filter(), motion_1d()), scan, birth_1d([0.5, 0.5]), sensor_1d(p_d=0.9, p_fa=0.1))
+
+    stored = {255: np.uint8, 256: np.uint8, 257: np.uint16, 65_536: np.uint16, 65_537: np.uint32}[n]
+    small = n < 1000
+    second_scan = [obs(1, k, v) for k, v in enumerate([-1.0, 0.2, 2.5])] if small else []
+    for build in (listed, updated):
+        got = readings(build, second_scan, small)
+        assert got[0][0] == (stored, np.int32)
+        for types, (held, *_) in got:
+            assert types == (np.min_scalar_type(max(len(held) - 1, 0)), np.int32)
+        with monkeypatch.context() as wide:
+            wide.setattr(engine, "id_dtype", lambda n: np.dtype(np.int32))
+            wide.setattr(engine, "PTR_DTYPE", np.int64)
+            want = readings(build, second_scan, small)
+        assert [types for types, _ in want] == [(np.int32, np.int64)] * len(want)
+        assert [read for _, read in got] == [read for _, read in want]
