@@ -24,7 +24,7 @@ from .models import (
     Observation,
     SensorModel,
     matched_moments,
-    moment_match,
+    mixture_moments,
     _check_cap,
     _check_threshold,
     _min_distances,
@@ -254,17 +254,7 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     first, second = first[eligible], second[eligible]
     if not len(first):
         return state
-    # Each track's moments; a one-component track's are its component's.
-    dim = dists.mean.shape[1]
-    means, covs = np.zeros((n, dim)), np.zeros((n, dim, dim))
-    start = np.cumsum(counts) - counts
-    one = counts == 1
-    means[one], covs[one] = dists.mean[start[one]], dists.cov[start[one]]
-    paired = np.zeros(n, dtype=bool)
-    paired[first] = paired[second] = True
-    for i in np.flatnonzero(paired & (counts > 1)).tolist():
-        c = moment_match(dists.dist(i).spatial)
-        means[i], covs[i] = c.mean, c.cov
+    means, covs = mixture_moments(dists)
     bound = _pair_bounds(alpha, means, covs, first, second)
     near = ~np.isfinite(bound) | (bound < d_threshold * (1.0 + 1e-9))  # margin: rounding
     first, second = first[near], second[near]

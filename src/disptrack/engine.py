@@ -354,8 +354,8 @@ class FilterState:
     ``FilterState(scan, tracks, hypotheses)`` sorts the tracks into
     canonical order, builds the track table from them and converts the
     hypothesis list into the CSR table. It raises ``ValueError`` when a
-    hypothesis names a track missing from ``tracks``, repeats a track, or
-    lists its tracks out of canonical order.
+    hypothesis names a track missing from ``tracks``, repeats a track, lists
+    its tracks out of canonical order, or has a negative or non-finite weight.
     """
 
     __slots__ = ("scan", "tracks", "indptr", "indices", "weights")
@@ -383,9 +383,12 @@ class FilterState:
                     raise ValueError(
                         f"hypothesis tracks {[str(p) for p in h.tracks]} are not in canonical order"
                     )
+            weight = float(h.weight)
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"hypothesis weight must be finite and >= 0, got {weight}")
             lengths.append(len(row))
             ids += row
-            weights.append(float(h.weight))
+            weights.append(weight)
         self._assign(
             scan,
             TrackTable.of({p: tracks[p] for p in paths}),

@@ -11,7 +11,8 @@ and H m of every component of a :class:`Mixtures` table at once, gates all of a
 scan's pairs in one broadcast solve, and takes the likelihoods and the Kalman
 moments from one stacked Cholesky factorisation; no inverse is formed, and
 the single-pair functions are one-row calls into it. Every moment match is
-:func:`matched_moments`; :func:`moment_match` is its one-row call. Inputs
+:func:`matched_moments`, through :func:`mixture_moments` for a whole table
+and :func:`moment_match` for one mixture. Inputs
 are validated once, at the boundary: by the model constructors, which also
 reject non-finite entries, and by ``load_config``. Derived records are
 built by :func:`_derived`, unchecked.
@@ -396,13 +397,12 @@ def _logs(x: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in x.tolist()], dtype=float)
 
 
-def _fsums(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Per distribution, ``math.fsum`` of its components' ``values``."""
-    out = np.bincount(owner, weights=values, minlength=n)  # exactly rounded for up to two terms
-    counts = np.bincount(owner, minlength=n)
-    for i in np.flatnonzero(counts > 2).tolist():
-        out[i] = math.fsum(values[owner == i].tolist())
-    return out
+def _run_exps(values: np.ndarray, run: np.ndarray, first: np.ndarray):
+    """Per run of ``values`` (entry ``k`` in run ``run[k]``, which starts at ``first[run[k]]``):
+    its maximum, and each entry's exp(value - maximum), exactly 1 at the maximum (-inf too)."""
+    top = np.maximum.reduceat(values, first)
+    at = top[run]
+    return top, np.exp(np.subtract(values, at, out=np.zeros(len(values)), where=values != at))
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -464,8 +464,9 @@ def score_scan(
     Returns ``(dist, obs, logl, moments)``: one entry per pair that passed
     and that some component can explain, in (distribution, observation)
     order, with ``logl`` the log of presence * sum_i w_i p_d(m_i) N(z; H m_i, S_i)
-    (-inf only on underflow); and ``moments``, the ``(pair, log weight, mean,
-    cov)`` of each such pair's detecting components, in that order.
+    (-inf only on underflow; one segmented log-sum-exp over all pairs); and
+    ``moments``, the ``(pair, log weight, mean, cov)`` of each such pair's
+    detecting components, in that order.
     """
     owner, means, covs, S, resid = _stacked(mix, values, sensor)
     n_dists = len(mix.presence)
@@ -490,18 +491,12 @@ def score_scan(
     terms = log_wpd + _log_gauss(chol, white)
     starts = np.diff(key, prepend=-1) != 0
     first = np.flatnonzero(starts)
+    pair = np.cumsum(starts) - 1
     dist = owner[comp[first]]
-    # A one-component pair's sum is its term; the others are summed exactly.
-    logl = _logs(mix.presence[dist]) + terms[first]
-    size = np.diff(np.append(first, len(key)))
-    for p in np.flatnonzero(size > 1).tolist():
-        a = first[p]
-        t = terms[a:a + size[p]].tolist()
-        m = max(t)
-        total = math.fsum(math.exp(x - m) for x in t)
-        logl[p] = math.log(mix.presence[dist[p]]) + m + math.log(total)
+    top, rel = _run_exps(terms, pair, first)
+    logl = _logs(mix.presence[dist]) + top + np.log(np.add.reduceat(rel, first))
     moments = (
-        np.cumsum(starts) - 1,
+        pair,
         log_wpd + _log_gauss(chol, sol[..., 0]),
         means[comp] + (Gt @ sol[..., :1])[..., 0],
         symmetrize(covs[comp] - Gt @ G),
@@ -543,21 +538,36 @@ def predictive_likelihood(
 def moment_match(components: Sequence[GaussianComponent]) -> GaussianComponent:
     """Collapse a mixture to a single component preserving weight, mean, cov.
 
-    The returned covariance includes the spread-of-means term, so the first
-    two moments of the mixture are preserved exactly.
+    The one-row call of :func:`mixture_moments`: the returned covariance
+    includes the spread-of-means term, so the first two moments of the
+    mixture are preserved.
     """
-    comps = [c for c in components if c.weight > 0.0]
     if not components:
         raise ValueError("moment_match requires at least one component")
-    total = math.fsum(c.weight for c in comps)
+    total = math.fsum(c.weight for c in components)
     if total <= 0.0:
         raise ValueError("moment_match requires positive total weight")
-    mean, cov = matched_moments(
-        np.array([[c.weight / total for c in comps]]),
-        np.array([[c.mean for c in comps]]),
-        np.array([[c.cov for c in comps]]),
-    )
+    mix = Mixtures.of([_derived(AugmentedDistribution, 1.0, tuple(components))])
+    mean, cov = mixture_moments(mix)
     return _derived(GaussianComponent, total, mean[0], cov[0])
+
+
+def mixture_moments(mix: Mixtures):
+    """Each of ``n`` distributions' mixtures collapsed: ``(mean (n, d), cov (n, d, d))``.
+
+    One :func:`matched_moments` call over the components padded into a table,
+    weights normalized per distribution (evenly where they sum to zero): a
+    lone component comes out as it is, and a distribution without any as zeros.
+    """
+    n, (c, d) = len(mix.presence), mix.mean.shape
+    counts = np.bincount(mix.owner, minlength=n)
+    at = mix.owner, np.arange(c) - (np.cumsum(counts) - counts)[mix.owner]  # (row, slot)
+    total = np.bincount(mix.owner, weights=mix.weight, minlength=n)[mix.owner]
+    k = counts.max(initial=0)
+    weights, means, covs = np.zeros((n, k)), np.zeros((n, k, d)), np.zeros((n, k, d, d))
+    weights[at] = np.divide(mix.weight, total, out=1.0 / counts[mix.owner], where=total > 0.0)
+    means[at], covs[at] = mix.mean, mix.cov
+    return matched_moments(weights, means, covs)
 
 
 def matched_moments(weights: np.ndarray, means: np.ndarray, covs: np.ndarray):

@@ -22,7 +22,6 @@ presence exactly one.
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 import numpy as np
@@ -37,7 +36,7 @@ from .models import (
     SensorModel,
     score_scan,
     symmetrize,
-    _fsums,
+    _run_exps,
 )
 
 # Mixture hygiene: lighter posterior components are dropped. There is no length
@@ -83,7 +82,8 @@ def predict_distribution(dist: AugmentedDistribution, motion: MotionModel) -> Au
 def miss_posteriors(mix: Mixtures, sensor: SensorModel) -> tuple[np.ndarray, Mixtures]:
     """Each distribution's miss-detection mass, and its posterior given a miss.
 
-    The mass is (1-q) + q sum_i w_i (1-p_d(m_i)). The posterior presence is
+    The mass is (1-q) + q sum_i w_i (1-p_d(m_i)), the sums one ``np.bincount``
+    over the table. The posterior presence is
     q(1-p_d) / (1-q + q(1-p_d)), and its spatial part is reweighted by the
     per-component miss probability (kept as it is when the detection
     probability is constant). An absent distribution has mass one and is its
@@ -94,7 +94,7 @@ def miss_posteriors(mix: Mixtures, sensor: SensorModel) -> tuple[np.ndarray, Mix
     terms = np.zeros(len(mix.owner))
     k = np.flatnonzero(live[mix.owner])
     terms[k] = mix.weight[k] * (1.0 - sensor.detection_probabilities(mix.mean[k]))
-    sums = _fsums(mix.owner, terms, len(q))
+    sums = np.bincount(mix.owner, weights=terms, minlength=len(q))
     in_scene = q * sums
     mass = np.where(live, (1.0 - q) + in_scene, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -123,19 +123,14 @@ def detection_posteriors(pair, log_w, means, covs) -> Mixtures:
     Each has presence one, and the pair's Kalman moments as components.
     Component weights are renormalized in log domain so that far-away
     observations cannot underflow the whole mixture to zero; components at
-    or below ``WEIGHT_FLOOR`` are then dropped and the rest renormalized.
+    or below ``WEIGHT_FLOOR`` are then dropped and the rest renormalized,
+    each step one segmented array operation over all pairs.
     """
     first = np.flatnonzero(np.diff(pair, prepend=-1))
-    size = np.diff(np.append(first, len(pair)))
-    weight = np.ones(len(pair))  # a lone component's
-    for a, n in zip(first[size > 1].tolist(), size[size > 1].tolist()):
-        lw = log_w[a:a + n].tolist()
-        m = max(lw)
-        rel = [math.exp(x - m) for x in lw]
-        total = math.fsum(rel)
-        kept = [r / total if r / total > WEIGHT_FLOOR else 0.0 for r in rel]
-        total = math.fsum(kept)
-        weight[a:a + n] = [w / total for w in kept]
+    rel = _run_exps(log_w, pair, first)[1]
+    weight = rel / np.add.reduceat(rel, first)[pair]
+    weight[weight <= WEIGHT_FLOOR] = 0.0
+    weight /= np.add.reduceat(weight, first)[pair]
     keep = weight > 0.0
     return Mixtures(np.ones(len(first)), pair[keep], weight[keep], means[keep], covs[keep])
 

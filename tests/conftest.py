@@ -2,3 +2,4 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(1, str(Path(__file__).parents[1]))  # perfbench.checks, the one GOSPA

@@ -7,7 +7,6 @@ from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from disptrack import (
     AugmentedDistribution,
@@ -98,21 +97,6 @@ def obs(scan: int, idx: int, value: float) -> Observation:
 
 def space_1d(lo: float = -100.0, hi: float = 100.0) -> StateSpace:
     return StateSpace(1, np.array([[lo, hi]]))
-
-
-def gospa(est: np.ndarray, truth: np.ndarray, c: float = 5.0, p: float = 2.0) -> float:
-    """GOSPA distance with alpha = 2 between two point sets (rows are points).
-
-    Rahmathullah, Garcia-Fernandez & Svensson, FUSION 2017. With alpha = 2 a
-    pair farther apart than ``c`` costs as much as leaving both points
-    unassigned, so an optimal assignment over the capped distances gives it.
-    """
-    cost = 0.0
-    if len(est) and len(truth):
-        capped = np.minimum(np.linalg.norm(est[:, None, :] - truth[None, :, :], axis=2), c) ** p
-        rows, cols = linear_sum_assignment(capped)
-        cost = float(capped[rows, cols].sum())
-    return (cost + c**p / 2.0 * abs(len(est) - len(truth))) ** (1.0 / p)
 
 
 def random_scans(rng: np.random.Generator, counts: list[int], spread: float = 5.0):

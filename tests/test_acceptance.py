@@ -93,6 +93,33 @@ def test_c02_posterior_oracle_equivalence():
     print(f"[C2] posterior equivalence over 100 scenarios, worst |diff| {worst:.2e}: PASS")
 
 
+def test_c02_multi_component_birth_oracle_equivalence():
+    # C2 with a 2-4 component birth prior: the tracks' scan scores, miss
+    # masses and detection posteriors then sum over several components.
+    rng = np.random.default_rng(20250222)
+    worst, multi = 0.0, 0
+    for trial in range(60):
+        n_scans = int(rng.integers(1, 3))
+        counts = [int(rng.integers(0, 3)) for _ in range(n_scans)]
+        motion, sensor, birth = random_models(rng)
+        weights = rng.uniform(0.1, 1.0, size=int(rng.integers(2, 5)))
+        birth = dt.BirthModel(birth.cardinality, dist(1.0, *(
+            (float(w), float(rng.uniform(-5.0, 5.0)), float(rng.uniform(2.0, 16.0)))
+            for w in weights / weights.sum()
+        )))
+        scans = random_scans(rng, counts)
+        state, _ = run_exact(motion, sensor, birth, scans)
+        multi += any(len(t.dist.spatial) > 1 for t in state.tracks.values())
+        engine = {h.tracks: h.weight for h in state.hypotheses}
+        oracle = dt.oracle_joint_posterior(motion, sensor, birth, scans)
+        keys = set(engine) | set(oracle)
+        diff = max(abs(engine.get(k, 0.0) - oracle.get(k, 0.0)) for k in keys)
+        worst = max(worst, diff)
+        assert diff <= 1e-9, f"scenario {trial}: posterior diff {diff}"
+    assert multi >= 40  # 43 of the 60 runs end with a multi-component track
+    print(f"[C2] multi-component births over 60 scenarios, worst |diff| {worst:.2e}: PASS")
+
+
 def test_c03_normalization_after_every_update():
     rng = np.random.default_rng(20250303)
     motion, sensor, birth = random_models(rng)

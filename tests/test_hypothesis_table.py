@@ -343,6 +343,16 @@ class TestBoundary:
         with pytest.raises(ValueError, match="canonical order"):
             FilterState(0, tracks_of(P1, P2), [Hypothesis((P2, P1), 1.0)])
 
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, float("nan"), float("inf"), float("-inf")])
+    def test_negative_or_non_finite_weight_rejected(self, bad):
+        # [1.5, -0.5] sums into (0, 1], so update's prior check would pass it.
+        with pytest.raises(ValueError, match="weight"):
+            FilterState(0, tracks_of(P1), [Hypothesis((P1,), 1.5), Hypothesis((), bad)])
+
+    def test_zero_weight_accepted(self):
+        state = FilterState(0, tracks_of(P1), [Hypothesis((P1,), 1.0), Hypothesis((), 0.0)])
+        assert state.weights.tolist() == [1.0, 0.0]
+
     def test_table_layout_and_view(self):
         hypotheses = [Hypothesis((P1, P2), 0.5), Hypothesis((), 0.2), Hypothesis((P2,), 0.3)]
         state = FilterState(3, tracks_of(P2, P1), hypotheses)

@@ -19,6 +19,7 @@ from disptrack import (
     moment_match,
     predictive_likelihood,
 )
+from disptrack.models import Mixtures, mixture_moments
 
 from helpers import comp, dist, obs, sensor_1d, unit_dist
 
@@ -168,6 +169,26 @@ class TestMomentMatch:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             moment_match([])
+
+    def test_zero_total_rejected(self):
+        with pytest.raises(ValueError):
+            moment_match([comp(0.0, 1.0, 1.0), comp(0.0, 2.0, 1.0)])
+
+    def test_table_rows_equal_one_row_calls(self):
+        # Rows of one, two, three and four components in one padded table,
+        # then a lone zero-weight component and an empty mixture.
+        rng = np.random.default_rng(19)
+        dists = []
+        for k in (1, 2, 3, 4):
+            w = rng.uniform(0.1, 1.0, size=k)
+            dists.append(dist(1.0, *((x, rng.normal(), rng.uniform(0.5, 2.0)) for x in w / w.sum())))
+        dists += [dist(0.0, (0.0, 3.0, 2.0)), AugmentedDistribution(0.0, ())]
+        mean, cov = mixture_moments(Mixtures.of(dists))
+        for i, d in enumerate(dists[:4]):
+            m = moment_match(d.spatial)
+            assert mean[i].tobytes() == m.mean.tobytes() and cov[i].tobytes() == m.cov.tobytes()
+        assert mean[4].tolist() == [3.0] and cov[4].tolist() == [[2.0]]
+        assert mean[5].tolist() == [0.0] and cov[5].tolist() == [[0.0]]
 
     def test_moments_preserved_randomized(self):
         rng = np.random.default_rng(7)

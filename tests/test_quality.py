@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from disptrack import load_config, run
-
-from helpers import gospa
+from perfbench.checks import gospa
 
 CLUTTERED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "cluttered.json"
 SEEDS = tuple(range(8))

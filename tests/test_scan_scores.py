@@ -148,3 +148,17 @@ def test_update_rejects_nan_or_negative_gate_threshold(threshold):
     state = predict(init_filter(), motion_1d())
     with pytest.raises(ValueError, match="gate threshold"):
         update(state, [obs(0, 0, 0.5)], birth_1d([0.5, 0.5]), sensor_1d(0.9, 0.1), threshold)
+
+
+def test_posterior_weights_of_runs_with_infinite_log_weights():
+    # Runs (pairs) of 1, 3 and 2 components: a lone -inf, all -inf, and one
+    # finite beside -inf. The first two have no maximum to shift by; each
+    # entry at its run's maximum counts 1, so they come out even.
+    pair = np.array([0, 1, 1, 1, 2, 2])
+    log_w = np.array([-np.inf, -np.inf, -np.inf, -np.inf, -3.0, -np.inf])
+    means, covs = np.zeros((6, 1)), np.ones((6, 1, 1))
+    with np.errstate(all="raise"):
+        post = detection_posteriors(pair, log_w, means, covs)
+    assert post.owner.tolist() == [0, 1, 1, 1, 2]
+    assert post.weight.tolist() == [1.0, 1 / 3, 1 / 3, 1 / 3, 1.0]
+    assert post.presence.tolist() == [1.0, 1.0, 1.0]
