@@ -97,26 +97,33 @@ def prune_by_presence(state: FilterState, threshold: float) -> FilterState:
     Such tracks almost surely describe targets that already left the scene.
     Hypotheses are marginalized over the removals, so total weight is kept.
     """
-    _check_threshold(threshold, "presence threshold")
-    return _marginalize(state, state.tracks.dists.presence < threshold)
+    return prune_by_existence(state, presence_threshold=threshold)
 
 
 def prune_by_existence(
     state: FilterState,
     track_threshold: float = 0.0,
     hyp_threshold: float = 0.0,
+    presence_threshold: float = 0.0,
 ) -> FilterState:
-    """Discard low-credibility tracks, then low-weight hypotheses.
+    """Discard low-presence and low-credibility tracks, then low-weight hypotheses.
 
-    Track removal marginalizes the hypotheses; hypothesis removal does not
-    renormalize the survivors (the weights sum back to one at the next
-    update), and tracks orphaned by it are dropped. The heaviest hypothesis
-    (canonically earliest among equals) always survives.
+    Tracks whose presence is under ``presence_threshold`` or whose existence
+    is under ``track_threshold`` are removed together, in one
+    marginalization: removing a track leaves every other track's existence
+    as it was, so both sets are read from the state as given. Hypothesis
+    removal then applies to the folded weights; it does not renormalize the
+    survivors (the weights sum back to one at the next update), and tracks
+    orphaned by it are dropped. The heaviest hypothesis (canonically
+    earliest among equals) always survives.
     """
+    _check_threshold(presence_threshold, "presence threshold")
     _check_threshold(track_threshold, "track existence threshold")
     _check_threshold(hyp_threshold, "hypothesis existence threshold")
+    victims = state.tracks.dists.presence < presence_threshold
     if track_threshold > 0.0:
-        state = _marginalize(state, state.existence() < track_threshold)
+        victims |= state.existence() < track_threshold
+    state = _marginalize(state, victims)
     if hyp_threshold > 0.0:
         kept = state.weights >= hyp_threshold
         if not kept.any():
@@ -310,17 +317,18 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
 def apply_pipeline(state: FilterState, cfg: ApproximationConfig) -> FilterState:
     """Run the enabled passes in their cheap-first order.
 
-    Mass removals (presence, existence thresholds) run before the pairwise
-    merge, the hard caps last. Gating is not applied here: it acts at
-    association time inside the update.
+    Mass removals (presence, existence thresholds) run first, as one
+    :func:`prune_by_existence` call that folds the table once, then the
+    pairwise merge, the hard caps last. Gating is not applied here: it acts
+    at association time inside the update.
     """
-    if cfg.presence_threshold is not None:
-        state = prune_by_presence(state, cfg.presence_threshold)
-    if cfg.track_existence_threshold is not None or cfg.hyp_existence_threshold is not None:
+    prunes = cfg.presence_threshold, cfg.track_existence_threshold, cfg.hyp_existence_threshold
+    if any(t is not None for t in prunes):
         state = prune_by_existence(
             state,
             cfg.track_existence_threshold or 0.0,
             cfg.hyp_existence_threshold or 0.0,
+            presence_threshold=cfg.presence_threshold or 0.0,
         )
     if cfg.merge_threshold is not None:
         state = merge_tracks(state, cfg.merge_threshold)

@@ -576,18 +576,26 @@ def matched_moments(weights: np.ndarray, means: np.ndarray, covs: np.ndarray):
     ``weights`` (rows, k) are each row's normalized weights, ``means`` (rows,
     k, d) and ``covs`` (rows, k, d, d) its members. The mean is the weighted
     mean, the covariance the weighted covariances plus the spread of the
-    means, symmetrized; a row with one nonzero weight is that member as it is.
+    means, symmetrized; a row with one nonzero weight is that member as it is,
+    and a row with none (or a table with no columns) zeros. Only the rows
+    with two or more nonzero weights run the sums.
     """
     rows, k, d = means.shape
-    mean = np.zeros((rows, d))
-    for j in range(k):
-        mean += weights[:, j, None] * means[:, j]
-    cov = np.zeros((rows, d, d))
-    for j in range(k):
-        dm = means[:, j] - mean
-        cov += weights[:, j, None, None] * (covs[:, j] + dm[:, :, None] * dm[:, None, :])
-    cov = symmetrize(cov)
-    lone = np.flatnonzero(np.count_nonzero(weights, axis=1) == 1)
-    member = np.argmax(weights[lone] != 0.0, axis=1)
-    mean[lone], cov[lone] = means[lone, member], covs[lone, member]
+    mean, cov = np.zeros((rows, d)), np.zeros((rows, d, d))
+    nonzero = np.count_nonzero(weights, axis=1)
+    lone = np.flatnonzero(nonzero == 1)
+    if len(lone):  # none when there are no columns (k == 0)
+        member = np.argmax(weights[lone] != 0.0, axis=1)
+        mean[lone], cov[lone] = means[lone, member], covs[lone, member]
+    many = np.flatnonzero(nonzero > 1)
+    if len(many):  # a table of lone members, as most tracks are, skips the sums
+        w, mu, P = weights[many], means[many], covs[many]
+        m = np.zeros((len(many), d))
+        for j in range(k):
+            m += w[:, j, None] * mu[:, j]
+        c = np.zeros((len(many), d, d))
+        for j in range(k):
+            dm = mu[:, j] - m
+            c += w[:, j, None, None] * (P[:, j] + dm[:, :, None] * dm[:, None, :])
+        mean[many], cov[many] = m, symmetrize(c)
     return mean, cov

@@ -1,5 +1,6 @@
 """Pruning, capping, gating and merging passes."""
 
+import dataclasses
 import math
 from itertools import combinations
 from pathlib import Path
@@ -33,7 +34,9 @@ from disptrack import (
     load_config,
     simulate,
 )
-from disptrack.approximations import _merged, _pair_bounds, _pair_distances, mahalanobis_sq
+from disptrack import approximations, runner
+from disptrack.approximations import _marginalize, _merged, _pair_bounds, _pair_distances, mahalanobis_sq
+from disptrack.estimation import extract_tracks
 from disptrack.models import _derived, moment_match
 
 from helpers import birth_1d, dist, motion_1d, obs, reference_merge_tracks, sensor_1d, unit_dist
@@ -57,6 +60,7 @@ P2 = path(0, (0, 1))
 P3 = path(1, (1, 0))
 
 CLUTTERED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "cluttered.json"
+SCENE_LARGE = Path(__file__).resolve().parents[1] / "perfbench" / "scene_large.json"
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +165,141 @@ class TestPruneByExistence:
             prune_by_existence(cluttered_state, threshold)
         with pytest.raises(ValueError, match="hypothesis existence threshold"):
             prune_by_existence(cluttered_state, 0.0, threshold)
+
+
+def sequential_passes(state, c: ApproximationConfig):
+    """The passes as they ran before the two track prunes shared a fold: the
+    presence prune, then the track-existence prune on its output, then the
+    hypothesis threshold, then the merge and the caps."""
+    if c.presence_threshold is not None:
+        state = _marginalize(state, state.tracks.dists.presence < c.presence_threshold)
+    if c.track_existence_threshold is not None:
+        state = _marginalize(state, state.existence() < c.track_existence_threshold)
+    if c.hyp_existence_threshold is not None:
+        kept = state.weights >= c.hyp_existence_threshold
+        kept[state.top_rows(1)] = True  # the heaviest row always survives
+        state = state.with_rows(kept)
+    if c.merge_threshold is not None:
+        state = merge_tracks(state, c.merge_threshold)
+    return cap_counts(state, c.max_tracks, c.max_hypotheses)
+
+
+@pytest.fixture(scope="module")
+def cluttered_updates():
+    """Every scan's update output of cluttered.json (seed 13), passes on."""
+    cfg = load_config(CLUTTERED)
+    states = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "update", lambda *a, step=runner.update, **k: states.append(step(*a, **k)) or states[-1])
+        runner.filter_scans(cfg, simulate(cfg)[1])
+    assert len(states) == 25
+    return states
+
+
+class TestOneFoldPrune:
+    """The presence and track-existence prunes remove their victims in one fold."""
+
+    @pytest.mark.parametrize(
+        "config, seed",
+        [(CLUTTERED, s) for s in (0, 1, 2, 3, 13)] + [(SCENE_LARGE, s) for s in (0, 1, 2, 3)],
+        ids=[f"cluttered-{s}" for s in (0, 1, 2, 3, 13)] + [f"scene_large-{s}" for s in (0, 1, 2, 3)],
+    )
+    def test_pipeline_equals_sequential_passes(self, monkeypatch, config, seed):
+        cfg = dataclasses.replace(load_config(config), seed=seed)
+        compared = []
+
+        def both(state, c, fused=runner.apply_pipeline):
+            out, ref = fused(state, c), sequential_passes(state, c)
+            assert out.tracks.paths == ref.tracks.paths
+            assert np.array_equal(out.tracks.displayed, ref.tracks.displayed)
+            for a, b in zip(out.tracks.dists, ref.tracks.dists):
+                np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+            assert np.array_equal(out.indptr, ref.indptr) and np.array_equal(out.indices, ref.indices)
+            np.testing.assert_allclose(out.weights, ref.weights, rtol=1e-15, atol=0.0)
+            estimates = [extract_tracks(s, cfg.extract, cfg.space)[1] for s in (out, ref)]
+            assert [(e.track_id, e.displayed) for e in estimates[0]] == [
+                (e.track_id, e.displayed) for e in estimates[1]
+            ]
+            for e, r in zip(*estimates):
+                assert e.existence == pytest.approx(r.existence, rel=1e-15, abs=0.0)
+                assert e.presence == pytest.approx(r.presence, rel=1e-15, abs=0.0)
+                np.testing.assert_allclose(e.point, r.point, rtol=1e-15, atol=0.0)
+            compared.append(len(state.tracks) - len(ref.tracks))
+            return out
+
+        monkeypatch.setattr(runner, "apply_pipeline", both)
+        runner.filter_scans(cfg, simulate(cfg)[1])
+        assert len(compared) == cfg.scans and sum(compared) > 0
+
+    def test_prune_folds_once(self, monkeypatch):
+        # P1 is under the presence threshold, P2 under the existence threshold.
+        state = synth_state(
+            [track(P1, 0.01), track(P2), track(P3)],
+            [((P1, P3), 0.5), ((P2,), 0.01), ((P3,), 0.39), ((), 0.1)],
+        )
+        folds = []
+        monkeypatch.setattr(
+            approximations, "fold_rows", lambda *a, step=approximations.fold_rows: folds.append(1) or step(*a)
+        )
+        cfg = ApproximationConfig(
+            presence_threshold=0.05, track_existence_threshold=0.05, hyp_existence_threshold=1e-3
+        )
+        for prune in (
+            lambda: prune_by_existence(state, 0.05, 1e-3, presence_threshold=0.05),
+            lambda: apply_pipeline(state, cfg),
+        ):
+            out = prune()
+            assert len(folds) == 1
+            folds.clear()
+            assert set(out.tracks) == {P3}
+            assert {h.tracks: h.weight for h in out.hypotheses} == {
+                (P3,): pytest.approx(0.89, abs=1e-15),
+                (): pytest.approx(0.11, abs=1e-15),
+            }
+
+    def test_prune_folds_at_most_once_per_scan(self, monkeypatch, cluttered_updates):
+        cfg = load_config(CLUTTERED).approx
+        folds = []
+        monkeypatch.setattr(
+            approximations, "fold_rows", lambda *a, step=approximations.fold_rows: folds.append(1) or step(*a)
+        )
+        both = 0
+        for state in cluttered_updates:
+            low = state.tracks.dists.presence < cfg.presence_threshold
+            rare = state.existence() < cfg.track_existence_threshold
+            both += bool(low.any() and rare.any())
+            out = prune_by_existence(
+                state, cfg.track_existence_threshold, cfg.hyp_existence_threshold, cfg.presence_threshold
+            )
+            assert len(folds) == (low | rare).any()
+            assert len(out.tracks) <= len(state.tracks) - (low | rare).sum()
+            folds.clear()
+        assert both > 0
+
+    def test_marginalize_keeps_survivors_existence(self, cluttered_updates):
+        # Removing a track deletes it from every row and merges the rows that
+        # become equal, so each other track keeps the total weight of its rows.
+        rng = np.random.default_rng(3)
+        eps = np.finfo(float).eps
+        for state in cluttered_updates:
+            alpha = state.existence()
+            rows = np.bincount(state.indices, minlength=len(alpha))  # rows holding each track
+            # Weights on a 2^-40 grid add exactly in any order.
+            grid = FilterState.from_table(
+                state.scan, state.tracks, state.indptr, state.indices,
+                rng.integers(1, 2**20, len(state.weights)) * 2.0**-40,
+            )
+            pipeline = (state.tracks.dists.presence < 1e-3) | (alpha < 1e-6)
+            for victims in [pipeline] + [rng.random(len(alpha)) < p for p in (0.1, 0.5, 0.9)]:
+                assert np.array_equal(_marginalize(grid, victims).existence(), grid.existence()[~victims])
+                # Actual weights: the fold and existence() only reassociate
+                # the sum, and each sum of n positive terms is within
+                # (n - 1) * eps / 2 of the exact total, relative, so the two
+                # existences differ by less than rows * eps. (1e-15 relative
+                # does not hold here: cluttered reaches 3.8e-15, 32 ulps.)
+                kept = alpha[~victims]
+                gap = np.abs(_marginalize(state, victims).existence() - kept)
+                assert (gap <= rows[~victims] * eps * kept).all()
 
 
 class TestCapCounts:
@@ -573,6 +712,16 @@ class TestPipeline:
             state = update(state, scan, birth, sensor)
             state = apply_pipeline(state, approx)
         return state
+
+    def test_pipeline_without_removals_returns_its_input(self):
+        # The runner reads the retained weight off an unchanged state only
+        # when the pipeline hands back the object it was given.
+        state = self._run_scans(ApproximationConfig(), scans=3)
+        zero = ApproximationConfig(
+            presence_threshold=0.0, track_existence_threshold=0.0, hyp_existence_threshold=0.0
+        )
+        assert apply_pipeline(state, ApproximationConfig()) is state
+        assert apply_pipeline(state, zero) is state
 
     def test_neutral_pipeline_equals_exact(self):
         neutral = ApproximationConfig(

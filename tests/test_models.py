@@ -19,7 +19,7 @@ from disptrack import (
     moment_match,
     predictive_likelihood,
 )
-from disptrack.models import Mixtures, mixture_moments
+from disptrack.models import Mixtures, matched_moments, mixture_moments
 
 from helpers import comp, dist, obs, sensor_1d, unit_dist
 
@@ -189,6 +189,17 @@ class TestMomentMatch:
             assert mean[i].tobytes() == m.mean.tobytes() and cov[i].tobytes() == m.cov.tobytes()
         assert mean[4].tolist() == [3.0] and cov[4].tolist() == [[2.0]]
         assert mean[5].tolist() == [0.0] and cov[5].tolist() == [[0.0]]
+
+    @pytest.mark.parametrize(
+        "dists", [[], [AugmentedDistribution(0.0, ())]], ids=["no distribution", "empty mixture"]
+    )
+    def test_table_without_components_gives_zeros(self, dists):
+        # A table with no component has no columns; both used to raise
+        # "attempt to get argmax of an empty sequence".
+        mean, cov = mixture_moments(Mixtures.of(dists))
+        assert mean.shape == (len(dists), 0) and cov.shape == (len(dists), 0, 0)
+        mean, cov = matched_moments(np.zeros((3, 0)), np.zeros((3, 0, 2)), np.zeros((3, 0, 2, 2)))
+        assert mean.tolist() == [[0.0, 0.0]] * 3 and not cov.any() and cov.shape == (3, 2, 2)
 
     def test_moments_preserved_randomized(self):
         rng = np.random.default_rng(7)
