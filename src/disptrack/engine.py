@@ -43,8 +43,14 @@ can take, so each track gets a signature, its option layout, and rows with the
 same signatures share one set of patterns (:func:`_patterns`). The patterns
 count the rows and their ids before any is built (past ``_MAX_ROWS`` rows, or
 ``_MAX_ENTRIES`` ids, where int32 offsets would overflow, the update raises
-:class:`HypothesisBudgetError` at once) and tell which children some row holds;
-the rows are then written in place at the stored types.
+:class:`HypothesisBudgetError` at once); the rows are then written in place at
+the stored types, a child's id being its rank among all the scan's children.
+Once each prior track is in a row and can be missed, some row holds every
+child: a track's child is in a row holding the track that takes the child's
+option and misses the rest, a newborn in any all-missed row with that one
+newborn. Otherwise (``p_s`` = ``p_d`` = 1, or a track no row holds, which only
+``FilterState(...)`` makes) the children no row holds are dropped after
+writing (:func:`keep_tracks`).
 Rows of one width are contiguous, so each width run's offsets are one
 arithmetic progression. The rows split into segments, each of parents of one
 group taking every pattern of one newborn count, parent-major. A segment of
@@ -355,7 +361,8 @@ class FilterState:
     canonical order, builds the track table from them and converts the
     hypothesis list into the CSR table. It raises ``ValueError`` when a
     hypothesis names a track missing from ``tracks``, repeats a track, lists
-    its tracks out of canonical order, or has a negative or non-finite weight.
+    its tracks out of canonical order, has a negative or non-finite weight, or
+    is listed twice.
     """
 
     __slots__ = ("scan", "tracks", "indptr", "indices", "weights")
@@ -371,6 +378,7 @@ class FilterState:
         lengths: list[int] = []
         ids: list[int] = []
         weights: list[float] = []
+        rows: set[tuple[int, ...]] = set()
         for h in hypotheses:
             missing = [str(p) for p in h.tracks if p not in rank]
             if missing:
@@ -386,6 +394,10 @@ class FilterState:
             weight = float(h.weight)
             if not 0.0 <= weight < math.inf:
                 raise ValueError(f"hypothesis weight must be finite and >= 0, got {weight}")
+            key = tuple(row)
+            if key in rows:
+                raise ValueError(f"hypothesis {[str(p) for p in h.tracks]} is listed twice")
+            rows.add(key)
             lengths.append(len(row))
             ids += row
             weights.append(weight)
@@ -511,12 +523,13 @@ def _child_options(state, obs, birth, sensor, gate_threshold):
     Each track that can be missed makes a miss option, and each scored
     detection of the scan another (:func:`score_scan`, for all tracks and
     the birth prior at once); the children's distributions are the miss and
-    detection posteriors. Returns a function building the table of any
-    children (a child's id is its rank in canonical path order), the options,
-    offsets ``ptr`` such that track ``t``'s options are ``ptr[t]:ptr[t + 1]``
-    (its miss first, then its detections in observation order) and the
-    newborns' are ``ptr[-2]:ptr[-1]``, and a signature per track and the birth
-    prior, shared exactly by those whose options are laid out alike.
+    detection posteriors. Returns the table of every child (a child's id is
+    its rank in canonical path order), the options, offsets ``ptr`` such that
+    track ``t``'s options are ``ptr[t]:ptr[t + 1]`` (its miss first, then its
+    detections in observation order) and the newborns' are
+    ``ptr[-2]:ptr[-1]``, a signature per track and the birth prior, shared
+    exactly by those whose options are laid out alike, and whether every
+    track can be missed.
     """
     table = state.tracks
     n = len(table)
@@ -552,11 +565,8 @@ def _child_options(state, obs, birth, sensor, gate_threshold):
     child = np.empty(len(made), dtype=ID_DTYPE)
     child[order] = np.arange(len(made), dtype=ID_DTYPE)
     posteriors = Mixtures.concat(missed, detection_posteriors(*moments))
-
-    def children(ids: np.ndarray) -> TrackTable:  # the children ``ids``, ascending, as a table
-        k = order[ids]
-        shown = np.append(table.displayed, False)[owner[k]]
-        return TrackTable([made[i] for i in k.tolist()], shown, posteriors.take(src[k]))
+    shown = np.append(table.displayed, False)[owner[order]]
+    children = TrackTable([made[i] for i in order.tolist()], shown, posteriors.take(src[order]))
     det = j >= 0
     bit = np.zeros(len(j), dtype=np.uint64)
     bit[det] = np.uint64(1) << (j[det] % _WORD_BITS).astype(np.uint64)
@@ -564,7 +574,7 @@ def _child_options(state, obs, birth, sensor, gate_threshold):
     opts = _Options(child, logl, word, bit, det.astype(np.int64))
     ptr = np.searchsorted(owner, np.arange(n + 2))
     signature = _row_runs(padded_rows(ptr, j, -2))[2]
-    return children, opts, ptr, signature
+    return children, opts, ptr, signature, len(miss) == n
 
 
 def _patterns(tracks, lengths, opts, opt_ptr, max_births):
@@ -640,26 +650,6 @@ def _patterns(tracks, lengths, opts, opt_ptr, max_births):
             last[np.arange(len(src)), k.take(root) + n - 1] = took.take(pos)
             levels[n].append((row.take(root), last, ndet.take(root) + n, np.full(len(src), n)))
     return tuple(np.concatenate(a) for a in zip(*(p for level in levels for p in level)))
-
-
-def _held(child, base, group, rep, opt, width):
-    """Flags, per child id, the children some row takes.
-
-    Pattern ``i``, of group ``rep[i]``, takes rank ``opt[i, c]`` at each column
-    ``c < width[i]``. Each group's distinct (column, rank) pairs spread to its
-    parents, parent ``p`` taking option ``base[p, c] + rank``, whose child is
-    ``child[option]``.
-    """
-    g = int(group.max()) + 1
-    taken = np.zeros((g, opt.shape[1], int(opt.max(initial=0)) + 1), dtype=bool)
-    q, c = (np.arange(opt.shape[1]) < width[:, None]).nonzero()
-    taken[rep[q], c, opt[q, c]] = True
-    pg, c, r = taken.nonzero()  # by group
-    pairs = np.bincount(pg, minlength=g)
-    p, k = _ragged(pairs.take(group), (pairs.cumsum() - pairs).take(group))
-    held = np.zeros(len(child), dtype=bool)
-    held[child[base[p, c.take(k)] + r.take(k)]] = True
-    return held
 
 
 def _broadcast(ids, logw, prior, first, pats, tail, child, logl):
@@ -740,7 +730,7 @@ def update(
 
     if gate_threshold is not None:
         _check_threshold(gate_threshold, "gate threshold", math.inf)
-    children, opts, opt_ptr, signature = _child_options(state, obs, birth, sensor, gate_threshold)
+    children, opts, opt_ptr, signature, missable = _child_options(state, obs, birth, sensor, gate_threshold)
     lengths = state.indptr[1:] - state.indptr[:-1]
     tracks = padded_rows(state.indptr, state.indices, len(state.tracks))  # the birth prior pads
     # Rows with equal signatures admit the same patterns: join the first of each, by length.
@@ -771,10 +761,10 @@ def update(
     # ranks (newborns rank among the birth prior's, whose id pads).
     base = np.full((len(lengths), opt.shape[1]), opt_ptr[-2], dtype=np.int32)
     base[:, :tracks.shape[1]] = opt_ptr.take(tracks)
-    held = _held(opts.child, base, group, rep, opt, lengths[reps].take(rep) + n)
-    children = children(held.nonzero()[0])
-    id_type = id_dtype(len(children))  # the stored type: no id is cast after it is written
-    child = (held.cumsum() - 1).astype(id_type).take(opts.child)  # new ids, where held
+    # Some row holds every child when every prior track is held and can be missed.
+    every_child = missable and np.bincount(state.indices, minlength=len(state.tracks)).all()
+    id_type = id_dtype(len(children))  # the stored type, where every child is kept
+    child = opts.child.astype(id_type)
 
     with np.errstate(divide="ignore"):
         prior = np.log(state.weights)
@@ -838,4 +828,6 @@ def update(
     weights -= top
     np.exp(weights, out=weights)
     weights /= weights.sum()
+    if not every_child:
+        children, out_ids = keep_tracks(children, out_ids)
     return FilterState.from_table(scan, children, out_ptr, out_ids, weights)

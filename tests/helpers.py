@@ -280,7 +280,6 @@ def reference_join_update(state, scan_obs, birth, sensor, gate_threshold=None):
     scan = state.scan + 1
     obs = sorted(scan_obs, key=lambda o: o.id)
     children, opts, opt_ptr = _child_options(state, obs, birth, sensor, gate_threshold)[:3]
-    children = children(np.arange(len(opts.child)))
     births = np.arange(opt_ptr[-2], len(opts.child))
     nz = len(obs)
     lcard = [math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality]

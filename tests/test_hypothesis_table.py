@@ -241,6 +241,18 @@ def mixed_rows(state, absent, mixing):
     return FilterState(state.scan, tracks, rows)
 
 
+def assert_same_table(state, joined):
+    """``state`` holds ``joined``'s tracks, rows and weights, byte for byte."""
+    assert list(state.tracks) == list(joined.tracks)
+    for name in ("indptr", "indices", "weights"):
+        got, want = getattr(state, name), getattr(joined, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for name in ("presence", "owner", "weight", "mean", "cov"):
+        got, want = getattr(state.tracks.dists, name), getattr(joined.tracks.dists, name)
+        assert got.tobytes() == want.tobytes(), name
+    assert np.array_equal(state.tracks.displayed, joined.tracks.displayed)
+
+
 def check_against_the_join(scene):
     """Run ``scene``'s updates and compare each with the per-parent join and the enumeration."""
     (motion, sensor, birth), gate_threshold, scans, absent, mixing = scene
@@ -257,14 +269,7 @@ def check_against_the_join(scene):
                 update(prior, scan, birth, sensor, gate_threshold)
             return
         state = update(prior, scan, birth, sensor, gate_threshold)
-        assert list(state.tracks) == list(joined.tracks)
-        for name in ("indptr", "indices", "weights"):
-            got, want = getattr(state, name), getattr(joined, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-        for name in ("presence", "owner", "weight", "mean", "cov"):
-            got, want = getattr(state.tracks.dists, name), getattr(joined.tracks.dists, name)
-            assert got.tobytes() == want.tobytes(), name
-        assert np.array_equal(state.tracks.displayed, joined.tracks.displayed)
+        assert_same_table(state, joined)
         if ref is not None:
             assert_matches_reference(state, ref)
 
@@ -289,6 +294,36 @@ def test_broadcast_writer_matches_the_per_parent_join_bit_for_bit(scene):
     # groups, so one cell's rows split into several segments.
     with mock.patch.object(engine, "_BROADCAST_ROWS", 1):
         check_against_the_join(scene)
+
+
+@pytest.mark.parametrize("orphan", [False, True])
+@pytest.mark.parametrize("p_d", [0.9, 1.0])
+def test_update_drops_the_children_of_orphan_and_unmissable_tracks(orphan, p_d, monkeypatch):
+    # Some row holds every child when each prior track is in a row and can
+    # be missed, so the update keeps them all and never scans its output.
+    # Only FilterState(...) builds a track no row holds (an orphan), and
+    # p_d = 1 at presence 1 makes a track that cannot be missed: then the
+    # children no row holds leave the table after the rows are written.
+    p1, p2, p3 = (ObservationPath(0, ((0, k),)) for k in range(3))
+    tracks = {
+        p1: Track(p1, unit_dist(1.0, 0.0, 1.0), True),
+        p2: Track(p2, unit_dist(0.6, 1.0, 2.0), False),
+        p3: Track(p3, unit_dist(0.8, -1.0, 1.5), True),
+    }
+    rows = [Hypothesis((p1, p2), 0.4), Hypothesis((p1,), 0.3), Hypothesis((), 0.1)]
+    if not orphan:
+        rows.append(Hypothesis((p3,), 0.2))
+    state = FilterState(0, tracks, rows)
+    scan = [obs(1, 0, 0.2), obs(1, 1, 1.1)]
+    birth, sensor = birth_1d([0.5, 0.3, 0.2]), sensor_1d(p_d=p_d, p_fa=0.1)
+    calls, keep_tracks = [], engine.keep_tracks
+    monkeypatch.setattr(engine, "keep_tracks", lambda *a: calls.append(a) or keep_tracks(*a))
+    out = update(state, scan, birth, sensor)
+    assert len(calls) == (orphan or p_d == 1.0)
+    assert_same_table(out, reference_join_update(state, scan, birth, sensor))
+    assert_matches_reference(out, reference_update(state, scan, birth, sensor))
+    # p3's children: its miss and its two detections, held only when a row holds p3.
+    assert sum(p.detections[0] == (0, 2) for p in out.tracks) == (0 if orphan else 3)
 
 
 def csr_table(rows, weights):
@@ -348,6 +383,13 @@ class TestBoundary:
         # [1.5, -0.5] sums into (0, 1], so update's prior check would pass it.
         with pytest.raises(ValueError, match="weight"):
             FilterState(0, tracks_of(P1), [Hypothesis((P1,), 1.5), Hypothesis((), bad)])
+
+    def test_hypothesis_listed_twice_rejected(self):
+        # The update folds no rows, so a repeated parent row would leave
+        # repeated child rows in its table.
+        rows = [Hypothesis((P1,), 0.3), Hypothesis((), 0.4), Hypothesis((P1,), 0.3)]
+        with pytest.raises(ValueError, match="twice"):
+            FilterState(0, tracks_of(P1), rows)
 
     def test_zero_weight_accepted(self):
         state = FilterState(0, tracks_of(P1), [Hypothesis((P1,), 1.0), Hypothesis((), 0.0)])
