@@ -231,6 +231,25 @@ def _pair_bounds(alpha, means, covs, first, second) -> np.ndarray:
     return gap * (wa + wb) / (wa * traces[first] + wb * traces[second])
 
 
+def _swept_pairs(ids: np.ndarray, means, covs, d_threshold: float):
+    """Pairs ``(first, second)``, first < second, of ``ids`` whose means' first coordinates
+    differ by at most sqrt(d_threshold * largest trace) (1 + 1e-6), by one sort and sweep.
+
+    They hold every pair whose :func:`_pair_bounds` is under ``d_threshold``
+    (1 + 1e-9): that bound is at least |mean gap|^2 over the larger trace, and
+    so at least the first coordinates' gap squared over the largest trace.
+    """
+    x = means[ids, 0]
+    order = np.argsort(x, kind="stable")
+    ids, x = ids[order], x[order]
+    traces = np.trace(covs[ids], axis1=1, axis2=2)
+    reach = math.sqrt(d_threshold * traces.max()) * (1.0 + 1e-6)
+    ahead = np.searchsorted(x, x + reach, side="right") - np.arange(1, len(x) + 1)
+    a = np.repeat(np.arange(len(x)), ahead)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(ahead) - ahead, ahead)
+    return np.minimum(ids[a], ids[b]), np.maximum(ids[a], ids[b])
+
+
 def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     """Collapse near-identical tracks that never co-occur in a hypothesis.
 
@@ -240,9 +259,12 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     means under their existence-weighted pooled covariance; it depends only
     on the moments before the pass, so every pair is scored before the
     greedy loop, and only where its lower bound (:func:`_pair_bounds`) is
-    under the threshold. Close pairs are then processed greedily in
-    descending combined-existence order, each track merging at most once per
-    pass. The merged track keeps the path and display status of the
+    under the threshold. The pairs that bound can pass are found without
+    listing every pair, by one sort and sweep over the means' first
+    coordinate (:func:`_swept_pairs`), and those sharing a hypothesis are
+    then dropped. Close pairs are processed greedily in descending
+    combined-existence order, each track merging at most once per pass. The
+    merged track keeps the path and display status of the
     higher-existence member; its presence is the pair's existence-weighted
     average and its spatial part one moment-matched Gaussian: the
     existence-weighted mean and covariance of the pair's scored moments. A
@@ -254,14 +276,16 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     tracks = state.tracks
     dists = tracks.dists
     n = len(tracks)
-    co = _cooccurrence(state)
-    counts = np.bincount(dists.owner, minlength=n)
-    first, second = np.triu_indices(n, 1)
-    eligible = (counts[first] > 0) & (counts[second] > 0) & ~co[first, second]
-    first, second = first[eligible], second[eligible]
-    if not len(first):
+    spatial = np.unique(dists.owner)  # the tracks with a spatial mixture
+    if len(spatial) < 2:
         return state
     means, covs = mixture_moments(dists)
+    first, second = _swept_pairs(spatial, means, covs, d_threshold)
+    if not len(first):
+        return state
+    co = _cooccurrence(state)
+    apart = ~co[first, second]
+    first, second = first[apart], second[apart]
     bound = _pair_bounds(alpha, means, covs, first, second)
     near = ~np.isfinite(bound) | (bound < d_threshold * (1.0 + 1e-9))  # margin: rounding
     first, second = first[near], second[near]

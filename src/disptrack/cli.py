@@ -44,7 +44,10 @@ def _load(config_path: str, seed: int | None) -> ScenarioConfig:
 
 def _outdir(path: str) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
     return out
 
 

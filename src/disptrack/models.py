@@ -8,14 +8,14 @@ on the in-scene space and absence is carried by the presence complement.
 
 Each Gaussian formula has one home, :func:`score_scan`: it forms S = H P H' + R
 and H m of every component of a :class:`Mixtures` table at once, gates all of a
-scan's pairs in one broadcast solve, and takes the likelihoods and the Kalman
-moments from one stacked Cholesky factorisation; no inverse is formed, and
-the single-pair functions are one-row calls into it. Every moment match is
-:func:`matched_moments`, through :func:`mixture_moments` for a whole table
-and :func:`moment_match` for one mixture. Inputs
-are validated once, at the boundary: by the model constructors, which also
-reject non-finite entries, and by ``load_config``. Derived records are
-built by :func:`_derived`, unchecked.
+scan's pairs in one stacked solve of those a trace bound cannot rule out, and
+takes the likelihoods and the Kalman moments from one stacked Cholesky
+factorisation; no inverse is formed, and the single-pair functions are
+one-row calls into it. Every moment match is :func:`matched_moments`,
+through :func:`mixture_moments` for a whole table and :func:`moment_match`
+for one mixture. Inputs are validated once, at the boundary: by the model
+constructors, which also reject non-finite entries, and by ``load_config``.
+Derived records are built by :func:`_derived`, unchecked.
 A scan is checked by :func:`check_scan` alone, and every threshold and cap by
 :func:`_check_threshold` and :func:`_check_cap`.
 """
@@ -436,11 +436,20 @@ def _stacked(mix: Mixtures, values: np.ndarray, sensor: SensorModel):
     return mix.owner, means, covs, H @ covs @ H.T + sensor.R, resid
 
 
-def _min_distances(owner, S, resid, n_dists: int) -> np.ndarray:
+def _min_distances(owner, S, resid, n_dists: int, limit: float = math.inf) -> np.ndarray:
     """(distributions, observations): the least squared Mahalanobis distance over each
-    distribution's stacked components, in one broadcast solve; ``inf`` for an empty mixture."""
+    distribution's stacked components; ``inf`` for an empty mixture.
+
+    Only the (component, observation) pairs whose |r|^2 / tr(S) is at most
+    ``limit`` (1 + 1e-9) are solved, in one stacked solve: that ratio is never
+    above r' S^-1 r, as λmax <= tr, and the margin covers its rounding. Every
+    other pair counts as ``inf``, so an entry above ``limit`` may read ``inf``;
+    with no limit every pair is solved.
+    """
     out = np.full((n_dists, resid.shape[1]), math.inf)
-    np.minimum.at(out, owner, _quad_forms(S[:, None], resid))
+    traces = np.trace(S, axis1=1, axis2=2)
+    comp, obs = np.nonzero((resid**2).sum(axis=2) <= limit * (1.0 + 1e-9) * traces[:, None])
+    np.minimum.at(out, (owner[comp], obs), _quad_forms(S[comp], resid[comp, obs]))
     return out
 
 
@@ -453,10 +462,13 @@ def score_scan(
     """Gate, score and Kalman-update every (distribution, observation value) pair at once.
 
     A pair passes when its :func:`_min_distances` entry is at most
-    ``gate_threshold`` (``None``: every pair does). A component can detect
-    when its distribution has presence > 0 and w p_d > 0, p_d taken at its
-    mean; those of distributions with a gated pair are factored in one
-    stacked Cholesky, L L' = S. One stacked solve against L whitens the gated
+    ``gate_threshold`` (``None``: every pair does); only the (component,
+    observation) pairs whose |r|^2 / tr(S) is not over the threshold (by a
+    1e-9 margin) are solved, and the others fail unsolved, as their distance
+    is over it too. A component can detect when its distribution has
+    presence > 0 and w p_d > 0, p_d taken at its mean; those of
+    distributions with a gated pair are factored in one stacked Cholesky,
+    L L' = S. One stacked solve against L whitens the gated
     residuals r for the likelihood; another gives [w | G] = L^-1 [r | H P],
     the posterior m + G'w, P - G'G and the log weight log(w p_d) + log N(r; 0, S).
     The two whitenings of r can differ in the last bit.
@@ -472,7 +484,7 @@ def score_scan(
     n_dists = len(mix.presence)
     passed = np.ones((n_dists, len(values)), dtype=bool)
     if gate_threshold is not None:
-        passed = _min_distances(owner, S, resid, n_dists) <= gate_threshold
+        passed = _min_distances(owner, S, resid, n_dists, gate_threshold) <= gate_threshold
     cand = np.flatnonzero(passed.any(axis=1)[owner] & (mix.presence[owner] > 0.0))
     pd = sensor.detection_probabilities(means[cand])
     can = (mix.weight[cand] > 0.0) & (pd > 0.0)

@@ -209,12 +209,17 @@ def write_observations(path: Path, all_scans: Sequence[Sequence[Observation]]) -
 def read_observations(path: Path) -> list[list[Observation]]:
     """Observation scans from a JSON-lines file, one line per scan in scan order.
 
-    Raises ``ConfigError`` for a line that is not a well-formed scan record
-    (ids, scans or values of the wrong JSON type), a scan out of order, an
-    id naming another scan, and an id or a value repeated within a scan.
+    Raises ``ConfigError`` for a file that cannot be read, a line that is
+    not a well-formed scan record (ids, scans or values of the wrong JSON
+    type), a scan out of order, an id naming another scan, and an id or a
+    value repeated within a scan.
     """
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read observations {path}: {exc}") from exc
     scans: list[list[Observation]] = []
-    for n, line in enumerate(path.read_text().splitlines(), 1):
+    for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}, line {n}"

@@ -35,9 +35,16 @@ from disptrack import (
     simulate,
 )
 from disptrack import approximations, runner
-from disptrack.approximations import _marginalize, _merged, _pair_bounds, _pair_distances, mahalanobis_sq
+from disptrack.approximations import (
+    _marginalize,
+    _merged,
+    _pair_bounds,
+    _pair_distances,
+    _swept_pairs,
+    mahalanobis_sq,
+)
 from disptrack.estimation import extract_tracks
-from disptrack.models import _derived, moment_match
+from disptrack.models import _derived, mixture_moments, moment_match
 
 from helpers import birth_1d, dist, motion_1d, obs, reference_merge_tracks, sensor_1d, unit_dist
 
@@ -562,7 +569,7 @@ def merge_scenes(draw):
     states give more candidate pairs than one scoring block.
     """
     n = draw(st.one_of(st.integers(2, 10), st.integers(30, 40)))
-    threshold = draw(st.sampled_from([0.0, 0.05, 1.0, 25.0, math.inf]))
+    threshold = draw(st.sampled_from([0.0, 0.05, 1.0, 25.0, math.inf, "bound"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     paths = set()
     while len(paths) < n:
@@ -601,7 +608,12 @@ def merge_scenes(draw):
                 row.append(paths[q + 2])
         # Few distinct weights, so that combined existences often tie.
         rows[tuple(sorted(set(row)))] = float(rng.choice([0.0, 0.1, 0.25, 0.5]))
-    return synth_state(tracks, list(rows.items())), threshold
+    state = synth_state(tracks, list(rows.items()))
+    if threshold == "bound":  # on one pair's bound, which the pass keeps by its margin
+        dists = state.tracks.dists
+        pair = rng.choice(np.unique(dists.owner), size=2, replace=False)
+        threshold = float(_pair_bounds(state.existence(), *mixture_moments(dists), *pair[:, None])[0])
+    return state, threshold
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -673,6 +685,16 @@ def test_merged_rows_equal_moment_match_per_pair():
     assert _bits(rows.cov[0]) == _bits(covs[0]) and _bits(rows.cov[3]) == _bits(covs[3])
 
 
+def random_pair_moments(rng, dim, n):
+    """Existences (many zero), means (some repeated) and covariances scaled 1e-3 to 30."""
+    alpha = rng.choice([0.0, 0.0, 1e-3, 0.5, 1.0], size=n) * rng.uniform(0.5, 1.0, size=n)
+    means = rng.normal(scale=rng.choice([1e-3, 1.0, 10.0]), size=(n, dim))
+    means[rng.random(n) < 0.2] = means[0]  # zero gaps
+    roots = rng.normal(size=(n, dim, dim)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1, 1))
+    covs = roots @ np.swapaxes(roots, 1, 2) + 1e-4 * np.eye(dim)
+    return alpha, means, covs
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     dim=st.integers(1, 4),
@@ -684,11 +706,7 @@ def test_pair_bounds_never_exceed_pair_distances(dim, n, seed):
     # times (1 + 1e-9), so no pair it skips may be closer than its bound.
     # In 1-D the bound is the exact distance and differs only by rounding.
     rng = np.random.default_rng(seed)
-    alpha = rng.choice([0.0, 0.0, 1e-3, 0.5, 1.0], size=n) * rng.uniform(0.5, 1.0, size=n)
-    means = rng.normal(scale=rng.choice([1e-3, 1.0, 10.0]), size=(n, dim))
-    means[rng.random(n) < 0.2] = means[0]  # zero gaps
-    roots = rng.normal(size=(n, dim, dim)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1, 1))
-    covs = roots @ np.swapaxes(roots, 1, 2) + 1e-4 * np.eye(dim)
+    alpha, means, covs = random_pair_moments(rng, dim, n)
     first, second = np.triu_indices(n, 1)
     bound = _pair_bounds(alpha, means, covs, first, second)
     exact = _pair_distances(alpha, means, covs, first, second)
@@ -697,6 +715,39 @@ def test_pair_bounds_never_exceed_pair_distances(dim, n, seed):
     assert (bound <= exact * (1.0 + 1e-9)).all()
     if dim > 1:
         assert (bound <= exact).all()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 4),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    threshold=st.sampled_from([0.0, 0.05, 25.0, math.inf, "tightest"]),
+)
+def test_swept_pairs_hold_every_pair_under_the_bound(dim, n, seed, threshold):
+    # The merge pass scores only the sweep's pairs, so every pair whose bound
+    # can pass (under the threshold times 1 + 1e-9) must be among them. The
+    # sweep's reach is tightest on a pair whose first coordinates' gap alone,
+    # over the largest trace, equals its bound: repeated covariances make some.
+    rng = np.random.default_rng(seed)
+    alpha, means, covs = random_pair_moments(rng, dim, n)
+    covs[rng.random(n) < 0.3] = covs[0]
+    ids = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    first, second = (ids[k] for k in np.triu_indices(len(ids), 1))
+    bound = _pair_bounds(alpha, means, covs, first, second)
+    if threshold == "tightest":
+        largest = np.trace(covs[ids], axis1=1, axis2=2).max()
+        reach = (means[first, 0] - means[second, 0]) ** 2 / largest
+        tight = np.divide(reach, bound, out=np.zeros(len(bound)), where=bound > 0.0)
+        threshold = float(bound[np.argmax(tight)])
+    a, b = _swept_pairs(ids, means, covs, threshold)
+    assert (a < b).all()
+    swept = set(zip(a.tolist(), b.tolist()))
+    assert len(swept) == len(a) and swept <= set(zip(first.tolist(), second.tolist()))
+    near = bound < threshold * (1.0 + 1e-9)
+    assert set(zip(first[near].tolist(), second[near].tolist())) <= swept
+    if threshold == math.inf:
+        assert len(swept) == len(first)
 
 
 class TestPipeline:

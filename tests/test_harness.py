@@ -523,6 +523,24 @@ class TestCli:
         assert cli_main(["run", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2
 
+    def test_missing_observations_file(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        for missing in (tmp_path / "nope.jsonl", tmp_path):  # a directory without observations
+            assert cli_main(["track", "--config", str(cfg), "--obs", str(missing),
+                             "--out", str(tmp_path / "t")]) == 2
+            assert "cannot read observations" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_output_path_naming_a_file(self, tmp_path, capsys, command):
+        cfg = self._write_cfg(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for out in (taken, taken / "below"):
+            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert "cannot make output directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
+
     @pytest.mark.parametrize(
         "corrupt",
         [

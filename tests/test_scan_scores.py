@@ -27,50 +27,90 @@ from disptrack.models import (
     _stacked,
     log_predictive_likelihood,
     score_scan,
+    symmetrize,
 )
 from disptrack.single_target import detection_posteriors
 
 from helpers import assert_matches_reference, birth_1d, motion_1d, obs, reference_update, sensor_1d
 
 
-def random_spd(rng, n):
-    root = rng.normal(size=(n, n)) * rng.uniform(0.2, 3.0)
-    return root @ root.T + 0.05 * np.eye(n)
+def random_spd(rng, n, wide=None, spread=1.0):
+    """A random SPD matrix; given a unit vector ``wide``, one whose eigenvalue
+    along ``wide`` is ``spread`` times its next largest."""
+    if wide is None:
+        root = rng.normal(size=(n, n)) * rng.uniform(0.2, 3.0)
+        return root @ root.T + 0.05 * np.eye(n)
+    q = np.linalg.qr(np.column_stack([wide, rng.normal(size=(n, n - 1))]))[0]
+    scales = rng.uniform(0.2, 9.0) * np.exp(rng.uniform(-2.0, 0.0, size=n)) / spread
+    scales[0] = scales[1:].max(initial=scales[0]) * spread
+    return symmetrize((q * scales) @ q.T)
 
 
-def random_mixture(rng, n, presence):
+def random_mixture(rng, n, presence, wide=None, spread=1.0):
     """1-3 components; with two or more, sometimes one of weight zero."""
     k = int(rng.integers(1, 4))
     w = rng.dirichlet(np.ones(k))
     if k > 1 and rng.random() < 0.4:
         w[int(rng.integers(k))] = 0.0
         w /= w.sum()
-    comps = (GaussianComponent(x, rng.normal(scale=3.0, size=n), random_spd(rng, n)) for x in w)
+    comps = (GaussianComponent(x, rng.normal(scale=3.0, size=n), random_spd(rng, n, wide, spread))
+             for x in w)
     return AugmentedDistribution(presence, tuple(comps))
 
 
 def random_case(seed):
-    """A sensor, tracks, a birth prior, a scan and a gate threshold, drawn from ``seed``."""
+    """A sensor, tracks, a birth prior, a scan and a gate threshold, drawn from ``seed``.
+
+    In some cases S is a needle: R and every P are wide along one singular
+    pair (u, w) of H (H' u = sigma w) and thin across it, so that S is badly
+    conditioned, by up to about 1e6, and |r|^2 / tr(S) is close to the
+    distance of a residual along u. The fifth threshold is one pair's own
+    distance, which passes only if the gate's screen keeps the pair.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     p = int(rng.integers(1, n + 1))
     H = rng.normal(size=(p, n))
     # A callable p_d that is 0 over half the state space.
     p_d = 0.9 if rng.random() < 0.5 else (lambda x: 0.0 if x[0] > 0.0 else 0.75)
-    sensor = SensorModel(H, random_spd(rng, p), p_d, 0.1)
-    dists = [random_mixture(rng, n, float(rng.choice([1.0, rng.uniform(0.05, 1.0)])))
+    u = w = None
+    spread = 1.0
+    if rng.random() < 0.4:
+        left, _, right = np.linalg.svd(H)
+        u, w, spread = left[:, 0], right[0], 10.0 ** rng.uniform(2.0, 5.0)
+    sensor = SensorModel(H, random_spd(rng, p, u, spread), p_d, 0.1)
+
+    def mixture(presence):
+        return random_mixture(rng, n, presence, w, spread)
+
+    dists = [mixture(float(rng.choice([1.0, rng.uniform(0.05, 1.0)])))
              for _ in range(int(rng.integers(0, 5)))]
-    dists.append(random_mixture(rng, n, 0.0))  # absent, but its gate distance is defined
+    dists.append(mixture(0.0))  # absent, but its gate distance is defined
     dists.append(AugmentedDistribution(0.0, ()))  # absent and empty: distance inf
-    birth = BirthModel(np.array([0.5, 0.5]), random_mixture(rng, n, 1.0))
+    birth = BirthModel(np.array([0.5, 0.5]), mixture(1.0))
     dists.append(birth.spatial)
     rng.shuffle(dists)
-    # Observations near a component's prediction, one exactly on it, and some anywhere.
-    means = [c.mean for d in dists for c in d.spatial]
-    values = [H @ means[int(rng.integers(len(means)))] + rng.normal(scale=s, size=p)
+    # Observations near a component's prediction, one exactly on it, and some
+    # anywhere; with a needle S, one along a component's widest axis of S,
+    # where |r|^2 / tr(S) comes within about 1 / cond(S) of the distance.
+    comps = [c for d in dists for c in d.spatial]
+    values = [H @ comps[int(rng.integers(len(comps)))].mean + rng.normal(scale=s, size=p)
               for s in rng.choice([0.0, 0.5, 2.0, 10.0], size=int(rng.integers(0, 7)))]
+    if u is not None:
+        c = comps[int(rng.integers(len(comps)))]
+        scale, axes = np.linalg.eigh(H @ c.cov @ H.T + sensor.R)
+        values.append(H @ c.mean + rng.uniform(0.5, 3.0) * math.sqrt(scale[-1]) * axes[:, -1])
     scan = [Observation((0, j), v) for j, v in enumerate(values)]
-    threshold = [None, 0.0, float(rng.uniform(0.5, 12.0)), math.inf][seed % 4]
+    threshold = [None, 0.0, float(rng.uniform(0.5, 12.0)), math.inf, "own"][seed % 5]
+    if threshold == "own":
+        # The distance of the pair that |r|^2 / tr(S) bounds the most tightly,
+        # among the pairs where a distribution's least distance is taken.
+        owner, _, _, S, resid = _stacked(Mixtures.of(dists), np.reshape(values, (-1, p)), sensor)
+        each = _min_distances(np.arange(len(owner)), S, resid, len(owner))
+        least = (each == _min_distances(owner, S, resid, len(dists))[owner]) & (each > 0.0)
+        bound = (resid**2).sum(axis=2) / np.trace(S, axis1=1, axis2=2)[:, None]
+        tight = np.divide(bound, each, out=np.full(each.shape, -1.0), where=least)
+        threshold = float(each.flat[np.argmax(tight)]) if tight.size else 1.0
     return sensor, dists, birth, scan, threshold
 
 
@@ -83,7 +123,7 @@ def assert_same_distribution(a, b):
         assert np.array_equal(x.cov, y.cov)
 
 
-@pytest.mark.parametrize("seed", range(120))
+@pytest.mark.parametrize("seed", range(150))
 def test_scan_scores_equal_single_pair_api(seed):
     sensor, dists, birth, scan, threshold = random_case(seed)
     values = np.array([o.value for o in scan]).reshape(len(scan), sensor.obs_dim)
