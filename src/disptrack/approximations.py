@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import FilterState, TrackTable, fold_rows, keep_tracks, padded_rows, row_offsets
+from .engine import FilterState, TrackTable, fold_rows, held_tracks, padded_rows
 from .models import (
     AugmentedDistribution,
     Mixtures,
@@ -78,17 +78,41 @@ DEFAULT_PIPELINE = ApproximationConfig(
 )
 
 _PAIR_BLOCK = 256  # merge candidate pairs scored per stacked solve
+_ROW_BLOCK = 1 << 16  # rows whose kept entries one running count covers
+
+
+def _kept_offsets(indptr: np.ndarray, kept_entry: np.ndarray) -> np.ndarray:
+    """Row offsets of the table that keeps only the entries flagged in ``kept_entry``.
+
+    The kept entries are counted ``_ROW_BLOCK`` rows at a time, by an int32
+    running count over the block's entries, so no array as long as the whole
+    table's entries is built beyond the flags themselves.
+    """
+    out = np.zeros(len(indptr), dtype=np.int64)
+    for start in range(0, len(indptr) - 1, _ROW_BLOCK):
+        ptr = indptr[start : start + _ROW_BLOCK + 1]
+        ahead = np.zeros(ptr[-1] - ptr[0] + 1, dtype=np.int32)  # kept entries before each
+        np.cumsum(kept_entry[ptr[0] : ptr[-1]], dtype=np.int32, out=ahead[1:])
+        out[start + 1 : start + len(ptr)] = out[start] + ahead.take(ptr[1:] - ptr[0])
+    return out
 
 
 def _marginalize(state: FilterState, victims: np.ndarray) -> FilterState:
-    """Drop the tracks flagged in ``victims`` and merge hypotheses that become identical."""
+    """Drop the tracks flagged in ``victims`` from every row and merge the rows that
+    become identical, over the incoming track ids.
+
+    The table is not renumbered: it still lists the victims, which no row
+    holds any more, and the pass renumbers once, when it has also picked its
+    rows (:meth:`~disptrack.engine.FilterState.with_rows`). Renumbering keeps
+    the ids' order, so folding on the incoming ids gives the same rows, in
+    the same order, with the same sums.
+    """
     if not victims.any():
         return state
     kept_entry = ~victims[state.indices]
-    indptr = row_offsets(kept_entry)[state.indptr]
-    tracks, indices = keep_tracks(state.tracks, state.indices[kept_entry])
-    indptr, indices, weights = fold_rows(indptr, indices, state.weights)
-    return FilterState.from_table(state.scan, tracks, indptr, indices, weights)
+    indptr = _kept_offsets(state.indptr, kept_entry)
+    indptr, indices, weights = fold_rows(indptr, state.indices[kept_entry], state.weights)
+    return FilterState.from_table(state.scan, state.tracks, indptr, indices, weights)
 
 
 def prune_by_presence(state: FilterState, threshold: float) -> FilterState:
@@ -115,7 +139,8 @@ def prune_by_existence(
     removal then applies to the folded weights; it does not renormalize the
     survivors (the weights sum back to one at the next update), and tracks
     orphaned by it are dropped. The heaviest hypothesis (canonically
-    earliest among equals) always survives.
+    earliest among equals) always survives. The tracks are renumbered once,
+    after both removals.
     """
     _check_threshold(presence_threshold, "presence threshold")
     _check_threshold(track_threshold, "track existence threshold")
@@ -123,14 +148,11 @@ def prune_by_existence(
     victims = state.tracks.dists.presence < presence_threshold
     if track_threshold > 0.0:
         victims |= state.existence() < track_threshold
-    state = _marginalize(state, victims)
-    if hyp_threshold > 0.0:
-        kept = state.weights >= hyp_threshold
-        if not kept.any():
-            kept[state.top_rows(1)] = True
-        if not kept.all():
-            state = state.with_rows(kept)
-    return state
+    out = _marginalize(state, victims)
+    kept = out.weights >= hyp_threshold
+    if not kept.any():
+        kept[out.top_rows(1)] = True
+    return state if out is state and kept.all() else out.with_rows(kept)
 
 
 def cap_counts(
@@ -142,21 +164,23 @@ def cap_counts(
 
     Ties at the cut break by canonical path (respectively hypothesis) order,
     keeping the canonically earliest. Same marginalization and orphan rules
-    as the threshold prunes; hypothesis weights are not renormalized.
+    as the threshold prunes; hypothesis weights are not renormalized. The
+    tracks are renumbered once, after both caps.
     """
     for cap, name in ((max_tracks, "max_tracks"), (max_hypotheses, "max_hypotheses")):
         if cap is not None:
             _check_cap(cap, name)
+    out = state
     if max_tracks is not None and len(state.tracks) > max_tracks:
         ranked = np.argsort(-state.existence(), kind="stable")
         victims = np.zeros(len(state.tracks), dtype=bool)
         victims[ranked[max_tracks:]] = True
-        state = _marginalize(state, victims)
-    if max_hypotheses is not None and len(state.weights) > max_hypotheses:
-        kept = np.zeros(len(state.weights), dtype=bool)
-        kept[state.top_rows(max_hypotheses)] = True
-        state = state.with_rows(kept)
-    return state
+        out = _marginalize(state, victims)
+    kept = np.ones(len(out.weights), dtype=bool)
+    if max_hypotheses is not None and len(out.weights) > max_hypotheses:
+        kept = np.zeros(len(out.weights), dtype=bool)
+        kept[out.top_rows(max_hypotheses)] = True
+    return state if out is state and kept.all() else out.with_rows(kept)
 
 
 def mahalanobis_sq(dist: AugmentedDistribution, obs: Observation, sensor: SensorModel) -> float:
@@ -269,7 +293,9 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     average and its spatial part one moment-matched Gaussian: the
     existence-weighted mean and covariance of the pair's scored moments. A
     pair is skipped when the substitution would put incompatible paths into
-    one hypothesis, counting the substitutions made earlier in the pass.
+    one hypothesis, counting the substitutions made earlier in the pass. The
+    output table is built in one take, which swaps each kept member's row
+    for its merged row and leaves out the merged-away members.
     """
     _check_threshold(d_threshold, "merge threshold", math.inf)
     alpha = state.existence()
@@ -327,13 +353,16 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
         consumed[a] = consumed[b] = True
     if not merged:
         return state
-    # A kept track's row becomes its merged row, appended to the table.
+    # A kept track's row becomes its merged row, appended to the table; the
+    # merged-away tracks, which no row holds any more, leave in the same take.
     a, b = np.array(merged).T
     src = np.arange(n)
     src[a] = n + np.arange(len(a))
+    held, indices = held_tracks(n, np.array(stands_for)[state.indices])
+    ids = np.flatnonzero(held)
     rows = _merged(dists.presence, alpha, a, b, means, covs)
-    tracks = TrackTable(paths, tracks.displayed, Mixtures.concat(dists, rows).take(src))
-    tracks, indices = keep_tracks(tracks, np.array(stands_for)[state.indices])
+    dists = Mixtures.concat(dists, rows).take(src[ids])
+    tracks = TrackTable([paths[i] for i in ids.tolist()], tracks.displayed[ids], dists)
     indptr, indices, weights = fold_rows(state.indptr, indices, state.weights)
     return FilterState.from_table(state.scan, tracks, indptr, indices, weights)
 

@@ -43,6 +43,8 @@ def _load(config_path: str, seed: int | None) -> ScenarioConfig:
 
 
 def _outdir(path: str) -> Path:
+    """Make the output directory, before any simulating or filtering: a path
+    that cannot be one fails at once, as a configuration error."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -53,8 +55,8 @@ def _outdir(path: str) -> Path:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args.config, args.seed)
-    truth, scans = simulate(cfg)
     out = _outdir(args.out)
+    truth, scans = simulate(cfg)
     write_observations(out / "observations.jsonl", scans)
     write_truth(out / "truth.json", truth)
     print(f"wrote {sum(len(s) for s in scans)} observations over {cfg.scans} scans to {out}")
@@ -67,8 +69,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
     if obs_path.is_dir():
         obs_path = obs_path / "observations.jsonl"
     scans = read_observations(obs_path)
-    report, _ = filter_scans(cfg, scans)
     out = _outdir(args.out)
+    report, _ = filter_scans(cfg, scans)
     write_records(out / "records.jsonl", report)
     write_report(out / "report.json", report)
     print(f"tracked {len(scans)} scans, wrote report to {out}")
@@ -77,8 +79,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args.config, args.seed)
-    report, truth, scans = run(cfg)
     out = _outdir(args.out)
+    report, truth, scans = run(cfg)
     write_observations(out / "observations.jsonl", scans)
     write_truth(out / "truth.json", truth)
     write_records(out / "records.jsonl", report)

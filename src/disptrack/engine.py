@@ -225,10 +225,11 @@ def _row_runs(pad: np.ndarray):
     """Stable ``lexsort`` order of a 2-D array's rows (last column first), a flag on
     the first (earliest) row of each run of identical rows, and each row's run."""
     order = np.lexsort(pad.T) if pad.shape[1] else np.arange(len(pad))
-    ranked = pad[order]
-    starts = np.empty(len(order), dtype=bool)
+    ranked = pad.take(order, axis=0)
+    starts = np.zeros(len(order), dtype=bool)
     starts[:1] = True
-    (ranked[1:] != ranked[:-1]).any(axis=1, out=starts[1:])
+    for j in range(pad.shape[1]):  # column by column: numpy is slow along a short axis
+        starts[1:] |= ranked[1:, j] != ranked[:-1, j]
     label = np.empty(len(order), dtype=np.int64)
     label[order] = starts.cumsum() - 1
     return order, starts, label
@@ -250,9 +251,10 @@ def fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
     first = order[starts]  # each run's earliest row
     by_first = first.argsort()
     folded = np.bincount(run, weights=weights)[by_first]
-    uniq = pad[first[by_first]]
-    real = uniq != fill
-    return row_offsets(real.sum(axis=1)), uniq[real], folded.astype(float, copy=False)
+    kept = first[by_first]
+    uniq = pad.take(kept, axis=0)
+    lengths = (indptr[1:] - indptr[:-1])[kept]
+    return row_offsets(lengths), uniq[uniq != fill], folded.astype(float, copy=False)
 
 
 class TrackTable(Mapping):
@@ -310,14 +312,20 @@ class TrackTable(Mapping):
         return self.track(i)
 
 
-def keep_tracks(table: TrackTable, indices: np.ndarray):
-    """The tracks some entry of ``indices`` names, and ``indices`` renumbered over them."""
-    held = np.zeros(len(table), dtype=bool)
+def held_tracks(n: int, indices: np.ndarray):
+    """Which of the track ids ``0 .. n - 1`` some entry of ``indices`` names, and
+    ``indices`` renumbered over those (as given when every id is named)."""
+    held = np.zeros(n, dtype=bool)
     held[indices] = True
     if held.all():
-        return table, indices
-    new_id = (np.cumsum(held) - 1).astype(ID_DTYPE)
-    return table.take(np.flatnonzero(held)), new_id[indices]
+        return held, indices
+    return held, (np.cumsum(held) - 1).astype(ID_DTYPE)[indices]
+
+
+def keep_tracks(table: TrackTable, indices: np.ndarray):
+    """The tracks some entry of ``indices`` names, and ``indices`` renumbered over them."""
+    held, indices = held_tracks(len(table), indices)
+    return (table if held.all() else table.take(np.flatnonzero(held))), indices
 
 
 class HypothesisView(Sequence):
@@ -477,10 +485,14 @@ class FilterState:
         return np.concatenate([above, tied[:k - len(above)]])
 
     def with_rows(self, keep: np.ndarray) -> "FilterState":
-        """Only the rows flagged in ``keep`` (order and weights kept) and the tracks they hold."""
-        indptr, indices = _take_rows(self.indptr, self.indices, np.flatnonzero(keep))
+        """Only the rows flagged in ``keep`` (order and weights kept) and the tracks they
+        hold, renumbered; with every row flagged, only the tracks no row holds leave."""
+        indptr, indices, weights = self.indptr, self.indices, self.weights
+        if not keep.all():
+            indptr, indices = _take_rows(indptr, indices, np.flatnonzero(keep))
+            weights = weights[keep]
         tracks, indices = keep_tracks(self.tracks, indices)
-        return FilterState.from_table(self.scan, tracks, indptr, indices, self.weights[keep])
+        return FilterState.from_table(self.scan, tracks, indptr, indices, weights)
 
 
 def init_filter() -> FilterState:
@@ -537,7 +549,7 @@ def _child_options(state, obs, birth, sensor, gate_threshold):
     miss = np.flatnonzero(mass > 0.0)
     scored = table.dists
     if birth.max_births >= 1:  # newborns are owned by n
-        scored = Mixtures.concat(scored, Mixtures.of([birth.spatial]))
+        scored = Mixtures.concat(scored, birth.prior)
     values = np.array([o.value for o in obs]).reshape(len(obs), sensor.obs_dim)
     owner, seen, logl, moments = score_scan(scored, values, sensor, gate_threshold)
     found = np.flatnonzero(logl > NEG_INF)

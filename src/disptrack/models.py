@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -262,11 +262,14 @@ class BirthModel:
     The cardinality vector gives the probability of n simultaneous
     appearances for n = 0 .. len(cardinality) - 1 (finite support by
     construction). The spatial prior has presence exactly one: an appearing
-    target is inside the scene almost surely.
+    target is inside the scene almost surely. ``prior`` is that distribution
+    as a one-row :class:`Mixtures` table, built once here: every update
+    scores the scan against it.
     """
 
     cardinality: np.ndarray
     spatial: AugmentedDistribution
+    prior: "Mixtures" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = _finite(np.asarray(self.cardinality, dtype=float).reshape(-1), "cardinality")
@@ -279,6 +282,7 @@ class BirthModel:
         if self.spatial.presence != 1.0:
             raise ModelConfigError("birth spatial distribution must have presence exactly 1")
         object.__setattr__(self, "cardinality", c)
+        object.__setattr__(self, "prior", Mixtures.of([self.spatial]))
 
     @property
     def max_births(self) -> int:
@@ -567,19 +571,33 @@ def moment_match(components: Sequence[GaussianComponent]) -> GaussianComponent:
 def mixture_moments(mix: Mixtures):
     """Each of ``n`` distributions' mixtures collapsed: ``(mean (n, d), cov (n, d, d))``.
 
-    One :func:`matched_moments` call over the components padded into a table,
-    weights normalized per distribution (evenly where they sum to zero): a
-    lone component comes out as it is, and a distribution without any as zeros.
+    A distribution with one component reads it as it is (its normalized
+    weight is exactly 1, so :func:`matched_moments` would return it
+    unchanged), and one without any reads zeros. Only the distributions with
+    two or more components are padded into a table, weights normalized per
+    distribution (evenly where they sum to zero), for one
+    :func:`matched_moments` call.
     """
-    n, (c, d) = len(mix.presence), mix.mean.shape
+    n, d = len(mix.presence), mix.mean.shape[1]
     counts = np.bincount(mix.owner, minlength=n)
-    at = mix.owner, np.arange(c) - (np.cumsum(counts) - counts)[mix.owner]  # (row, slot)
-    total = np.bincount(mix.owner, weights=mix.weight, minlength=n)[mix.owner]
-    k = counts.max(initial=0)
-    weights, means, covs = np.zeros((n, k)), np.zeros((n, k, d)), np.zeros((n, k, d, d))
-    weights[at] = np.divide(mix.weight, total, out=1.0 / counts[mix.owner], where=total > 0.0)
-    means[at], covs[at] = mix.mean, mix.cov
-    return matched_moments(weights, means, covs)
+    mean, cov = np.zeros((n, d)), np.zeros((n, d, d))
+    per = counts[mix.owner]  # each component's mixture size
+    one = per == 1
+    mean[mix.owner[one]], cov[mix.owner[one]] = mix.mean[one], mix.cov[one]
+    comp = np.flatnonzero(per > 1)
+    if len(comp):
+        rows = np.flatnonzero(counts > 1)
+        sizes = counts[rows]
+        row = np.repeat(np.arange(len(rows)), sizes)
+        at = row, np.arange(len(comp)) - (np.cumsum(sizes) - sizes)[row]  # (row, slot)
+        w = mix.weight[comp]
+        total = np.bincount(row, weights=w)[row]
+        m, k = len(rows), sizes.max()
+        weights, means, covs = np.zeros((m, k)), np.zeros((m, k, d)), np.zeros((m, k, d, d))
+        weights[at] = np.divide(w, total, out=1.0 / per[comp], where=total > 0.0)
+        means[at], covs[at] = mix.mean[comp], mix.cov[comp]
+        mean[rows], cov[rows] = matched_moments(weights, means, covs)
+    return mean, cov
 
 
 def matched_moments(weights: np.ndarray, means: np.ndarray, covs: np.ndarray):

@@ -4,10 +4,11 @@ import dataclasses
 import math
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from disptrack import (
     ApproximationConfig,
@@ -34,8 +35,9 @@ from disptrack import (
     load_config,
     simulate,
 )
-from disptrack import approximations, runner
+from disptrack import approximations, engine, runner
 from disptrack.approximations import (
+    _kept_offsets,
     _marginalize,
     _merged,
     _pair_bounds,
@@ -44,7 +46,8 @@ from disptrack.approximations import (
     mahalanobis_sq,
 )
 from disptrack.estimation import extract_tracks
-from disptrack.models import _derived, mixture_moments, moment_match
+from disptrack.engine import PTR_DTYPE, row_offsets
+from disptrack.models import Mixtures, _derived, mixture_moments, moment_match
 
 from helpers import birth_1d, dist, motion_1d, obs, reference_merge_tracks, sensor_1d, unit_dist
 
@@ -174,14 +177,20 @@ class TestPruneByExistence:
             prune_by_existence(cluttered_state, 0.0, threshold)
 
 
+def renumbered(state):
+    """``state`` without the tracks no row holds, the rest renumbered."""
+    return state.with_rows(np.ones(len(state.weights), dtype=bool))
+
+
 def sequential_passes(state, c: ApproximationConfig):
     """The passes as they ran before the two track prunes shared a fold: the
     presence prune, then the track-existence prune on its output, then the
-    hypothesis threshold, then the merge and the caps."""
+    hypothesis threshold, then the merge and the caps. Each marginalization
+    renumbers the tracks at once, as it did before the passes renumbered once."""
     if c.presence_threshold is not None:
-        state = _marginalize(state, state.tracks.dists.presence < c.presence_threshold)
+        state = renumbered(_marginalize(state, state.tracks.dists.presence < c.presence_threshold))
     if c.track_existence_threshold is not None:
-        state = _marginalize(state, state.existence() < c.track_existence_threshold)
+        state = renumbered(_marginalize(state, state.existence() < c.track_existence_threshold))
     if c.hyp_existence_threshold is not None:
         kept = state.weights >= c.hyp_existence_threshold
         kept[state.top_rows(1)] = True  # the heaviest row always survives
@@ -298,15 +307,84 @@ class TestOneFoldPrune:
             )
             pipeline = (state.tracks.dists.presence < 1e-3) | (alpha < 1e-6)
             for victims in [pipeline] + [rng.random(len(alpha)) < p for p in (0.1, 0.5, 0.9)]:
-                assert np.array_equal(_marginalize(grid, victims).existence(), grid.existence()[~victims])
+                # The table is not renumbered: the victims stay listed, in no row.
+                out = _marginalize(grid, victims).existence()
+                assert np.array_equal(out[~victims], grid.existence()[~victims])
+                assert not out[victims].any()
                 # Actual weights: the fold and existence() only reassociate
                 # the sum, and each sum of n positive terms is within
                 # (n - 1) * eps / 2 of the exact total, relative, so the two
                 # existences differ by less than rows * eps. (1e-15 relative
                 # does not hold here: cluttered reaches 3.8e-15, 32 ulps.)
                 kept = alpha[~victims]
-                gap = np.abs(_marginalize(state, victims).existence() - kept)
+                gap = np.abs(_marginalize(state, victims).existence()[~victims] - kept)
                 assert (gap <= rows[~victims] * eps * kept).all()
+
+
+@st.composite
+def victim_tables(draw):
+    """Ragged rows over a few track ids, empty rows included, and a victim flag per track."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), unique=True, max_size=n), max_size=12))
+    return rows, np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(victim_tables())
+@example(([[0, 1], [], [1], [], [0]], np.array([False, True])))  # empty rows, a row of victims only
+@example(([[0], [0, 1], []], np.array([False, False])))  # no victims
+@example(([[], []], np.array([True])))  # no entries
+@example(([], np.array([True])))  # no rows
+def test_kept_offsets_equal_the_entry_cumsum(table):
+    # The offsets _marginalize built from an int64 cumsum over every entry,
+    # in one block of rows or several.
+    rows, victims = table
+    indptr = row_offsets(np.array([len(r) for r in rows], dtype=np.int64)).astype(PTR_DTYPE)
+    indices = np.array([i for r in rows for i in r], dtype=np.uint8)
+    kept_entry = ~victims[indices]
+    for block in (approximations._ROW_BLOCK, 1, 2, 5):
+        with mock.patch.object(approximations, "_ROW_BLOCK", block):
+            assert np.array_equal(_kept_offsets(indptr, kept_entry), row_offsets(kept_entry)[indptr])
+
+
+def test_each_pass_builds_its_table_once(monkeypatch, cluttered_updates):
+    # The prune and the caps renumber their tracks in one keep_tracks, after
+    # marginalizing and picking their rows; the merge takes its distributions
+    # once. Each runs on the previous pass's output, as in the pipeline, and
+    # the caps also on the update's output at half its counts, so that both
+    # of them act in one call.
+    cfg = load_config(CLUTTERED).approx
+    renumbers, takes = [], []
+    for module in (engine, approximations):  # where a pass might look it up
+        monkeypatch.setattr(
+            module, "keep_tracks", lambda *a, step=engine.keep_tracks: renumbers.append(1) or step(*a),
+            raising=False,
+        )
+    monkeypatch.setattr(Mixtures, "take", lambda m, ids, step=Mixtures.take: takes.append(1) or step(m, ids))
+    passes = {
+        "prune": lambda s: prune_by_existence(
+            s, cfg.track_existence_threshold, cfg.hyp_existence_threshold, cfg.presence_threshold
+        ),
+        "merge": lambda s: merge_tracks(s, cfg.merge_threshold),
+        "cap": lambda s: cap_counts(s, cfg.max_tracks, cfg.max_hypotheses),
+        "half caps": lambda s: cap_counts(s, max(1, len(s.tracks) // 2), max(1, len(s.weights) // 2)),
+    }
+    acted = dict.fromkeys(passes, 0)
+    for update_out in cluttered_updates:
+        state = update_out
+        for name, run in passes.items():
+            renumbers.clear()
+            takes.clear()
+            source = update_out if name == "half caps" else state
+            out = run(source)
+            changed = out is not source
+            acted[name] += changed
+            if name == "merge":
+                assert (len(renumbers), len(takes)) == (0, changed)
+            else:
+                assert len(renumbers) == changed and len(takes) <= changed
+            state = out if name != "half caps" else state
+    assert all(acted.values()), acted
 
 
 class TestCapCounts:

@@ -22,7 +22,7 @@ from disptrack import (
     run,
     simulate,
 )
-from disptrack import approximations, engine, runner
+from disptrack import approximations, cli, engine, runner
 from disptrack.cli import main as cli_main
 from disptrack.estimation import TrackEstimate
 from disptrack.runner import read_observations, report_jsonable
@@ -531,15 +531,24 @@ class TestCli:
             assert "cannot read observations" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "run"])
-    def test_output_path_naming_a_file(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["simulate", "track", "run"])
+    def test_output_path_naming_a_file(self, tmp_path, capsys, monkeypatch, command):
+        # The output directory is made first: neither the simulator nor the
+        # filter runs before a bad --out is found.
         cfg = self._write_cfg(tmp_path)
+        sim_dir = tmp_path / "sim"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(sim_dir)]) == 0
+        calls = []
+        for module in (cli, runner):
+            for name in ("simulate", "filter_scans"):
+                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         taken = tmp_path / "taken"
         taken.write_text("keep")
+        source = ["--obs", str(sim_dir)] if command == "track" else []
         for out in (taken, taken / "below"):
-            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert cli_main([command, "--config", str(cfg), *source, "--out", str(out)]) == 2
             assert "cannot make output directory" in capsys.readouterr().err
-        assert taken.read_text() == "keep"
+        assert taken.read_text() == "keep" and calls == []
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -138,6 +138,21 @@ class TestMissdetectionMass:
         )
 
 
+def padded_moments(mix: Mixtures):
+    """``mixture_moments`` as it read every distribution: the components padded
+    into one (n, k) table, weights normalized per distribution (evenly where
+    they sum to zero), and one ``matched_moments`` call."""
+    n, (c, d) = len(mix.presence), mix.mean.shape
+    counts = np.bincount(mix.owner, minlength=n)
+    at = mix.owner, np.arange(c) - (np.cumsum(counts) - counts)[mix.owner]  # (row, slot)
+    total = np.bincount(mix.owner, weights=mix.weight, minlength=n)[mix.owner]
+    k = counts.max(initial=0)
+    weights, means, covs = np.zeros((n, k)), np.zeros((n, k, d)), np.zeros((n, k, d, d))
+    weights[at] = np.divide(mix.weight, total, out=1.0 / counts[mix.owner], where=total > 0.0)
+    means[at], covs[at] = mix.mean, mix.cov
+    return matched_moments(weights, means, covs)
+
+
 class TestMomentMatch:
     def test_single_component_identity(self):
         c = comp(0.8, 1.5, 2.0)
@@ -189,6 +204,31 @@ class TestMomentMatch:
             assert mean[i].tobytes() == m.mean.tobytes() and cov[i].tobytes() == m.cov.tobytes()
         assert mean[4].tolist() == [3.0] and cov[4].tolist() == [[2.0]]
         assert mean[5].tolist() == [0.0] and cov[5].tolist() == [[0.0]]
+
+    def test_mixed_tables_equal_the_padded_path(self):
+        # One-component (of weight 0 too), multi-component (some weights 0)
+        # and empty mixtures in one table, 2-D, off-diagonals one ulp apart:
+        # bit for bit as when every distribution was padded into the table.
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(60):
+            dists = [AugmentedDistribution(0.0, (GaussianComponent(0.0, np.ones(2), np.eye(2)),))]
+            for k in rng.choice([0, 1, 1, 2, 3, 5], size=int(rng.integers(0, 10))).tolist():
+                w = rng.uniform(0.1, 1.0, size=k) * (rng.random(k) < 0.8)
+                comps = []
+                for x in w / w.sum() if w.sum() > 0.0 else w:
+                    root = rng.normal(size=(2, 2))
+                    cov = root @ root.T + 0.1 * np.eye(2)
+                    cov[0, 1] = np.nextafter(cov[1, 0], np.inf)
+                    comps.append(GaussianComponent(x, rng.normal(size=2), cov))
+                dists.append(AugmentedDistribution(float(w.sum() > 0.0), tuple(comps)))
+                seen.add(min(k, 2))
+            rng.shuffle(dists)
+            mix = Mixtures.of(dists)
+            mean, cov = mixture_moments(mix)
+            ref_mean, ref_cov = padded_moments(mix)
+            assert mean.tobytes() == ref_mean.tobytes() and cov.tobytes() == ref_cov.tobytes()
+        assert seen == {0, 1, 2}
 
     @pytest.mark.parametrize(
         "dists", [[], [AugmentedDistribution(0.0, ())]], ids=["no distribution", "empty mixture"]
