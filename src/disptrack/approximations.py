@@ -38,7 +38,8 @@ class ApproximationConfig:
     """Switchboard for the cost-control passes; ``None`` disables a pass.
 
     ``birth_cap`` bounds the support of the appearing-target cardinality
-    distribution and is enforced where the birth model is built, not here.
+    distribution; :class:`~disptrack.config.ScenarioConfig` cuts its birth
+    model to it, not the passes.
     """
 
     presence_threshold: float | None = None
@@ -78,40 +79,25 @@ DEFAULT_PIPELINE = ApproximationConfig(
 )
 
 _PAIR_BLOCK = 256  # merge candidate pairs scored per stacked solve
-_ROW_BLOCK = 1 << 16  # rows whose kept entries one running count covers
-
-
-def _kept_offsets(indptr: np.ndarray, kept_entry: np.ndarray) -> np.ndarray:
-    """Row offsets of the table that keeps only the entries flagged in ``kept_entry``.
-
-    The kept entries are counted ``_ROW_BLOCK`` rows at a time, by an int32
-    running count over the block's entries, so no array as long as the whole
-    table's entries is built beyond the flags themselves.
-    """
-    out = np.zeros(len(indptr), dtype=np.int64)
-    for start in range(0, len(indptr) - 1, _ROW_BLOCK):
-        ptr = indptr[start : start + _ROW_BLOCK + 1]
-        ahead = np.zeros(ptr[-1] - ptr[0] + 1, dtype=np.int32)  # kept entries before each
-        np.cumsum(kept_entry[ptr[0] : ptr[-1]], dtype=np.int32, out=ahead[1:])
-        out[start + 1 : start + len(ptr)] = out[start] + ahead.take(ptr[1:] - ptr[0])
-    return out
 
 
 def _marginalize(state: FilterState, victims: np.ndarray) -> FilterState:
     """Drop the tracks flagged in ``victims`` from every row and merge the rows that
     become identical, over the incoming track ids.
 
-    The table is not renumbered: it still lists the victims, which no row
-    holds any more, and the pass renumbers once, when it has also picked its
-    rows (:meth:`~disptrack.engine.FilterState.with_rows`). Renumbering keeps
-    the ids' order, so folding on the incoming ids gives the same rows, in
-    the same order, with the same sums.
+    The rows are padded with fill ``n`` (the track count), the victims' cells
+    overwritten with it, and the table folded. It still lists the victims,
+    which no row holds any more; the pass renumbers once, when it has also
+    picked its rows (:meth:`~disptrack.engine.FilterState.with_rows`).
+    Renumbering keeps the ids' order, so folding on the incoming ids gives
+    the same rows, in the same order, with the same sums.
     """
     if not victims.any():
         return state
-    kept_entry = ~victims[state.indices]
-    indptr = _kept_offsets(state.indptr, kept_entry)
-    indptr, indices, weights = fold_rows(indptr, state.indices[kept_entry], state.weights)
+    n = len(state.tracks)
+    pad = padded_rows(state.indptr, state.indices, n)
+    pad[np.append(victims, True)[pad]] = n
+    indptr, indices, weights = fold_rows(pad, state.weights, n)
     return FilterState.from_table(state.scan, state.tracks, indptr, indices, weights)
 
 
@@ -216,10 +202,9 @@ def _merged(presence, alpha, a: np.ndarray, b: np.ndarray, means, covs) -> Mixtu
     return Mixtures(merged, np.arange(len(a)), np.ones(len(a)), mean, cov)
 
 
-def _cooccurrence(state: FilterState) -> np.ndarray:
-    """(tracks, tracks) boolean matrix: True where two tracks share a hypothesis."""
-    n = len(state.tracks)
-    pad = padded_rows(state.indptr, state.indices, n)
+def _cooccurrence(pad: np.ndarray, n: int) -> np.ndarray:
+    """(n, n) boolean matrix over ``n`` tracks: True where two tracks share a row of
+    ``pad``, the hypothesis rows padded with fill ``n`` (:func:`~disptrack.engine.padded_rows`)."""
     co = np.zeros((n + 1, n + 1), dtype=bool)
     for i, j in combinations(range(pad.shape[1]), 2):
         co[pad[:, i], pad[:, j]] = True
@@ -295,7 +280,8 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     pair is skipped when the substitution would put incompatible paths into
     one hypothesis, counting the substitutions made earlier in the pass. The
     output table is built in one take, which swaps each kept member's row
-    for its merged row and leaves out the merged-away members.
+    for its merged row and leaves out the merged-away members. The rows are
+    padded once: the co-occurrence matrix and the fold read that one table.
     """
     _check_threshold(d_threshold, "merge threshold", math.inf)
     alpha = state.existence()
@@ -309,7 +295,8 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     first, second = _swept_pairs(spatial, means, covs, d_threshold)
     if not len(first):
         return state
-    co = _cooccurrence(state)
+    pad = padded_rows(state.indptr, state.indices, n)
+    co = _cooccurrence(pad, n)
     apart = ~co[first, second]
     first, second = first[apart], second[apart]
     bound = _pair_bounds(alpha, means, covs, first, second)
@@ -355,15 +342,16 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
         return state
     # A kept track's row becomes its merged row, appended to the table; the
     # merged-away tracks, which no row holds any more, leave in the same take.
+    # The relabelled table's fill, n, stays above every renumbered id.
     a, b = np.array(merged).T
     src = np.arange(n)
     src[a] = n + np.arange(len(a))
-    held, indices = held_tracks(n, np.array(stands_for)[state.indices])
-    ids = np.flatnonzero(held)
+    held, pad = held_tracks(n + 1, np.append(stands_for, n).astype(pad.dtype)[pad])
+    ids = np.flatnonzero(held[:n])
     rows = _merged(dists.presence, alpha, a, b, means, covs)
     dists = Mixtures.concat(dists, rows).take(src[ids])
     tracks = TrackTable([paths[i] for i in ids.tolist()], tracks.displayed[ids], dists)
-    indptr, indices, weights = fold_rows(state.indptr, indices, state.weights)
+    indptr, indices, weights = fold_rows(pad, state.weights, len(ids))
     return FilterState.from_table(state.scan, tracks, indptr, indices, weights)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -35,7 +35,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one run needs: models, approximations, extraction and sim."""
+    """Everything one run needs: models, approximations, extraction and sim.
+
+    However it is built, its birth cardinality keeps only its first
+    ``approx.birth_cap + 1`` entries, renormalised (``ConfigError`` if they hold no mass)."""
 
     space: StateSpace
     motion: MotionModel
@@ -54,6 +57,13 @@ class ScenarioConfig:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if not 0.0 <= self.clutter_rate < math.inf:
             raise ConfigError(f"clutter_rate must be finite and >= 0, got {self.clutter_rate}")
+        cap = self.approx.birth_cap
+        if cap is not None and self.birth.cardinality.size > cap + 1:
+            cardinality = self.birth.cardinality[: cap + 1]
+            total = float(np.sum(cardinality))
+            if total <= 0.0:
+                raise ConfigError("birth_cap removed all cardinality mass")
+            object.__setattr__(self, "birth", replace(self.birth, cardinality=cardinality / total))
 
 
 def _block(raw: Mapping[str, Any], name: str, required: bool = True) -> dict:
@@ -140,13 +150,6 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
         birth_raw = _block(raw, "birth")
         _reject_unknown(birth_raw, {"cardinality", "spatial"}, "birth")
         _require(birth_raw, {"cardinality", "spatial"}, "birth")
-        cardinality = np.asarray(birth_raw["cardinality"], dtype=float)
-        if approx.birth_cap is not None and cardinality.size > approx.birth_cap + 1:
-            cardinality = cardinality[: approx.birth_cap + 1]
-            total = float(np.sum(cardinality))
-            if total <= 0.0:
-                raise ConfigError("birth_cap removed all cardinality mass")
-            cardinality = cardinality / total
         comps = []
         for i, comp in enumerate(birth_raw["spatial"]):
             if not isinstance(comp, dict):
@@ -160,7 +163,7 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
                     np.asarray(comp["cov"], dtype=float),
                 )
             )
-        birth = BirthModel(cardinality, AugmentedDistribution(1.0, tuple(comps)))
+        birth = BirthModel(birth_raw["cardinality"], AugmentedDistribution(1.0, tuple(comps)))
         if birth.spatial.dim != space.dim:
             raise ConfigError("birth mixture dimension does not match the state space")
 

@@ -213,7 +213,8 @@ def _take_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
 
 
 def padded_rows(indptr: np.ndarray, indices: np.ndarray, fill: int) -> np.ndarray:
-    """The CSR rows as one 2-D array, short rows filled with ``fill``."""
+    """The CSR rows as one fresh 2-D int32 array, short rows filled with ``fill``; with
+    ``fill`` above every id, the table a pass edits and hands to :func:`fold_rows`."""
     lengths = indptr[1:] - indptr[:-1]
     out = np.empty((len(lengths), int(lengths.max(initial=0))), dtype=ID_DTYPE)
     out.fill(fill)
@@ -235,26 +236,26 @@ def _row_runs(pad: np.ndarray):
     return order, starts, label
 
 
-def fold_rows(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
-    """Sort every row, then merge identical rows by adding their weights.
+def fold_rows(pad: np.ndarray, weights: np.ndarray, fill: int):
+    """Merge the rows of a padded table that hold the same ids, adding their weights.
 
-    Rows already in order, as every row is but those a merge relabelled, are
-    not sorted again. Merged rows keep the position of their first
+    Row ``r`` of ``pad`` holds the ids of row ``r``; every other cell holds
+    ``fill``, which is above every id, so a cell overwritten with ``fill``
+    leaves its row. ``pad`` may be sorted in place: rows out of order, as
+    overwriting or relabelling leaves them, are sorted, and a table already
+    in order is not. Merged rows keep the position of their first
     occurrence, weights added in table order. Returns ``(indptr, indices,
     weights)``, the ids as ``ID_DTYPE``.
     """
-    fill = np.iinfo(ID_DTYPE).max
-    pad = padded_rows(indptr, indices, fill)
     if (pad[:, 1:] < pad[:, :-1]).any():
         pad.sort(axis=1)
     order, starts, run = _row_runs(pad)
     first = order[starts]  # each run's earliest row
     by_first = first.argsort()
     folded = np.bincount(run, weights=weights)[by_first]
-    kept = first[by_first]
-    uniq = pad.take(kept, axis=0)
-    lengths = (indptr[1:] - indptr[:-1])[kept]
-    return row_offsets(lengths), uniq[uniq != fill], folded.astype(float, copy=False)
+    uniq = pad.take(first[by_first], axis=0)
+    held = uniq != fill
+    return row_offsets(held.sum(axis=1)), uniq[held], folded.astype(float, copy=False)
 
 
 class TrackTable(Mapping):
@@ -367,10 +368,11 @@ class FilterState:
 
     ``FilterState(scan, tracks, hypotheses)`` sorts the tracks into
     canonical order, builds the track table from them and converts the
-    hypothesis list into the CSR table. It raises ``ValueError`` when a
-    hypothesis names a track missing from ``tracks``, repeats a track, lists
-    its tracks out of canonical order, has a negative or non-finite weight, or
-    is listed twice.
+    hypothesis list into the CSR table. It raises ``ValueError`` when a key
+    of ``tracks`` is not its track's path, or when a hypothesis names a
+    track missing from ``tracks``, repeats a track, lists its tracks out of
+    canonical order, has a negative or non-finite weight, or is listed
+    twice.
     """
 
     __slots__ = ("scan", "tracks", "indptr", "indices", "weights")
@@ -381,6 +383,9 @@ class FilterState:
         tracks: Mapping[ObservationPath, Track],
         hypotheses: Iterable[Hypothesis],
     ):
+        for p, t in tracks.items():
+            if t.path != p:
+                raise ValueError(f"track {t.path} is filed under the key {p}")
         paths = sorted(tracks)
         rank = {p: i for i, p in enumerate(paths)}
         lengths: list[int] = []

@@ -411,7 +411,7 @@ def reference_merge_tracks(state: FilterState, d_threshold: float) -> FilterStat
     eligible = spatial[first] & spatial[second]
     first, second = first[eligible], second[eligible]
     order = np.lexsort((second, first, -(alpha[first] + alpha[second])))
-    co = _cooccurrence(state)
+    co = _cooccurrence(padded_rows(state.indptr, state.indices, n), n)
     obs_bit: dict = {}
     obs_mask = [
         sum(1 << obs_bit.setdefault(o, len(obs_bit)) for o in p.detections) for p in state.tracks

@@ -4,7 +4,6 @@ import dataclasses
 import math
 from itertools import combinations
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +36,6 @@ from disptrack import (
 )
 from disptrack import approximations, engine, runner
 from disptrack.approximations import (
-    _kept_offsets,
     _marginalize,
     _merged,
     _pair_bounds,
@@ -46,10 +44,19 @@ from disptrack.approximations import (
     mahalanobis_sq,
 )
 from disptrack.estimation import extract_tracks
-from disptrack.engine import PTR_DTYPE, row_offsets
+from disptrack.engine import ID_DTYPE, PTR_DTYPE, TrackTable, row_offsets
 from disptrack.models import Mixtures, _derived, mixture_moments, moment_match
 
-from helpers import birth_1d, dist, motion_1d, obs, reference_merge_tracks, sensor_1d, unit_dist
+from helpers import (
+    birth_1d,
+    dist,
+    motion_1d,
+    obs,
+    reference_fold_rows,
+    reference_merge_tracks,
+    sensor_1d,
+    unit_dist,
+)
 
 
 def path(birth, *ids):
@@ -323,10 +330,11 @@ class TestOneFoldPrune:
 
 @st.composite
 def victim_tables(draw):
-    """Ragged rows over a few track ids, empty rows included, and a victim flag per track."""
+    """Sorted ragged rows over a few track ids, empty rows included, and a victim
+    flag per track."""
     n = draw(st.integers(1, 8))
     rows = draw(st.lists(st.lists(st.integers(0, n - 1), unique=True, max_size=n), max_size=12))
-    return rows, np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return [sorted(r) for r in rows], np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -335,31 +343,50 @@ def victim_tables(draw):
 @example(([[0], [0, 1], []], np.array([False, False])))  # no victims
 @example(([[], []], np.array([True])))  # no entries
 @example(([], np.array([True])))  # no rows
-def test_kept_offsets_equal_the_entry_cumsum(table):
-    # The offsets _marginalize built from an int64 cumsum over every entry,
-    # in one block of rows or several.
+def test_marginalize_matches_row_by_row_reference(table):
+    # Overwriting the victims' cells in the padded table and folding it gives
+    # the rows with the victims' ids dropped one by one, folded by np.unique.
     rows, victims = table
-    indptr = row_offsets(np.array([len(r) for r in rows], dtype=np.int64)).astype(PTR_DTYPE)
-    indices = np.array([i for r in rows for i in r], dtype=np.uint8)
-    kept_entry = ~victims[indices]
-    for block in (approximations._ROW_BLOCK, 1, 2, 5):
-        with mock.patch.object(approximations, "_ROW_BLOCK", block):
-            assert np.array_equal(_kept_offsets(indptr, kept_entry), row_offsets(kept_entry)[indptr])
+    paths = [path(0, (0, k)) for k in range(len(victims))]
+    weights = 1.0 / np.arange(1, len(rows) + 1)  # inexact: the sums' order shows
+    state = FilterState.from_table(
+        0,
+        TrackTable.of({p: track(p) for p in paths}),
+        row_offsets(np.array([len(r) for r in rows], dtype=np.int64)),
+        [i for r in rows for i in r],
+        weights,
+    )
+    out = _marginalize(state, victims)
+    if not victims.any():
+        assert out is state
+        return
+    kept = [[i for i in r if not victims[i]] for r in rows]
+    indptr, indices, folded = reference_fold_rows(
+        row_offsets(np.array([len(r) for r in kept], dtype=np.int64)),
+        np.array([i for r in kept for i in r], dtype=ID_DTYPE),
+        weights,
+    )
+    assert out.tracks is state.tracks
+    assert out.indptr.tobytes() == indptr.astype(PTR_DTYPE).tobytes()
+    assert out.indices.tobytes() == indices.astype(state.indices.dtype).tobytes()
+    assert out.weights.tobytes() == folded.astype(float).tobytes()
 
 
 def test_each_pass_builds_its_table_once(monkeypatch, cluttered_updates):
     # The prune and the caps renumber their tracks in one keep_tracks, after
     # marginalizing and picking their rows; the merge takes its distributions
-    # once. Each runs on the previous pass's output, as in the pipeline, and
-    # the caps also on the update's output at half its counts, so that both
-    # of them act in one call.
+    # once and pads its rows at most once, for the co-occurrence table and
+    # the fold both. Each runs on the previous pass's output, as in the
+    # pipeline, and the caps also on the update's output at half its counts,
+    # so that both of them act in one call.
     cfg = load_config(CLUTTERED).approx
-    renumbers, takes = [], []
+    renumbers, takes, pads = [], [], []
+    keep_tracks, padded_rows = engine.keep_tracks, engine.padded_rows
     for module in (engine, approximations):  # where a pass might look it up
         monkeypatch.setattr(
-            module, "keep_tracks", lambda *a, step=engine.keep_tracks: renumbers.append(1) or step(*a),
-            raising=False,
+            module, "keep_tracks", lambda *a: renumbers.append(1) or keep_tracks(*a), raising=False
         )
+        monkeypatch.setattr(module, "padded_rows", lambda *a: pads.append(1) or padded_rows(*a))
     monkeypatch.setattr(Mixtures, "take", lambda m, ids, step=Mixtures.take: takes.append(1) or step(m, ids))
     passes = {
         "prune": lambda s: prune_by_existence(
@@ -375,12 +402,13 @@ def test_each_pass_builds_its_table_once(monkeypatch, cluttered_updates):
         for name, run in passes.items():
             renumbers.clear()
             takes.clear()
+            pads.clear()
             source = update_out if name == "half caps" else state
             out = run(source)
             changed = out is not source
             acted[name] += changed
             if name == "merge":
-                assert (len(renumbers), len(takes)) == (0, changed)
+                assert (len(renumbers), len(takes)) == (0, changed) and len(pads) <= 1
             else:
                 assert len(renumbers) == changed and len(takes) <= changed
             state = out if name != "half caps" else state

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from disptrack import (
+    ApproximationConfig,
     AugmentedDistribution,
     ConfigError,
     GaussianComponent,
@@ -16,6 +17,7 @@ from disptrack import (
     ObservationPath,
     RunReport,
     ScanRecord,
+    ScenarioConfig,
     TruthTarget,
     load_config,
     metrics,
@@ -161,6 +163,29 @@ class TestConfig:
         )
         assert cfg.birth.max_births == 1
         assert cfg.birth.cardinality.tolist() == pytest.approx([0.625, 0.375])
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_birth_cap_holds_for_configs_built_in_code(self, cap):
+        # The cap is applied by ScenarioConfig itself, so a config built by
+        # hand, or by replacing its approx block, is cut as the loaded one is.
+        birth = {
+            "cardinality": [0.5, 0.3, 0.2],
+            "spatial": [{"weight": 1.0, "mean": [0.0], "cov": [[25.0]]}],
+        }
+        loaded = load_config(base_config(birth=birth, approx={"birth_cap": cap}))
+        uncut = load_config(base_config(birth=birth, approx={}))
+        assert uncut.birth.max_births == 2
+        approx = ApproximationConfig(birth_cap=cap)
+        fields = {f.name: getattr(uncut, f.name) for f in dataclasses.fields(uncut)}
+        by_hand = ScenarioConfig(**(fields | {"approx": approx}))
+        for cfg in (by_hand, dataclasses.replace(uncut, approx=approx)):
+            assert cfg.birth.max_births == loaded.birth.max_births == min(cap, 2)
+            assert cfg.birth.cardinality.tobytes() == loaded.birth.cardinality.tobytes()
+
+    def test_birth_cap_removing_all_mass_rejected(self):
+        cfg = load_config(base_config(**{"birth.cardinality": [0.0, 0.0, 1.0]}))
+        with pytest.raises(ConfigError, match="all cardinality mass"):
+            dataclasses.replace(cfg, approx=ApproximationConfig(birth_cap=1))
 
     def test_dimension_mismatch_rejected(self):
         bad = base_config(**{"sensor.H": [[1.0, 0.0]]})

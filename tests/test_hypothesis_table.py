@@ -32,7 +32,7 @@ from disptrack import (
     update,
 )
 import disptrack.engine as engine
-from disptrack.engine import ID_DTYPE, fold_rows, row_offsets
+from disptrack.engine import ID_DTYPE, fold_rows, padded_rows, row_offsets
 
 from helpers import (
     assert_matches_reference,
@@ -334,27 +334,48 @@ def csr_table(rows, weights):
 @st.composite
 def row_tables(draw):
     """Ragged rows over a few track ids, each drawn in any order, so that one
-    id set recurs as rows in different orders; empty rows included."""
+    id set recurs as rows in different orders; empty rows included. Each
+    entry may be flagged as a hole: a cell overwritten with the fill."""
     track_ids = st.integers(0, 6) | st.integers(0, np.iinfo(ID_DTYPE).max - 1)
     sets = draw(st.lists(st.lists(track_ids, unique=True, max_size=4), min_size=1, max_size=6))
     n = draw(st.integers(0, 40))
     rows = [draw(st.permutations(draw(st.sampled_from(sets)))) for _ in range(n)]
-    return csr_table(rows, draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    table = csr_table(rows, draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    size = len(table[1])
+    return table, np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+
+
+def unholed(rows, weights):
+    table = csr_table(rows, weights)
+    return table, np.zeros(len(table[1]), dtype=bool)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(row_tables())
-@example(csr_table([[], [], []], [0.1, 0.2, 0.3]))  # all-empty
-@example(csr_table([[0, 2], [1], [0, 2], []], [0.1, 0.2, 0.3, 0.4]))  # sorted: no row sort
-@example(csr_table([], []))  # no rows
+@example(unholed([[], [], []], [0.1, 0.2, 0.3]))  # all-empty
+@example(unholed([[0, 2], [1], [0, 2], []], [0.1, 0.2, 0.3, 0.4]))  # sorted: no row sort
+@example(unholed([], []))  # no rows
+@example(  # holes: rows 1 and 2 fold, row 0 is sorted
+    (csr_table([[2, 0], [0], [0, 2]], [0.1, 0.2, 0.3]), np.array([0, 1, 0, 0, 1], dtype=bool))
+)
+@example((csr_table([[1], []], [0.1, 0.2]), np.array([True])))  # a row emptied by its hole
 def test_fold_rows_matches_unique_reference(table):
-    indptr, indices, weights = fold_rows(*table)
-    ref_indptr, ref_indices, ref_weights = reference_fold_rows(*table)
-    assert indptr.dtype == np.int64 and np.array_equal(indptr, ref_indptr)
-    assert indices.dtype == ID_DTYPE and np.array_equal(indices, ref_indices)
+    # The fold is handed the padded rows with the holes overwritten by the
+    # fill; the reference folds the rows without the holes' entries.
+    (indptr, indices, weights), holes = table
+    fill = np.iinfo(ID_DTYPE).max
+    pad = padded_rows(indptr, np.where(holes, fill, indices), fill)
+    out_indptr, out_indices, out_weights = fold_rows(pad, weights, fill)
+    row = np.repeat(np.arange(len(weights)), np.diff(indptr))
+    lengths = np.bincount(row[~holes], minlength=len(weights))
+    ref_indptr, ref_indices, ref_weights = reference_fold_rows(
+        row_offsets(lengths), indices[~holes], weights
+    )
+    assert out_indptr.dtype == np.int64 and np.array_equal(out_indptr, ref_indptr)
+    assert out_indices.dtype == ID_DTYPE and np.array_equal(out_indices, ref_indices)
     # The reference returns int64 weights for a table without rows.
-    assert weights.dtype == np.float64
-    assert weights.tobytes() == ref_weights.astype(float).tobytes()
+    assert out_weights.dtype == np.float64
+    assert out_weights.tobytes() == ref_weights.astype(float).tobytes()
 
 
 P1 = ObservationPath(0, ((0, 0),))
@@ -366,6 +387,11 @@ def tracks_of(*paths):
 
 
 class TestBoundary:
+    def test_track_filed_under_another_path_rejected(self):
+        # The key would name the track and the record's own path be lost.
+        with pytest.raises(ValueError, match="filed under"):
+            FilterState(0, {P1: Track(P2, unit_dist(), False)}, [Hypothesis((P1,), 1.0)])
+
     def test_unknown_track_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             FilterState(0, tracks_of(P1), [Hypothesis((P2,), 1.0)])
