@@ -14,10 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .engine import FilterState, TrackTable, fold_rows, held_tracks, padded_rows
+from .engine import (
+    FilterState,
+    HypothesisView,
+    TrackTable,
+    fold_rows,
+    held_tracks,
+    padded_rows,
+    _ragged,
+)
 from .models import (
     AugmentedDistribution,
     Mixtures,
@@ -81,24 +90,39 @@ DEFAULT_PIPELINE = ApproximationConfig(
 _PAIR_BLOCK = 256  # merge candidate pairs scored per stacked solve
 
 
-def _marginalize(state: FilterState, victims: np.ndarray) -> FilterState:
+class _Folded(NamedTuple):
+    """A state's rows folded over its incoming track ids, before the pass picks its
+    rows and renumbers: read like the state, it builds the pass's one state."""
+
+    scan: int
+    tracks: TrackTable
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+    hypotheses = property(HypothesisView)  # perfbench's tracer counts the folded rows
+    top_rows = FilterState.top_rows
+    with_rows = FilterState.with_rows
+
+
+def _marginalize(state: FilterState, victims: np.ndarray) -> FilterState | _Folded:
     """Drop the tracks flagged in ``victims`` from every row and merge the rows that
     become identical, over the incoming track ids.
 
     The rows are padded with fill ``n`` (the track count), the victims' cells
-    overwritten with it, and the table folded. It still lists the victims,
-    which no row holds any more; the pass renumbers once, when it has also
-    picked its rows (:meth:`~disptrack.engine.FilterState.with_rows`).
-    Renumbering keeps the ids' order, so folding on the incoming ids gives
-    the same rows, in the same order, with the same sums.
+    overwritten with it, and the table folded. The folded table still lists
+    the victims, which no row holds any more; the pass renumbers once, when
+    it has also picked its rows (:meth:`~disptrack.engine.FilterState.with_rows`),
+    and so builds one state. Renumbering keeps the ids' order, so folding on
+    the incoming ids gives the same rows, in the same order, with the same
+    sums. With no victim, returns ``state`` itself.
     """
     if not victims.any():
         return state
     n = len(state.tracks)
     pad = padded_rows(state.indptr, state.indices, n)
     pad[np.append(victims, True)[pad]] = n
-    indptr, indices, weights = fold_rows(pad, state.weights, n)
-    return FilterState.from_table(state.scan, state.tracks, indptr, indices, weights)
+    return _Folded(state.scan, state.tracks, *fold_rows(pad, state.weights, n))
 
 
 def prune_by_presence(state: FilterState, threshold: float) -> FilterState:
@@ -223,10 +247,11 @@ def _pair_distances(alpha, means, covs, first, second) -> np.ndarray:
     for start in range(0, len(first), _PAIR_BLOCK):
         a, b = first[start : start + _PAIR_BLOCK], second[start : start + _PAIR_BLOCK]
         wa, wb = alpha[a][:, None, None], alpha[b][:, None, None]
+        ca, cb = covs[a], covs[b]
         total = wa + wb
-        pooled = 0.5 * (covs[a] + covs[b])
+        pooled = 0.5 * (ca + cb)
         weighted = total[:, 0, 0] > 0.0
-        pooled[weighted] = (wa * covs[a] + wb * covs[b])[weighted] / total[weighted]
+        pooled[weighted] = (wa * ca + wb * cb)[weighted] / total[weighted]
         out[start : start + len(a)] = _quad_forms(pooled, means[a] - means[b])
     return out
 
@@ -242,21 +267,27 @@ def _pair_bounds(alpha, means, covs, first, second) -> np.ndarray:
 
 def _swept_pairs(ids: np.ndarray, means, covs, d_threshold: float):
     """Pairs ``(first, second)``, first < second, of ``ids`` whose means' first coordinates
-    differ by at most sqrt(d_threshold * largest trace) (1 + 1e-6), by one sort and sweep.
+    differ by at most the larger of their two reaches, sqrt(d_threshold * trace) (1 + 1e-6).
 
     They hold every pair whose :func:`_pair_bounds` is under ``d_threshold``
     (1 + 1e-9): that bound is at least |mean gap|^2 over the larger trace, and
-    so at least the first coordinates' gap squared over the largest trace.
+    so at least the first coordinates' gap squared over it. After one sort by
+    that coordinate, each track sweeps ahead by the largest reach at or ahead
+    of it, which covers each pair's larger reach; the swept pairs are then
+    held to it.
     """
     x = means[ids, 0]
-    order = np.argsort(x, kind="stable")
+    order = x.argsort(kind="stable")
     ids, x = ids[order], x[order]
-    traces = np.trace(covs[ids], axis1=1, axis2=2)
-    reach = math.sqrt(d_threshold * traces.max()) * (1.0 + 1e-6)
-    ahead = np.searchsorted(x, x + reach, side="right") - np.arange(1, len(x) + 1)
-    a = np.repeat(np.arange(len(x)), ahead)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(ahead) - ahead, ahead)
-    return np.minimum(ids[a], ids[b]), np.maximum(ids[a], ids[b])
+    reach = np.full(len(x), math.inf)  # an infinite threshold reaches every track
+    if d_threshold < math.inf:
+        reach = np.sqrt(d_threshold * np.trace(covs[ids], axis1=1, axis2=2)) * (1.0 + 1e-6)
+    far = np.maximum.accumulate(reach[::-1])[::-1]
+    at = np.arange(len(x))
+    a, b = _ragged(np.searchsorted(x, x + far, side="right") - at - 1, at + 1)
+    kept = x.take(b) - x.take(a) <= np.maximum(reach.take(a), reach.take(b))
+    a, b = ids.take(a[kept]), ids.take(b[kept])
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
@@ -288,7 +319,7 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     tracks = state.tracks
     dists = tracks.dists
     n = len(tracks)
-    spatial = np.unique(dists.owner)  # the tracks with a spatial mixture
+    spatial = np.bincount(dists.owner, minlength=n).nonzero()[0]  # tracks with a spatial mixture
     if len(spatial) < 2:
         return state
     means, covs = mixture_moments(dists)
@@ -320,24 +351,28 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     # Each track id stands for itself until a merge folds it into another.
     stands_for = list(range(n))
     merged: list[tuple[int, int]] = []
-    consumed = np.zeros(n, dtype=bool)
+    consumed: set[int] = set()
+    existence = alpha.tolist()
+    shares_a_row = co.any(axis=1).tolist()
     for a, b in zip(first[order].tolist(), second[order].tolist()):
-        if consumed[a] or consumed[b]:
+        if a in consumed or b in consumed:
             continue
         # Keep the higher-existence member's path (ties: canonical order,
         # which is how the pair was generated).
-        if alpha[b] > alpha[a]:
+        if existence[b] > existence[a]:
             a, b = b, a
         # The kept path must stay compatible inside every hypothesis that
-        # held the dropped one, as earlier merges have relabelled it.
-        held_with_b = 0
-        for p in np.flatnonzero(co[b]).tolist():
-            held_with_b |= obs_mask(stands_for[p])
-        if held_with_b & obs_mask(a):
-            continue
+        # held the dropped one, as earlier merges have relabelled it; a track
+        # that shares no row is alone in each of its hypotheses.
+        if shares_a_row[b]:
+            held_with_b = 0
+            for p in np.flatnonzero(co[b]).tolist():
+                held_with_b |= obs_mask(stands_for[p])
+            if held_with_b & obs_mask(a):
+                continue
         merged.append((a, b))
         stands_for[b] = a
-        consumed[a] = consumed[b] = True
+        consumed.update((a, b))
     if not merged:
         return state
     # A kept track's row becomes its merged row, appended to the table; the
@@ -347,7 +382,7 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     src = np.arange(n)
     src[a] = n + np.arange(len(a))
     held, pad = held_tracks(n + 1, np.append(stands_for, n).astype(pad.dtype)[pad])
-    ids = np.flatnonzero(held[:n])
+    ids = held[:n].nonzero()[0]
     rows = _merged(dists.presence, alpha, a, b, means, covs)
     dists = Mixtures.concat(dists, rows).take(src[ids])
     tracks = TrackTable([paths[i] for i in ids.tolist()], tracks.displayed[ids], dists)

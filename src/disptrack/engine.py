@@ -56,11 +56,16 @@ arithmetic progression. The rows split into segments, each of parents of one
 group taking every pattern of one newborn count, parent-major. A segment of
 at least ``_BROADCAST_ROWS`` rows is written as a parents x patterns broadcast
 (:func:`_broadcast`); the rows between such segments go through the row
-writer, which gathers an option index per row. Each writes ``_BLOCK`` rows at
-a time. Both stay because a broadcast's set-up per segment outweighs its
-saving on short segments: the largest segments of the cluttered and 60-track
-benchmark scenes hold 1,813 and 351 rows, while exact C9's last scan puts
-2,091,537 of its 2,092,741 rows in 15 segments of 8,505 to 419,823 rows.
+writer. Each writes ``_BLOCK`` rows at a time. The row writer takes a block in
+one pass over its widest row, whatever widths it crosses: every cell gathers
+its option, a parent's first option plus the pattern's rank, and a cell past
+its row's width names the option past the last, which writes no id and whose
+log factor is 0.0. Adding 0.0 changes no sum, so each row's log weight adds
+the same terms in the same order as a row-by-row join. Both writers stay
+because a broadcast's set-up per segment outweighs its saving on short
+segments: the largest segments of the cluttered and 60-track benchmark
+scenes hold 1,813 and 351 rows, while exact C9's last scan puts 2,091,537 of
+its 2,092,741 rows in 15 segments of 8,505 to 419,823 rows.
 No row is sorted: tracks of a row share no observation, so their children
 keep the parents' order, and newborns come last.
 """
@@ -218,7 +223,8 @@ def padded_rows(indptr: np.ndarray, indices: np.ndarray, fill: int) -> np.ndarra
     lengths = indptr[1:] - indptr[:-1]
     out = np.empty((len(lengths), int(lengths.max(initial=0))), dtype=ID_DTYPE)
     out.fill(fill)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = indices
+    # Row k of the lookup flags the first k cells: one gather along the long axis.
+    out[np.tri(out.shape[1] + 1, out.shape[1], -1, dtype=bool).take(lengths, axis=0)] = indices
     return out
 
 
@@ -247,7 +253,8 @@ def fold_rows(pad: np.ndarray, weights: np.ndarray, fill: int):
     occurrence, weights added in table order. Returns ``(indptr, indices,
     weights)``, the ids as ``ID_DTYPE``.
     """
-    if (pad[:, 1:] < pad[:, :-1]).any():
+    # Column by column: numpy is slow along a short axis, and one row out of order will do.
+    if any((pad[:, j] < pad[:, j - 1]).any() for j in range(1, pad.shape[1])):
         pad.sort(axis=1)
     order, starts, run = _row_runs(pad)
     first = order[starts]  # each run's earliest row
@@ -320,13 +327,13 @@ def held_tracks(n: int, indices: np.ndarray):
     held[indices] = True
     if held.all():
         return held, indices
-    return held, (np.cumsum(held) - 1).astype(ID_DTYPE)[indices]
+    return held, (held.cumsum() - 1).astype(ID_DTYPE)[indices]
 
 
 def keep_tracks(table: TrackTable, indices: np.ndarray):
     """The tracks some entry of ``indices`` names, and ``indices`` renumbered over them."""
     held, indices = held_tracks(len(table), indices)
-    return (table if held.all() else table.take(np.flatnonzero(held))), indices
+    return (table if held.all() else table.take(held.nonzero()[0])), indices
 
 
 class HypothesisView(Sequence):
@@ -443,7 +450,8 @@ class FilterState:
         self.indices = np.asarray(indices, dtype=id_dtype(len(tracks)))
         self.weights = np.asarray(weights, dtype=float)
         for a in (self.indptr, self.indices, self.weights, tracks.displayed, *tracks.dists):
-            a.flags.writeable = False
+            if a.flags.writeable:  # tracks passed on from another state are frozen already
+                a.flags.writeable = False
 
     @property
     def hypotheses(self) -> HypothesisView:
@@ -464,7 +472,7 @@ class FilterState:
         for start in range(0, rows, _VIEW_CHUNK):
             ptr = self.indptr[start:start + _VIEW_CHUNK + 1]
             ids = self.indices[ptr[0]:ptr[-1]]
-            weights = np.repeat(self.weights[start:start + _VIEW_CHUNK], np.diff(ptr))
+            weights = self.weights[start:start + _VIEW_CHUNK].repeat(ptr[1:] - ptr[:-1])
             keep = slice(None) if only is None else only.take(ids)
             np.add.at(out, ids[keep], weights[keep])
         return out
@@ -481,8 +489,8 @@ class FilterState:
         if k >= len(w):
             return np.arange(len(w))
         cut = w.max() if k == 1 else np.partition(w, len(w) - k)[len(w) - k]
-        above = np.flatnonzero(w > cut)
-        tied = np.flatnonzero(w == cut)
+        above = (w > cut).nonzero()[0]
+        tied = (w == cut).nonzero()[0]
         if len(above) + len(tied) > k:
             indptr, indices = _take_rows(self.indptr, self.indices, tied)
             pad = padded_rows(indptr, indices, -1)
@@ -494,7 +502,7 @@ class FilterState:
         hold, renumbered; with every row flagged, only the tracks no row holds leave."""
         indptr, indices, weights = self.indptr, self.indices, self.weights
         if not keep.all():
-            indptr, indices = _take_rows(indptr, indices, np.flatnonzero(keep))
+            indptr, indices = _take_rows(indptr, indices, keep.nonzero()[0])
             weights = weights[keep]
         tracks, indices = keep_tracks(self.tracks, indices)
         return FilterState.from_table(self.scan, tracks, indptr, indices, weights)
@@ -551,17 +559,17 @@ def _child_options(state, obs, birth, sensor, gate_threshold):
     table = state.tracks
     n = len(table)
     mass, missed = miss_posteriors(table.dists, sensor)
-    miss = np.flatnonzero(mass > 0.0)
+    miss = (mass > 0.0).nonzero()[0]
     scored = table.dists
     if birth.max_births >= 1:  # newborns are owned by n
         scored = Mixtures.concat(scored, birth.prior)
     values = np.array([o.value for o in obs]).reshape(len(obs), sensor.obs_dim)
     owner, seen, logl, moments = score_scan(scored, values, sensor, gate_threshold)
-    found = np.flatnonzero(logl > NEG_INF)
+    found = (logl > NEG_INF).nonzero()[0]
     # Options by owner, each miss before its detections; src: the row of
     # each option's posterior in (miss posteriors, detection posteriors).
     owner = np.concatenate([miss, owner[found]])
-    by_owner = np.argsort(owner, kind="stable")
+    by_owner = owner.argsort(kind="stable")
     owner = owner[by_owner]
     j = np.concatenate([np.full(len(miss), -1), seen[found]])[by_owner]
     logl = np.concatenate([_logs(mass[miss]), logl[found]])[by_owner]
@@ -605,9 +613,11 @@ def _patterns(tracks, lengths, opts, opt_ptr, max_births):
     Returns ``(row, opt, ndet, n)``, by (n, row), each run in lexicographic order:
     pattern ``i``, of row ``row[i]`` of length ``k``, takes the options of ranks
     ``opt[i, :k]`` and birth options of ranks ``opt[i, k:k + n[i]]``, using
-    ``ndet[i]`` observations; ``opt`` holds ranks at the narrowest unsigned type
-    for the most options any track has. Raises :class:`DegenerateUpdateError` if
-    none completes, :class:`HypothesisBudgetError` past ``_MAX_ROWS`` patterns.
+    ``ndet[i]`` observations; its other cells hold the number of birth options,
+    so that, added to the first birth option, they name the option past the last.
+    ``opt`` is of the narrowest unsigned type holding every rank and that number.
+    Raises :class:`DegenerateUpdateError` if none completes,
+    :class:`HypothesisBudgetError` past ``_MAX_ROWS`` patterns.
     """
     made, completed = 0, []
 
@@ -620,9 +630,9 @@ def _patterns(tracks, lengths, opts, opt_ptr, max_births):
 
     g, words = len(lengths), int(opts.word.max(initial=0)) + 1
     births = np.arange(opt_ptr[-2], opt_ptr[-1])  # in observation order
-    ranks = id_dtype(int(np.diff(opt_ptr).max(initial=0)))  # holds any option's rank
+    ranks = id_dtype(int((opt_ptr[1:] - opt_ptr[:-1]).max(initial=0)) + 1)  # any rank, and len(births)
     stack = [(np.arange(g), np.zeros((g, words), np.uint64), np.zeros(g, np.int64),
-              np.zeros((g, tracks.shape[1] + max_births), ranks), 0)]
+              np.full((g, tracks.shape[1] + max_births), len(births), ranks), 0)]
     while stack:
         *part, k = stack.pop()
         if len(part[0]) > _BLOCK:
@@ -815,28 +825,23 @@ def update(
         spans.append((lo, start))
         lo = stop
     spans.append((lo, rows))
-    tables = {}  # per width: contiguous rows, so take() gathers them whole
     # take(out=) buffers under mode="raise"; the indices are valid by construction.
     blocks = [(lo, min(lo + _BLOCK, end)) for begin, end in spans for lo in range(begin, end, _BLOCK)]
-    for lo, hi in blocks:
+    logl = np.append(opts.logl, 0.0)  # an absent cell's option, one past the last, adds 0.0
+    for lo, hi in blocks:  # each in one pass over its widest row
         a, b = pair_rows.searchsorted(lo, "right") - 1, pair_rows.searchsorted(hi)
         clip = np.minimum(pair_rows[a + 1:b + 1], hi) - np.maximum(pair_rows[a:b], lo)
         at, q = parent[a:b].repeat(clip), shift[a:b].repeat(clip)
         q += np.arange(lo, hi)
+        w = int(width[a:b].max())
+        o = base[:, :w].take(at, axis=0)
+        o += opt[:, :w].take(q, axis=0)
+        child.take(o[o < len(child)], out=out_ids[out_ptr[lo]:out_ptr[hi]], mode="wrap")
+        factors = logl.take(o)
         logw = weights[lo:hi]  # log weights add up column by column, as the factors arise
         prior.take(at, out=logw, mode="wrap")
-        for start, stop, w in runs:
-            start, stop = max(start, lo), min(stop, hi)
-            if start < stop:
-                s = slice(start - lo, stop - lo)
-                if w not in tables:
-                    tables[w] = np.ascontiguousarray(base[:, :w]), np.ascontiguousarray(opt[:, :w])
-                o = tables[w][0].take(at[s], axis=0)
-                o += tables[w][1].take(q[s], axis=0)
-                child.take(o, out=out_ids[out_ptr[start]:out_ptr[stop]].reshape(o.shape), mode="wrap")
-                factors, part = opts.logl.take(o), logw[s]
-                for c in range(w):
-                    part += factors[:, c]
+        for c in range(w):
+            logw += factors[:, c]
         for term in tail:
             logw += term.take(q)
     top = float(np.max(weights))

@@ -375,30 +375,42 @@ class Mixtures(NamedTuple):
 
     def take(self, ids: np.ndarray) -> "Mixtures":
         """Distributions ``ids`` (distinct), in that order."""
-        new_id = np.full(len(self.presence), -1)
+        new_id = np.full(len(self.presence), len(ids))  # past every new id: not taken
         new_id[ids] = np.arange(len(ids))
-        comp = np.flatnonzero(new_id[self.owner] >= 0)
-        comp = comp[np.argsort(new_id[self.owner[comp]], kind="stable")]
-        owner = new_id[self.owner[comp]]
-        comps = self.weight[comp], self.mean[comp], self.cov[comp]
-        return Mixtures(self.presence[ids], owner, *comps)
+        key = new_id.take(self.owner)
+        comp = key.argsort(kind="stable")[:np.count_nonzero(key < len(ids))]
+        comps = self.weight.take(comp), self.mean.take(comp, axis=0), self.cov.take(comp, axis=0)
+        return Mixtures(self.presence.take(ids), key.take(comp), *comps)
 
     @staticmethod
     def concat(*parts: "Mixtures") -> "Mixtures":
         """The distributions of ``parts``, one table after another."""
         dim = max(p.mean.shape[1] for p in parts)  # an empty table may have dimension 0
-        offsets = np.cumsum([0] + [len(p.presence) for p in parts]).tolist()
-        parts = [
-            p._replace(owner=p.owner + o, mean=p.mean.reshape(len(p.weight), dim),
-                       cov=p.cov.reshape(len(p.weight), dim, dim))
-            for p, o in zip(parts, offsets)
-        ]
-        return Mixtures(*(np.concatenate(column) for column in zip(*parts)))
+        owners, at = [], 0
+        for p in parts:
+            owners.append(p.owner + at)
+            at += len(p.presence)
+        weight = np.concatenate([p.weight for p in parts])
+        return Mixtures(
+            np.concatenate([p.presence for p in parts]),
+            np.concatenate(owners),
+            weight,
+            np.concatenate([p.mean for p in parts], axis=None).reshape(len(weight), dim),
+            np.concatenate([p.cov for p in parts], axis=None).reshape(len(weight), dim, dim),
+        )
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
     """``math.log`` of each entry: numpy's ``log`` may differ from it in the last bit."""
     return np.array([math.log(v) for v in x.tolist()], dtype=float)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """A flag on the first entry of each run of equal ``keys``."""
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
 
 
 def _run_exps(values: np.ndarray, run: np.ndarray, first: np.ndarray):
@@ -489,14 +501,14 @@ def score_scan(
     passed = np.ones((n_dists, len(values)), dtype=bool)
     if gate_threshold is not None:
         passed = _min_distances(owner, S, resid, n_dists, gate_threshold) <= gate_threshold
-    cand = np.flatnonzero(passed.any(axis=1)[owner] & (mix.presence[owner] > 0.0))
+    cand = (passed.any(axis=1)[owner] & (mix.presence[owner] > 0.0)).nonzero()[0]
     pd = sensor.detection_probabilities(means[cand])
     can = (mix.weight[cand] > 0.0) & (pd > 0.0)
     detect = cand[can]
     log_wpd = _logs(mix.weight[detect]) + _logs(pd[can])
     factor, obs = np.nonzero(passed[owner[detect]])
     key = owner[detect[factor]] * len(values) + obs
-    order = np.argsort(key, kind="stable")
+    order = key.argsort(kind="stable")
     factor, obs, key = factor[order], obs[order], key[order]
     comp, log_wpd = detect[factor], log_wpd[factor]
     chol = np.linalg.cholesky(S[detect])[factor]
@@ -505,9 +517,9 @@ def score_scan(
     sol = np.linalg.solve(chol, np.concatenate((r[..., None], sensor.H @ covs[comp]), axis=-1))
     G, Gt = sol[..., 1:], np.swapaxes(sol[..., 1:], -1, -2)
     terms = log_wpd + _log_gauss(chol, white)
-    starts = np.diff(key, prepend=-1) != 0
-    first = np.flatnonzero(starts)
-    pair = np.cumsum(starts) - 1
+    starts = _run_starts(key)
+    first = starts.nonzero()[0]
+    pair = starts.cumsum() - 1
     dist = owner[comp[first]]
     top, rel = _run_exps(terms, pair, first)
     logl = _logs(mix.presence[dist]) + top + np.log(np.add.reduceat(rel, first))
@@ -584,12 +596,12 @@ def mixture_moments(mix: Mixtures):
     per = counts[mix.owner]  # each component's mixture size
     one = per == 1
     mean[mix.owner[one]], cov[mix.owner[one]] = mix.mean[one], mix.cov[one]
-    comp = np.flatnonzero(per > 1)
+    comp = (per > 1).nonzero()[0]
     if len(comp):
-        rows = np.flatnonzero(counts > 1)
+        rows = (counts > 1).nonzero()[0]
         sizes = counts[rows]
-        row = np.repeat(np.arange(len(rows)), sizes)
-        at = row, np.arange(len(comp)) - (np.cumsum(sizes) - sizes)[row]  # (row, slot)
+        row = np.arange(len(rows)).repeat(sizes)
+        at = row, np.arange(len(comp)) - (sizes.cumsum() - sizes)[row]  # (row, slot)
         w = mix.weight[comp]
         total = np.bincount(row, weights=w)[row]
         m, k = len(rows), sizes.max()
@@ -613,11 +625,11 @@ def matched_moments(weights: np.ndarray, means: np.ndarray, covs: np.ndarray):
     rows, k, d = means.shape
     mean, cov = np.zeros((rows, d)), np.zeros((rows, d, d))
     nonzero = np.count_nonzero(weights, axis=1)
-    lone = np.flatnonzero(nonzero == 1)
+    lone = (nonzero == 1).nonzero()[0]
     if len(lone):  # none when there are no columns (k == 0)
         member = np.argmax(weights[lone] != 0.0, axis=1)
         mean[lone], cov[lone] = means[lone, member], covs[lone, member]
-    many = np.flatnonzero(nonzero > 1)
+    many = (nonzero > 1).nonzero()[0]
     if len(many):  # a table of lone members, as most tracks are, skips the sums
         w, mu, P = weights[many], means[many], covs[many]
         m = np.zeros((len(many), d))

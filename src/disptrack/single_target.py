@@ -37,6 +37,7 @@ from .models import (
     score_scan,
     symmetrize,
     _run_exps,
+    _run_starts,
 )
 
 # Mixture hygiene: lighter posterior components are dropped. There is no length
@@ -92,7 +93,7 @@ def miss_posteriors(mix: Mixtures, sensor: SensorModel) -> tuple[np.ndarray, Mix
     q = mix.presence
     live = q > 0.0
     terms = np.zeros(len(mix.owner))
-    k = np.flatnonzero(live[mix.owner])
+    k = live[mix.owner].nonzero()[0]
     terms[k] = mix.weight[k] * (1.0 - sensor.detection_probabilities(mix.mean[k]))
     sums = np.bincount(mix.owner, weights=terms, minlength=len(q))
     in_scene = q * sums
@@ -101,7 +102,7 @@ def miss_posteriors(mix: Mixtures, sensor: SensorModel) -> tuple[np.ndarray, Mix
         presence = np.where(live, in_scene / mass, q)
         if not callable(sensor.p_d):
             # A constant detection probability scales every component alike.
-            return mass, mix._replace(presence=presence)
+            return mass, Mixtures(presence, *mix[1:])
         moved = (presence > 0.0)[mix.owner]
         weight = np.where(moved, terms / sums[mix.owner], mix.weight)
     keep = ~moved | (terms > 0.0)
@@ -126,7 +127,7 @@ def detection_posteriors(pair, log_w, means, covs) -> Mixtures:
     or below ``WEIGHT_FLOOR`` are then dropped and the rest renormalized,
     each step one segmented array operation over all pairs.
     """
-    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    first = _run_starts(pair).nonzero()[0]
     rel = _run_exps(log_w, pair, first)[1]
     weight = rel / np.add.reduceat(rel, first)[pair]
     weight[weight <= WEIGHT_FLOOR] = 0.0

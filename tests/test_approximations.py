@@ -184,6 +184,12 @@ class TestPruneByExistence:
             prune_by_existence(cluttered_state, 0.0, threshold)
 
 
+def marginalized(state, victims):
+    """``_marginalize``'s folded table as a state over the incoming track ids."""
+    out = _marginalize(state, victims)
+    return out if out is state else FilterState.from_table(*out)
+
+
 def renumbered(state):
     """``state`` without the tracks no row holds, the rest renumbered."""
     return state.with_rows(np.ones(len(state.weights), dtype=bool))
@@ -315,7 +321,7 @@ class TestOneFoldPrune:
             pipeline = (state.tracks.dists.presence < 1e-3) | (alpha < 1e-6)
             for victims in [pipeline] + [rng.random(len(alpha)) < p for p in (0.1, 0.5, 0.9)]:
                 # The table is not renumbered: the victims stay listed, in no row.
-                out = _marginalize(grid, victims).existence()
+                out = marginalized(grid, victims).existence()
                 assert np.array_equal(out[~victims], grid.existence()[~victims])
                 assert not out[victims].any()
                 # Actual weights: the fold and existence() only reassociate
@@ -324,7 +330,7 @@ class TestOneFoldPrune:
                 # existences differ by less than rows * eps. (1e-15 relative
                 # does not hold here: cluttered reaches 3.8e-15, 32 ulps.)
                 kept = alpha[~victims]
-                gap = np.abs(_marginalize(state, victims).existence()[~victims] - kept)
+                gap = np.abs(marginalized(state, victims).existence()[~victims] - kept)
                 assert (gap <= rows[~victims] * eps * kept).all()
 
 
@@ -356,7 +362,7 @@ def test_marginalize_matches_row_by_row_reference(table):
         [i for r in rows for i in r],
         weights,
     )
-    out = _marginalize(state, victims)
+    out = marginalized(state, victims)
     if not victims.any():
         assert out is state
         return
@@ -376,11 +382,15 @@ def test_each_pass_builds_its_table_once(monkeypatch, cluttered_updates):
     # The prune and the caps renumber their tracks in one keep_tracks, after
     # marginalizing and picking their rows; the merge takes its distributions
     # once and pads its rows at most once, for the co-occurrence table and
-    # the fold both. Each runs on the previous pass's output, as in the
-    # pipeline, and the caps also on the update's output at half its counts,
-    # so that both of them act in one call.
+    # the fold both. A pass that acts builds one state, the one it returns:
+    # the caps too when only the track cap acts. Each runs on the previous
+    # pass's output, as in the pipeline, and the caps also on the update's
+    # output at half its counts, so that both of them act in one call, and
+    # the track cap alone at half its tracks.
     cfg = load_config(CLUTTERED).approx
-    renumbers, takes, pads = [], [], []
+    renumbers, takes, pads, states = [], [], [], []
+    assign = FilterState._assign
+    monkeypatch.setattr(FilterState, "_assign", lambda *a: states.append(1) or assign(*a))
     keep_tracks, padded_rows = engine.keep_tracks, engine.padded_rows
     for module in (engine, approximations):  # where a pass might look it up
         monkeypatch.setattr(
@@ -395,6 +405,7 @@ def test_each_pass_builds_its_table_once(monkeypatch, cluttered_updates):
         "merge": lambda s: merge_tracks(s, cfg.merge_threshold),
         "cap": lambda s: cap_counts(s, cfg.max_tracks, cfg.max_hypotheses),
         "half caps": lambda s: cap_counts(s, max(1, len(s.tracks) // 2), max(1, len(s.weights) // 2)),
+        "half track cap": lambda s: cap_counts(s, max(1, len(s.tracks) // 2)),
     }
     acted = dict.fromkeys(passes, 0)
     for update_out in cluttered_updates:
@@ -403,15 +414,17 @@ def test_each_pass_builds_its_table_once(monkeypatch, cluttered_updates):
             renumbers.clear()
             takes.clear()
             pads.clear()
-            source = update_out if name == "half caps" else state
+            states.clear()
+            source = update_out if name.startswith("half") else state
             out = run(source)
             changed = out is not source
             acted[name] += changed
+            assert len(states) == changed
             if name == "merge":
                 assert (len(renumbers), len(takes)) == (0, changed) and len(pads) <= 1
             else:
                 assert len(renumbers) == changed and len(takes) <= changed
-            state = out if name != "half caps" else state
+            state = state if name.startswith("half") else out
     assert all(acted.values()), acted
 
 
@@ -834,7 +847,8 @@ def test_swept_pairs_hold_every_pair_under_the_bound(dim, n, seed, threshold):
     # The merge pass scores only the sweep's pairs, so every pair whose bound
     # can pass (under the threshold times 1 + 1e-9) must be among them. The
     # sweep's reach is tightest on a pair whose first coordinates' gap alone,
-    # over the largest trace, equals its bound: repeated covariances make some.
+    # over the larger of its traces, equals its bound: repeated covariances
+    # make some.
     rng = np.random.default_rng(seed)
     alpha, means, covs = random_pair_moments(rng, dim, n)
     covs[rng.random(n) < 0.3] = covs[0]
@@ -842,8 +856,8 @@ def test_swept_pairs_hold_every_pair_under_the_bound(dim, n, seed, threshold):
     first, second = (ids[k] for k in np.triu_indices(len(ids), 1))
     bound = _pair_bounds(alpha, means, covs, first, second)
     if threshold == "tightest":
-        largest = np.trace(covs[ids], axis1=1, axis2=2).max()
-        reach = (means[first, 0] - means[second, 0]) ** 2 / largest
+        traces = np.trace(covs, axis1=1, axis2=2)
+        reach = (means[first, 0] - means[second, 0]) ** 2 / np.maximum(traces[first], traces[second])
         tight = np.divide(reach, bound, out=np.zeros(len(bound)), where=bound > 0.0)
         threshold = float(bound[np.argmax(tight)])
     a, b = _swept_pairs(ids, means, covs, threshold)
@@ -854,6 +868,37 @@ def test_swept_pairs_hold_every_pair_under_the_bound(dim, n, seed, threshold):
     assert set(zip(first[near].tolist(), second[near].tolist())) <= swept
     if threshold == math.inf:
         assert len(swept) == len(first)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 4),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    threshold=st.sampled_from([0.0, 0.05, 25.0, math.inf]),
+)
+def test_swept_pairs_are_those_in_reach_of_the_larger_trace(dim, n, seed, threshold):
+    # Each pair is swept by the reach of the larger of its two traces, not by
+    # the largest trace of the table: a pair is swept when its first
+    # coordinates are within that reach, and only then (up to the rounding
+    # of the sweep's sums), once, and every pair whose bound can pass is
+    # among them.
+    rng = np.random.default_rng(seed)
+    alpha, means, covs = random_pair_moments(rng, dim, n)
+    ids = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    first, second = (ids[k] for k in np.triu_indices(len(ids), 1))
+    traces = np.trace(covs, axis1=1, axis2=2)
+    gap = np.abs(means[first, 0] - means[second, 0])
+    reach = np.sqrt(threshold * np.maximum(traces[first], traces[second])) * (1.0 + 1e-6)
+    a, b = _swept_pairs(ids, means, covs, threshold)
+    swept = list(zip(a.tolist(), b.tolist()))
+    assert len(set(swept)) == len(swept)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    inside = set(p for p, g, r in zip(pairs, gap, reach) if not g > r * (1.0 - 1e-9))
+    outside = set(p for p, g, r in zip(pairs, gap, reach) if g > r * (1.0 + 1e-9))
+    assert inside <= set(swept) and not outside & set(swept)
+    near = _pair_bounds(alpha, means, covs, first, second) < threshold * (1.0 + 1e-9)
+    assert set(zip(first[near].tolist(), second[near].tolist())) <= set(swept)
 
 
 class TestPipeline:

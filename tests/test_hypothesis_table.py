@@ -296,6 +296,16 @@ def test_broadcast_writer_matches_the_per_parent_join_bit_for_bit(scene):
         check_against_the_join(scene)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signature_scenes())
+def test_small_blocks_match_the_per_parent_join_bit_for_bit(scene):
+    # The same scenes in blocks of three rows: a block of the row writer then
+    # crosses several width runs and rows of width 0, whose absent cells add
+    # nothing to the weights and write no id.
+    with mock.patch.object(engine, "_BLOCK", 3):
+        check_against_the_join(scene)
+
+
 @pytest.mark.parametrize("orphan", [False, True])
 @pytest.mark.parametrize("p_d", [0.9, 1.0])
 def test_update_drops_the_children_of_orphan_and_unmissable_tracks(orphan, p_d, monkeypatch):

@@ -258,6 +258,56 @@ class TestMomentMatch:
             assert m.cov[0, 0] == pytest.approx(second - mean**2, abs=1e-10)
 
 
+def random_mixtures(rng, ks, dim=2) -> Mixtures:
+    """A table of len(ks) distributions, distribution i owning ks[i] random components."""
+    m = int(sum(ks))
+    root = rng.normal(size=(m, dim, dim))
+    return Mixtures(
+        rng.uniform(size=len(ks)), np.repeat(np.arange(len(ks)), ks), rng.uniform(size=m),
+        rng.normal(size=(m, dim)), root @ np.swapaxes(root, 1, 2),
+    )
+
+
+class TestMixtures:
+    def test_concat_equals_per_column_concatenation(self):
+        # Each column is concatenated once, owners shifted by the distributions
+        # before them: byte for byte the per-column np.concatenate of the
+        # parts, with an empty table of dimension 0 and a table of mixtures
+        # without components among them.
+        rng = np.random.default_rng(31)
+        parts = [random_mixtures(rng, [1, 2]), Mixtures.of([]), random_mixtures(rng, [0, 0]),
+                 random_mixtures(rng, [3, 0, 1])]
+        assert parts[1].mean.shape == (0, 0)
+        out = Mixtures.concat(*parts)
+        offsets = np.cumsum([0] + [len(p.presence) for p in parts])
+        reference = Mixtures(
+            np.concatenate([p.presence for p in parts]),
+            np.concatenate([p.owner + o for p, o in zip(parts, offsets)]),
+            np.concatenate([p.weight for p in parts]),
+            np.concatenate([p.mean.reshape(len(p.weight), 2) for p in parts]),
+            np.concatenate([p.cov.reshape(len(p.weight), 2, 2) for p in parts]),
+        )
+        for column, ref in zip(out, reference):
+            assert (column.dtype, column.shape) == (ref.dtype, ref.shape)
+            assert column.tobytes() == ref.tobytes()
+        empty = Mixtures.concat(Mixtures.of([]), Mixtures.of([AugmentedDistribution(0.0, ())]))
+        assert [c.shape for c in empty] == [(1,), (0,), (0,), (0, 0), (0, 0, 0)]
+
+    def test_take_equals_per_distribution_reference(self):
+        # Distributions ids, in that order, each with its components in table
+        # order, owners renumbered to the distributions' new places.
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            mix = random_mixtures(rng, rng.integers(0, 4, size=int(rng.integers(1, 8))))
+            ids = rng.permutation(len(mix.presence))[:int(rng.integers(0, len(mix.presence) + 1))]
+            comp = [k for i in ids.tolist() for k in np.flatnonzero(mix.owner == i).tolist()]
+            out = mix.take(ids)
+            assert out.presence.tobytes() == mix.presence[ids].tobytes()
+            assert out.owner.tolist() == [ids.tolist().index(i) for i in mix.owner[comp].tolist()]
+            for column, whole in zip(out[2:], mix[2:]):
+                assert column.tobytes() == whole[comp].tobytes() and column.shape[1:] == whole.shape[1:]
+
+
 class TestDetectionMissSplit:
     def test_masses_integrate_to_one_without_false_alarms(self):
         # With p_fa = 0 each target either yields exactly one observation or
