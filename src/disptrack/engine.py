@@ -37,35 +37,30 @@ State layout:
   ``FilterState(scan, tracks, hypotheses)`` is the validated entry point;
   the recursion and the passes build states with :meth:`FilterState.from_table`.
 
-The update scores the whole scan in stacked solves (:func:`models.score_scan`).
-Which associations a row admits depends only on which observations its tracks
-can take, so each track gets a signature, its option layout, and rows with the
-same signatures share one set of patterns (:func:`_patterns`). The patterns
-count the rows and their ids before any is built (past ``_MAX_ROWS`` rows, or
-``_MAX_ENTRIES`` ids, where int32 offsets would overflow, the update raises
-:class:`HypothesisBudgetError` at once); the rows are then written in place at
-the stored types, a child's id being its rank among all the scan's children.
-Once each prior track is in a row and can be missed, some row holds every
-child: a track's child is in a row holding the track that takes the child's
-option and misses the rest, a newborn in any all-missed row with that one
-newborn. Otherwise (``p_s`` = ``p_d`` = 1, or a track no row holds, which only
-``FilterState(...)`` makes) the children no row holds are dropped after
-writing (:func:`keep_tracks`).
-Rows of one width are contiguous, so each width run's offsets are one
-arithmetic progression. The rows split into segments, each of parents of one
-group taking every pattern of one newborn count, parent-major. A segment of
-at least ``_BROADCAST_ROWS`` rows is written as a parents x patterns broadcast
-(:func:`_broadcast`); the rows between such segments go through the row
-writer. Each writes ``_BLOCK`` rows at a time. The row writer takes a block in
-one pass over its widest row, whatever widths it crosses: every cell gathers
-its option, a parent's first option plus the pattern's rank, and a cell past
-its row's width names the option past the last, which writes no id and whose
-log factor is 0.0. Adding 0.0 changes no sum, so each row's log weight adds
-the same terms in the same order as a row-by-row join. Both writers stay
-because a broadcast's set-up per segment outweighs its saving on short
-segments: the largest segments of the cluttered and 60-track benchmark
-scenes hold 1,813 and 351 rows, while exact C9's last scan puts 2,091,537 of
-its 2,092,741 rows in 15 segments of 8,505 to 419,823 rows.
+The update is a plan, then the writers. :func:`_plan` scores the whole scan in
+stacked solves (:func:`models.score_scan`). Which associations a row admits
+depends only on which observations its tracks can take, so each track gets a
+signature, its option layout, and rows with the same signatures share one set
+of patterns (:func:`_patterns`). From the patterns the plan counts the rows,
+ids and bytes to be written. :func:`_write` holds those counts to the budgets
+first (past ``_MAX_ROWS`` rows, or ``_MAX_ENTRIES`` ids, where int32 offsets
+would overflow, it raises :class:`HypothesisBudgetError` before any row exists),
+then writes the rows in place at the stored types, a child's id being its
+rank among all the scan's children. The rows split into segments,
+each of parents of one group taking every pattern of one newborn count,
+parent-major. A segment of at least ``_BROADCAST_ROWS`` rows is written as a
+parents x patterns broadcast (:func:`_broadcast`); the row writer takes the
+rows between, ``_BLOCK`` at a time, each block in one pass over its widest
+row. There a cell past its row's width names the option past the last, which
+writes no id and adds 0.0 to the log weight, so each row adds the same terms
+in the same order as a row-by-row join. Both writers stay because a
+broadcast's set-up per segment outweighs its saving on short segments: the
+largest segments of the cluttered and 60-track benchmark scenes hold 1,813
+and 351 rows, while exact C9's last scan puts 2,091,537 of its 2,092,741 rows
+in 15 segments of 8,505 to 419,823 rows. Once each prior track is in a row
+and can be missed, some row holds every child; otherwise (``p_s`` = ``p_d`` =
+1, or a track no row holds, which only ``FilterState(...)`` makes) the
+children no row holds are dropped after writing (:func:`keep_tracks`).
 No row is sorted: tracks of a row share no observation, so their children
 keep the parents' order, and newborns come last.
 """
@@ -85,7 +80,6 @@ from .models import (
     AugmentedDistribution,
     BirthModel,
     Mixtures,
-    ModelConfigError,
     Observation,
     ObsId,
     SensorModel,
@@ -93,9 +87,11 @@ from .models import (
     check_scan,
     log_predictive_likelihood,  # not called: perfbench's tracer patches this name
     score_scan,
+    _check_dims,
     _check_threshold,
     _derived,
     _logs,
+    _run_starts,
 )
 # Not called: perfbench's tracer patches birth_posterior, predict_distribution
 # and update_distribution here.
@@ -743,20 +739,42 @@ def update(
     than ``_MAX_ENTRIES`` track ids in them, past which its int32 row
     offsets would overflow.
     """
-    scan = state.scan + 1
     obs = sorted(scan_obs, key=lambda o: o.id)
-    check_scan(obs, scan)
-    for o in obs:
-        if o.value.shape[0] != sensor.obs_dim:
-            raise ModelConfigError(
-                f"observation dim {o.value.shape[0]} does not match sensor dim {sensor.obs_dim}"
-            )
+    check_scan(obs, state.scan + 1)
+    _check_dims(sensor, [o.value.shape[0] for o in obs])
     prior_total = state.total_weight()
     if not (0.0 < prior_total <= 1.0 + 1e-6):
         raise ValueError(f"prior hypothesis weights must sum into (0, 1], got {prior_total}")
-
     if gate_threshold is not None:
         _check_threshold(gate_threshold, "gate threshold", math.inf)
+    return _write(_plan(state, obs, birth, sensor, gate_threshold), state)
+
+
+class _Plan(NamedTuple):
+    """One update, counted before any row is written. Pair ``i`` is prior row ``parent[i]``
+    with ``newborns[i]`` newborns: rows ``pair_rows[i]:pair_rows[i + 1]`` of ``width[i]``
+    ids, taking the patterns from ``shift[i]`` plus the row. Pairs ``seg[s]:seg[s + 1]``,
+    parents of one group with one newborn count, form segment ``s``."""
+
+    children: TrackTable  # every candidate child, its id its rank
+    opts: _Options
+    base: np.ndarray  # per prior row, each cell's first option (the birth prior's past the row)
+    opt: np.ndarray  # the patterns' option ranks, as _patterns gives them
+    tail: np.ndarray  # per pattern: log cardinality, detection and false-alarm terms
+    parent: np.ndarray
+    newborns: np.ndarray
+    width: np.ndarray
+    pair_rows: np.ndarray
+    shift: np.ndarray
+    seg: np.ndarray
+    rows: int
+    ids: int
+    nbytes: int  # of the written table: int32 offsets, ids at the stored type, float64 weights
+    every_child: bool  # some row holds every child
+
+
+def _plan(state, obs, birth, sensor, gate_threshold) -> _Plan:
+    """Score the scan, join its patterns and count the rows, ids and bytes they make."""
     children, opts, opt_ptr, signature, missable = _child_options(state, obs, birth, sensor, gate_threshold)
     lengths = state.indptr[1:] - state.indptr[:-1]
     tracks = padded_rows(state.indptr, state.indices, len(state.tracks))  # the birth prior pads
@@ -775,74 +793,76 @@ def update(
     parent, newborns = parent[by_group], newborns[by_group]
     count = count[newborns * len(lengths) + parent]
     pair_rows = row_offsets(count)
-    rows = int(pair_rows[-1])
-    if rows > _MAX_ROWS:
-        raise HypothesisBudgetError(f"the update would emit more than {_MAX_ROWS} hypotheses: {rows}")
     width = lengths[parent] + newborns
-    entries = int(count @ width)
-    if entries > _MAX_ENTRIES:
-        raise HypothesisBudgetError(f"the update would emit more than {_MAX_ENTRIES} track ids: {entries}")
     shift = (per_cell.cumsum() - per_cell)[newborns * g + group[parent]] - pair_rows[:-1]
+    seg = np.append(_run_starts(group[parent] * depth + newborns).nonzero()[0], len(parent))
 
     # A row's options: its parent's tracks' first options plus the pattern's
     # ranks (newborns rank among the birth prior's, whose id pads).
     base = np.full((len(lengths), opt.shape[1]), opt_ptr[-2], dtype=np.int32)
     base[:, :tracks.shape[1]] = opt_ptr.take(tracks)
-    # Some row holds every child when every prior track is held and can be missed.
-    every_child = missable and np.bincount(state.indices, minlength=len(state.tracks)).all()
-    id_type = id_dtype(len(children))  # the stored type, where every child is kept
-    child = opts.child.astype(id_type)
-
-    with np.errstate(divide="ignore"):
-        prior = np.log(state.weights)
     lpfa = math.log(sensor.p_fa) if sensor.p_fa > 0.0 else NEG_INF
     fa = (len(obs) - ndet) * lpfa if lpfa > NEG_INF else np.where(len(obs) > ndet, NEG_INF, 0.0)
     lcard = np.array([math.log(c) if c > 0.0 else NEG_INF for c in birth.cardinality.tolist()])
     tail = np.array([lcard.take(n), ndet * math.log1p(-sensor.p_fa), fa])
-    # Runs of pairs whose rows have one width: (first row, end row, width).
-    cut = np.concatenate(([0], (width[1:] != width[:-1]).nonzero()[0] + 1))
-    bounds = pair_rows[cut].tolist() + [rows]
-    runs = list(zip(bounds, bounds[1:], width[cut].tolist()))
+    rows, ids = int(pair_rows[-1]), int(count @ width)
+    nbytes = (rows + 1) * PTR_DTYPE().itemsize + ids * id_dtype(len(children)).itemsize + rows * 8
+    # Some row holds every child when every prior track is held and can be missed.
+    every_child = missable and bool(np.bincount(state.indices, minlength=len(state.tracks)).all())
+    return _Plan(children, opts, base, opt, tail, parent, newborns, width, pair_rows, shift, seg,
+                 rows, ids, nbytes, every_child)
+
+
+def _write(plan: _Plan, state: FilterState) -> FilterState:
+    """The update of ``state``: check ``plan`` against the budgets, allocate its table and
+    write it, then normalise the weights and keep the children some row holds."""
+    if plan.rows > _MAX_ROWS:
+        raise HypothesisBudgetError(f"the update would emit more than {_MAX_ROWS} hypotheses: {plan.rows}")
+    if plan.ids > _MAX_ENTRIES:
+        raise HypothesisBudgetError(f"the update would emit more than {_MAX_ENTRIES} track ids: {plan.ids}")
+    parent, width, pair_rows, shift, rows = plan.parent, plan.width, plan.pair_rows, plan.shift, plan.rows
+    child = plan.opts.child.astype(id_dtype(len(plan.children)))  # the stored type, where every child is kept
+    with np.errstate(divide="ignore"):
+        prior = np.log(state.weights)
     weights = np.empty(rows)
     out_ptr = np.zeros(rows + 1, dtype=PTR_DTYPE)
-    for start, stop, w in runs:  # each run's offsets step by its width
+    cut = _run_starts(width).nonzero()[0]  # runs of pairs whose rows have one width
+    bounds = pair_rows[cut].tolist() + [rows]
+    for start, stop, w in zip(bounds, bounds[1:], width[cut].tolist()):  # offsets step by the width
         first = int(out_ptr[start])
         out_ptr[start + 1:stop + 1] = np.arange(first + w, first + (stop - start) * w + 1, w) if w else first
-    out_ids = np.empty(entries, dtype=id_type)
+    out_ids = np.empty(plan.ids, dtype=child.dtype)
 
-    # Pairs in a row of one group and newborn count form a segment: its rows
-    # are each of its parents with each pattern of one cell, parent-major.
-    new = (newborns[1:] != newborns[:-1]) | (group[parent[1:]] != group[parent[:-1]])
-    seg = np.concatenate(([0], new.nonzero()[0] + 1, [len(parent)]))
+    # A segment's rows are each of its parents with each pattern of one cell, parent-major.
+    seg = plan.seg
     large = (pair_rows[seg[1:]] - pair_rows[seg[:-1]] >= _BROADCAST_ROWS).nonzero()[0]
     spans, lo = [], 0  # the rows between large segments, for the row writer
     for a, b in zip(seg[large].tolist(), seg[large + 1].tolist()):
         start, stop, w = int(pair_rows[a]), int(pair_rows[b]), int(width[a])
-        q0 = start + int(shift[a])  # the cell's first pattern
-        q = slice(q0, q0 + int(count[a]))
+        q = slice(start + int(shift[a]), int(pair_rows[a + 1] + shift[a]))  # the cell's patterns
         _broadcast(out_ids[out_ptr[start]:out_ptr[stop]], weights[start:stop], prior.take(parent[a:b]),
-                   base[parent[a:b], :w], opt[q, :w], tail[:, q], child, opts.logl)
+                   plan.base[parent[a:b], :w], plan.opt[q, :w], plan.tail[:, q], child, plan.opts.logl)
         spans.append((lo, start))
         lo = stop
     spans.append((lo, rows))
     # take(out=) buffers under mode="raise"; the indices are valid by construction.
     blocks = [(lo, min(lo + _BLOCK, end)) for begin, end in spans for lo in range(begin, end, _BLOCK)]
-    logl = np.append(opts.logl, 0.0)  # an absent cell's option, one past the last, adds 0.0
+    logl = np.append(plan.opts.logl, 0.0)  # an absent cell's option, one past the last, adds 0.0
     for lo, hi in blocks:  # each in one pass over its widest row
         a, b = pair_rows.searchsorted(lo, "right") - 1, pair_rows.searchsorted(hi)
         clip = np.minimum(pair_rows[a + 1:b + 1], hi) - np.maximum(pair_rows[a:b], lo)
         at, q = parent[a:b].repeat(clip), shift[a:b].repeat(clip)
         q += np.arange(lo, hi)
         w = int(width[a:b].max())
-        o = base[:, :w].take(at, axis=0)
-        o += opt[:, :w].take(q, axis=0)
+        o = plan.base[:, :w].take(at, axis=0)
+        o += plan.opt[:, :w].take(q, axis=0)
         child.take(o[o < len(child)], out=out_ids[out_ptr[lo]:out_ptr[hi]], mode="wrap")
         factors = logl.take(o)
         logw = weights[lo:hi]  # log weights add up column by column, as the factors arise
         prior.take(at, out=logw, mode="wrap")
         for c in range(w):
             logw += factors[:, c]
-        for term in tail:
+        for term in plan.tail:
             logw += term.take(q)
     top = float(np.max(weights))
     if top == NEG_INF:
@@ -850,6 +870,5 @@ def update(
     weights -= top
     np.exp(weights, out=weights)
     weights /= weights.sum()
-    if not every_child:
-        children, out_ids = keep_tracks(children, out_ids)
-    return FilterState.from_table(scan, children, out_ptr, out_ids, weights)
+    children, out_ids = (plan.children, out_ids) if plan.every_child else keep_tracks(plan.children, out_ids)
+    return FilterState.from_table(state.scan + 1, children, out_ptr, out_ids, weights)

@@ -16,8 +16,8 @@ through :func:`mixture_moments` for a whole table and :func:`moment_match`
 for one mixture. Inputs are validated once, at the boundary: by the model
 constructors, which also reject non-finite entries, and by ``load_config``.
 Derived records are built by :func:`_derived`, unchecked.
-A scan is checked by :func:`check_scan` alone, and every threshold and cap by
-:func:`_check_threshold` and :func:`_check_cap`.
+A scan is checked by :func:`check_scan` and its dimensions by :func:`_check_dims`,
+every threshold and cap by :func:`_check_threshold` and :func:`_check_cap`.
 """
 
 from __future__ import annotations
@@ -438,6 +438,16 @@ def _log_gauss(chol: np.ndarray, white: np.ndarray) -> np.ndarray:
     return -0.5 * (white.shape[-1] * LOG_2PI + logdet + quad)
 
 
+def _check_dims(sensor: SensorModel, obs_dims: Sequence[int], state_dim: int | None = None) -> None:
+    """Raise :class:`ModelConfigError` unless each of ``obs_dims`` is the sensor's output
+    dimension and ``state_dim`` (``None``: not checked) its input dimension."""
+    for d in obs_dims:
+        if d != sensor.obs_dim:
+            raise ModelConfigError(f"observation dim {d} does not match sensor output dim {sensor.obs_dim}")
+    if state_dim not in (None, sensor.state_dim):
+        raise ModelConfigError(f"state dim {state_dim} does not match sensor input dim {sensor.state_dim}")
+
+
 def _stacked(mix: Mixtures, values: np.ndarray, sensor: SensorModel):
     """``(owner, means, covs, S, resid)`` of the table's components.
 
@@ -446,6 +456,7 @@ def _stacked(mix: Mixtures, values: np.ndarray, sensor: SensorModel):
     the rows of ``values``. S is left as computed: the Cholesky factorisation
     reads one triangle only, and a general solve does not need symmetry.
     """
+    _check_dims(sensor, values.shape[1:], mix.mean.shape[1] if len(mix.weight) else None)
     n, H = sensor.state_dim, sensor.H
     means, covs = mix.mean.reshape(len(mix.weight), n), mix.cov.reshape(len(mix.weight), n, n)
     resid = values[None] - (H @ means[..., None])[..., None, :, 0]
@@ -541,18 +552,7 @@ def log_predictive_likelihood(
     w_i * p_d(m_i) * N(z; H m_i, H P_i H' + R); -inf whenever presence is
     zero (an absent target produces nothing) or no component can detect.
     """
-    z = obs.value
-    if z.shape[0] != sensor.obs_dim:
-        raise ModelConfigError(
-            f"observation dim {z.shape[0]} does not match sensor output dim {sensor.obs_dim}"
-        )
-    if dist.presence <= 0.0:
-        return -math.inf
-    if dist.dim != sensor.state_dim:
-        raise ModelConfigError(
-            f"state dim {dist.dim} does not match sensor input dim {sensor.state_dim}"
-        )
-    logl = score_scan(Mixtures.of([dist]), z[None], sensor)[2]
+    logl = score_scan(Mixtures.of([dist]), obs.value[None], sensor)[2]
     return float(logl[0]) if len(logl) else -math.inf
 
 

@@ -433,6 +433,20 @@ class TestUpdate:
         assert state.indptr.nbytes + state.indices.nbytes + state.weights.nbytes <= 35.3e6
         assert peak < 48e6
 
+    def test_exact_c9_last_scan_is_planned_without_writing(self):
+        # The plan gives the last scan's rows, ids and table bytes (one-byte
+        # ids, int32 offsets, float64 weights) from its patterns alone, under
+        # the refusal's bound of eight bytes per row.
+        prior, scan, birth, sensor = exact_c9_last_scan()
+        tracemalloc.start()
+        try:
+            plan = engine._plan(prior, scan, birth, sensor, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (plan.rows, plan.ids, plan.nbytes) == (2_092_741, 10_141_722, 35_254_618)
+        assert peak < 8 * plan.rows
+
     def test_entry_budget(self, monkeypatch):
         # Past _MAX_ENTRIES track ids the int32 row offsets would overflow:
         # the update refuses with the id count, which the patterns give

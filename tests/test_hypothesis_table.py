@@ -306,6 +306,26 @@ def test_small_blocks_match_the_per_parent_join_bit_for_bit(scene):
         check_against_the_join(scene)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signature_scenes())
+def test_plan_counts_what_the_update_writes(scene):
+    # The plan counts every row and id before any is written; the written
+    # table has those lengths, and, where every child stays (so the ids keep
+    # their planned type), the bytes the plan predicts.
+    (motion, sensor, birth), gate_threshold, scans, absent, mixing = scene
+    state = init_filter()
+    for t, scan in enumerate(scans):
+        prior = predict(state if t == 0 else mixed_rows(state, absent, mixing), motion)
+        try:
+            plan = engine._plan(prior, sorted(scan, key=lambda o: o.id), birth, sensor, gate_threshold)
+            state = update(prior, scan, birth, sensor, gate_threshold)
+        except DegenerateUpdateError:
+            return
+        assert (plan.rows, plan.ids) == (len(state.weights), len(state.indices))
+        if len(state.tracks) == len(plan.children):
+            assert plan.nbytes == state.indptr.nbytes + state.indices.nbytes + state.weights.nbytes
+
+
 @pytest.mark.parametrize("orphan", [False, True])
 @pytest.mark.parametrize("p_d", [0.9, 1.0])
 def test_update_drops_the_children_of_orphan_and_unmissable_tracks(orphan, p_d, monkeypatch):

@@ -11,6 +11,7 @@ from disptrack import (
     AugmentedDistribution,
     BirthModel,
     GaussianComponent,
+    ModelConfigError,
     Observation,
     SensorModel,
     birth_posterior,
@@ -159,6 +160,35 @@ def test_empty_scan_and_no_distributions():
         assert all(len(a) == 0 for a in empty[:3] + empty[3])
         none = score_scan(Mixtures.of([]), np.zeros((2, sensor.obs_dim)), sensor, threshold)
         assert all(len(a) == 0 for a in none[:3] + none[3])
+
+
+def birth_of(d):
+    return BirthModel(np.array([0.5, 0.5]), d)
+
+
+ENTRY_POINTS = {
+    "update": lambda d, z, s: update(init_filter(), [z], birth_of(d), s),
+    "log_predictive_likelihood": log_predictive_likelihood,
+    "update_distribution": update_distribution,
+    "birth_posterior": lambda d, z, s: birth_posterior(birth_of(d), z, s),
+    "mahalanobis_sq": mahalanobis_sq,
+    "make_gate": lambda d, z, s: make_gate(s, 4.0)(d, z),
+}
+
+
+@pytest.mark.parametrize("mismatch", ["observation", "state"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_dimension_mismatch_raises_model_config_error(entry, mismatch):
+    # Against a sensor of 2-D states and observations, a 3-D observation or
+    # a 3-D distribution (the birth prior's in update and birth_posterior) is
+    # a configuration error at every entry point, never numpy's reshape or
+    # solve error from the stacked forms.
+    sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 0.1)
+    dist_dim, obs_dim = (2, 3) if mismatch == "observation" else (3, 2)
+    d = AugmentedDistribution(1.0, (GaussianComponent(1.0, np.zeros(dist_dim), np.eye(dist_dim)),))
+    z = Observation((0, 0), np.zeros(obs_dim))
+    with pytest.raises(ModelConfigError, match=f"^{mismatch} dim 3 does not match sensor"):
+        ENTRY_POINTS[entry](d, z, sensor)
 
 
 def blind_past_3(x):
