@@ -57,10 +57,17 @@ in the same order as a row-by-row join. Both writers stay because a
 broadcast's set-up per segment outweighs its saving on short segments: the
 largest segments of the cluttered and 60-track benchmark scenes hold 1,813
 and 351 rows, while exact C9's last scan puts 2,091,537 of its 2,092,741 rows
-in 15 segments of 8,505 to 419,823 rows. Once each prior track is in a row
-and can be missed, some row holds every child; otherwise (``p_s`` = ``p_d`` =
-1, or a track no row holds, which only ``FilterState(...)`` makes) the
-children no row holds are dropped after writing (:func:`keep_tracks`).
+in 15 segments of 8,505 to 419,823 rows. Each block of either writer is a job
+over rows no other job writes; the main thread and a worker thread per further
+usable CPU (``_CPUS``), at most one thread per job, take the jobs in turn, and
+the subtract-and-exp and the divide of the normalisation run over ``_BLOCK``-row
+blocks the same way. Every row takes the same operations in the same order
+whatever the thread count, so the bytes do not depend on it, and an update of
+one block starts no thread. The threads cut wall time, not CPU time. Once
+each prior track is in a row and can be missed, some row holds every child;
+otherwise (``p_s`` = ``p_d`` = 1, or a track no row holds, which only
+``FilterState(...)`` makes) the children no row holds are dropped after
+writing (:func:`keep_tracks`).
 No row is sorted: tracks of a row share no observation, so their children
 keep the parents' order, and newborns come last.
 """
@@ -68,9 +75,13 @@ keep the parents' order, and newborns come last.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from bisect import bisect_left
+from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -113,6 +124,8 @@ _BLOCK = 1 << 15  # partial patterns extended, or rows written, at once in updat
 _BROADCAST_ROWS = 1 << 12  # rows from which update writes a segment as one broadcast
 _MAX_ROWS = 1 << 25  # rows one update may emit: 16 times the exact C9 case
 _MAX_ENTRIES = np.iinfo(PTR_DTYPE).max  # track ids one update may emit: its offsets must fit
+# Usable CPUs: update writes its row blocks on at most this many threads, the main one included.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -676,14 +689,15 @@ def _patterns(tracks, lengths, opts, opt_ptr, max_births):
 
 
 def _broadcast(ids, logw, prior, first, pats, tail, child, logl):
-    """Write one segment's rows: each parent with each pattern, parent-major.
+    """Jobs that write one segment's rows: each parent with each pattern, parent-major.
 
     Row ``(i, j)`` takes option ``first[i, c] + pats[j, c]`` at column ``c``;
     its ids go to ``ids`` and its log weight, ``prior[i]`` plus the options'
     ``logl`` and the pattern's ``tail`` terms, to ``logw``, added in that
     order. Each parent's children and log factors are tabled by (column,
     rank) first, so all parents gather through one index, ``_BLOCK`` rows
-    at a time.
+    at a time. Returns one job, a function of no argument, per block of
+    parents: each writes only its parents' rows.
     """
     (m, w), c = first.shape, len(pats)
     ranks = np.arange(int(pats.max(initial=0)) + 1)
@@ -692,7 +706,8 @@ def _broadcast(ids, logw, prior, first, pats, tail, child, logl):
     ids, logw = ids.reshape(m, c, w), logw.reshape(m, c)
     step = min(c, _BLOCK)
     per = _BLOCK // step  # parents per block; one when a parent's rows span blocks
-    for i in range(0, m, per):
+
+    def block(i):
         o = first[i:i + per, :, None] + ranks  # past a track's options: never read
         kids = child.take(o, mode="clip").reshape(len(o), -1)
         factors = logl.take(o, mode="clip").reshape(len(o), -1)
@@ -706,6 +721,40 @@ def _broadcast(ids, logw, prior, first, pats, tail, child, logl):
                 part += np.take(factors, col, axis=1, out=buf, mode="wrap")
             for term in tail[:, s]:
                 part += term
+
+    return [partial(block, i) for i in range(0, m, per)]
+
+
+def _run(jobs) -> None:
+    """Run each job once. The main thread and ``min(_CPUS, len(jobs)) - 1`` worker
+    threads each take the next job until none is left, so one job or one CPU starts
+    no thread. The jobs must write disjoint memory; the first error is raised here."""
+    todo, failed, workers = deque(jobs), [], []
+
+    def drain():
+        try:
+            while True:
+                try:
+                    job = todo.popleft()
+                except IndexError:
+                    return
+                job()
+        except BaseException as error:  # raised again on the main thread
+            todo.clear()  # the other threads stop after their current job
+            failed.append(error)
+
+    try:
+        for _ in range(min(_CPUS, len(todo)) - 1):
+            worker = threading.Thread(target=drain)
+            worker.start()
+            workers.append(worker)
+        drain()
+    finally:
+        todo.clear()  # after a failed start, the started workers take no more jobs
+        for worker in workers:
+            worker.join()
+    if failed:
+        raise failed[0]
 
 
 def update(
@@ -830,25 +879,27 @@ def _write(plan: _Plan, state: FilterState) -> FilterState:
     bounds = pair_rows[cut].tolist() + [rows]
     for start, stop, w in zip(bounds, bounds[1:], width[cut].tolist()):  # offsets step by the width
         first = int(out_ptr[start])
-        out_ptr[start + 1:stop + 1] = np.arange(first + w, first + (stop - start) * w + 1, w) if w else first
+        last = first + (stop - start) * w
+        out_ptr[start + 1:stop + 1] = np.arange(first + w, last + 1, w, dtype=PTR_DTYPE) if w else first
     out_ids = np.empty(plan.ids, dtype=child.dtype)
 
     # A segment's rows are each of its parents with each pattern of one cell, parent-major.
-    seg = plan.seg
+    # Every job writes rows no other job writes, so the bytes do not depend on the threads.
+    seg, jobs = plan.seg, []
     large = (pair_rows[seg[1:]] - pair_rows[seg[:-1]] >= _BROADCAST_ROWS).nonzero()[0]
     spans, lo = [], 0  # the rows between large segments, for the row writer
     for a, b in zip(seg[large].tolist(), seg[large + 1].tolist()):
         start, stop, w = int(pair_rows[a]), int(pair_rows[b]), int(width[a])
         q = slice(start + int(shift[a]), int(pair_rows[a + 1] + shift[a]))  # the cell's patterns
-        _broadcast(out_ids[out_ptr[start]:out_ptr[stop]], weights[start:stop], prior.take(parent[a:b]),
-                   plan.base[parent[a:b], :w], plan.opt[q, :w], plan.tail[:, q], child, plan.opts.logl)
+        jobs += _broadcast(out_ids[out_ptr[start]:out_ptr[stop]], weights[start:stop],
+                           prior.take(parent[a:b]), plan.base[parent[a:b], :w], plan.opt[q, :w],
+                           plan.tail[:, q], child, plan.opts.logl)
         spans.append((lo, start))
         lo = stop
     spans.append((lo, rows))
-    # take(out=) buffers under mode="raise"; the indices are valid by construction.
-    blocks = [(lo, min(lo + _BLOCK, end)) for begin, end in spans for lo in range(begin, end, _BLOCK)]
     logl = np.append(plan.opts.logl, 0.0)  # an absent cell's option, one past the last, adds 0.0
-    for lo, hi in blocks:  # each in one pass over its widest row
+
+    def write_rows(lo, hi):  # in one pass over the widest row
         a, b = pair_rows.searchsorted(lo, "right") - 1, pair_rows.searchsorted(hi)
         clip = np.minimum(pair_rows[a + 1:b + 1], hi) - np.maximum(pair_rows[a:b], lo)
         at, q = parent[a:b].repeat(clip), shift[a:b].repeat(clip)
@@ -856,6 +907,7 @@ def _write(plan: _Plan, state: FilterState) -> FilterState:
         w = int(width[a:b].max())
         o = plan.base[:, :w].take(at, axis=0)
         o += plan.opt[:, :w].take(q, axis=0)
+        # take(out=) buffers under mode="raise"; the indices are valid by construction.
         child.take(o[o < len(child)], out=out_ids[out_ptr[lo]:out_ptr[hi]], mode="wrap")
         factors = logl.take(o)
         logw = weights[lo:hi]  # log weights add up column by column, as the factors arise
@@ -864,11 +916,20 @@ def _write(plan: _Plan, state: FilterState) -> FilterState:
             logw += factors[:, c]
         for term in plan.tail:
             logw += term.take(q)
+
+    blocks = [(lo, min(lo + _BLOCK, end)) for begin, end in spans for lo in range(begin, end, _BLOCK)]
+    _run(jobs + [partial(write_rows, lo, hi) for lo, hi in blocks])
     top = float(np.max(weights))
     if top == NEG_INF:
         raise DegenerateUpdateError("all association weights are zero")
-    weights -= top
-    np.exp(weights, out=weights)
-    weights /= weights.sum()
+    parts = [weights[lo:lo + _BLOCK] for lo in range(0, rows, _BLOCK)]
+
+    def exp_shifted(part):
+        part -= top
+        np.exp(part, out=part)
+
+    _run([partial(exp_shifted, part) for part in parts])
+    total = weights.sum()
+    _run([partial(np.divide, part, total, out=part) for part in parts])
     children, out_ids = (plan.children, out_ids) if plan.every_child else keep_tracks(plan.children, out_ids)
     return FilterState.from_table(state.scan + 1, children, out_ptr, out_ids, weights)

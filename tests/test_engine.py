@@ -1,8 +1,12 @@
 """Hypothesis engine: association enumeration, weighting, Bayes update."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from functools import partial
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +24,14 @@ from disptrack import (
     birth_posterior,
     compatible,
     enumerate_associations,
+    filter_scans,
     init_filter,
     is_consistent,
+    load_config,
     newborn_path,
     predict,
     predictive_likelihood,
+    simulate,
     track_existence,
     update,
     update_distribution,
@@ -310,18 +317,21 @@ class TestUpdate:
                 state = update(predict(state, motion), scan, birth, sensor)
             return state
 
+        # Each block is a job over its own rows, on 1, 2 or 3 threads.
         whole = run()
         assert len(whole.weights) > 100 * 2
         for block, broadcast_rows in ((2, engine._BROADCAST_ROWS), (engine._BLOCK, 1), (2, 1)):
             monkeypatch.setattr(engine, "_BLOCK", block)
             monkeypatch.setattr(engine, "_BROADCAST_ROWS", broadcast_rows)
-            blocked = run()
-            assert list(blocked.tracks) == list(whole.tracks)
-            for a, b in zip(
-                (blocked.indptr, blocked.indices, blocked.weights),
-                (whole.indptr, whole.indices, whole.weights),
-            ):
-                assert a.tobytes() == b.tobytes()
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(engine, "_CPUS", cpus)
+                blocked = run()
+                assert list(blocked.tracks) == list(whole.tracks)
+                for a, b in zip(
+                    (blocked.indptr, blocked.indices, blocked.weights),
+                    (whole.indptr, whole.indices, whole.weights),
+                ):
+                    assert a.tobytes() == b.tobytes()
 
     def test_broadcast_writer_edge_cases_match_the_per_parent_join(self, monkeypatch):
         # Every segment written as a broadcast, through rows of width zero
@@ -361,12 +371,64 @@ class TestUpdate:
 
         def counted(ids, logw, *rest):
             written.append(len(logw))
-            broadcast(ids, logw, *rest)
+            return broadcast(ids, logw, *rest)
 
         monkeypatch.setattr(engine, "_broadcast", counted)
         rows = len(update(prior, scans[3], birth, sensor).weights)
         assert rows == 2_092_741
         assert sum(written) >= 0.99 * rows
+
+    def test_exact_c9_last_scan_bytes_do_not_depend_on_the_threads(self, monkeypatch):
+        # Its 2,092,741 rows split into many jobs; one thread and two must
+        # write the same table byte for byte.
+        prior, scan, birth, sensor = exact_c9_last_scan()
+        tables = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(engine, "_CPUS", cpus)
+            state = update(prior, scan, birth, sensor)
+            tables.append([state.indptr.tobytes(), state.indices.tobytes(), state.weights.tobytes()])
+        assert tables[0] == tables[1]
+
+    def test_one_block_scans_start_no_thread(self, monkeypatch):
+        # Every update of cluttered.json fits in one block, so it runs on
+        # the main thread alone; exact C9's last scan, many blocks, starts
+        # a worker, which shows that the patched start is reached.
+        def refused(thread):
+            raise RuntimeError("a thread was started")
+
+        monkeypatch.setattr(engine, "_CPUS", 2)
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs" / "cluttered.json")
+        report, _ = filter_scans(cfg, simulate(cfg)[1])
+        assert len(report.records) == 25
+        prior, scan, birth, sensor = exact_c9_last_scan()
+        with pytest.raises(RuntimeError, match="a thread was started"):
+            update(prior, scan, birth, sensor)
+
+    def test_jobs_run_once_each_and_an_error_reaches_the_caller(self, monkeypatch):
+        # Eight threads share one queue of jobs on a short switch interval:
+        # each job runs exactly once, and a failed job's error is raised
+        # once every thread has stopped.
+        monkeypatch.setattr(engine, "_CPUS", 8)
+        runs = np.zeros(2000, dtype=np.int64)
+
+        def job(i):
+            runs[i] += 1
+
+        def failed():
+            raise ValueError("a job failed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            engine._run([partial(job, i) for i in range(len(runs))])
+            assert (runs == 1).all()
+            threads = threading.active_count()
+            with pytest.raises(ValueError, match="a job failed"):
+                engine._run([partial(job, i) for i in range(len(runs))] + [failed])
+            assert threading.active_count() == threads
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_hypothesis_budget(self, monkeypatch):
         # An update that would emit more rows than the budget stops with its

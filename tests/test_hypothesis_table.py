@@ -291,8 +291,13 @@ def test_update_matches_the_per_parent_join_bit_for_bit(scene):
 def test_broadcast_writer_matches_the_per_parent_join_bit_for_bit(scene):
     # The same scenes with every segment, however short, written as a
     # parents x patterns broadcast. The shuffled parent rows interleave the
-    # groups, so one cell's rows split into several segments.
-    with mock.patch.object(engine, "_BROADCAST_ROWS", 1):
+    # groups, so one cell's rows split into several segments. Blocks of
+    # three rows make several jobs per scan, run on two threads.
+    with (
+        mock.patch.object(engine, "_BROADCAST_ROWS", 1),
+        mock.patch.object(engine, "_BLOCK", 3),
+        mock.patch.object(engine, "_CPUS", 2),
+    ):
         check_against_the_join(scene)
 
 
