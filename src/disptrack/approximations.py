@@ -7,6 +7,13 @@ the track is deleted from every hypothesis that contains it, and
 hypotheses that become identical merge by adding their weights. Removing
 hypotheses deliberately leaves the remaining weights unnormalized; they
 sum back to one at the next update.
+
+The removed tracks' ids leave the CSR rows before the rows are padded, so
+the padded table is in order as it is folded. The fold groups the rows and
+adds their weights but builds no row: the threshold prune and the caps
+pick their folded rows from the weights and build only those, and the
+merge builds every folded row through the same step
+(:func:`~disptrack.engine.unpadded_rows`).
 """
 
 from __future__ import annotations
@@ -19,13 +26,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import (
+    PTR_DTYPE,
     FilterState,
     HypothesisView,
     TrackTable,
     fold_rows,
     held_tracks,
+    keep_tracks,
     padded_rows,
+    unpadded_rows,
     _ragged,
+    _top_rows,
 )
 from .models import (
     AugmentedDistribution,
@@ -91,38 +102,62 @@ _PAIR_BLOCK = 256  # merge candidate pairs scored per stacked solve
 
 
 class _Folded(NamedTuple):
-    """A state's rows folded over its incoming track ids, before the pass picks its
-    rows and renumbers: read like the state, it builds the pass's one state."""
+    """A state's rows without its victims, padded and folded over the incoming track ids,
+    with no row built: each folded row is run ``r``, the row ``pad[first[r]]`` at
+    weight ``weights[r]``, in table order. The pass picks its runs and builds only
+    those, renumbered once, as its one state."""
 
     scan: int
     tracks: TrackTable
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
+    pad: np.ndarray  # the rows without the victims, filled with len(tracks)
+    first: np.ndarray  # each run's first row of pad
+    weights: np.ndarray  # each run's folded weight
 
-    hypotheses = property(HypothesisView)  # perfbench's tracer counts the folded rows
-    top_rows = FilterState.top_rows
-    with_rows = FilterState.with_rows
+    # perfbench's tracer counts the folded rows by this view's length, and reads no row.
+    hypotheses = property(HypothesisView)
+
+    def top_rows(self, k: int) -> np.ndarray:
+        """The ``k`` heaviest runs, ties read from the padded table (:func:`~disptrack.engine._top_rows`)."""
+        def tied_rows(tied):
+            return self.pad.take(self.first[tied], axis=0)
+
+        return _top_rows(self.weights, k, tied_rows, len(self.tracks))
+
+    def with_rows(self, keep: np.ndarray) -> FilterState:
+        """The runs flagged in ``keep``, built and renumbered over the tracks they hold."""
+        indptr, indices = unpadded_rows(self.pad, self.first[keep], len(self.tracks))
+        tracks, indices = keep_tracks(self.tracks, indices)
+        return FilterState.from_table(self.scan, tracks, indptr, indices, self.weights[keep])
 
 
 def _marginalize(state: FilterState, victims: np.ndarray) -> FilterState | _Folded:
     """Drop the tracks flagged in ``victims`` from every row and merge the rows that
     become identical, over the incoming track ids.
 
-    The rows are padded with fill ``n`` (the track count), the victims' cells
-    overwritten with it, and the table folded. The folded table still lists
-    the victims, which no row holds any more; the pass renumbers once, when
-    it has also picked its rows (:meth:`~disptrack.engine.FilterState.with_rows`),
-    and so builds one state. Renumbering keeps the ids' order, so folding on
-    the incoming ids gives the same rows, in the same order, with the same
-    sums. With no victim, returns ``state`` itself.
+    The victims' ids leave the CSR rows first: the running count of the kept
+    entries, read at the old offsets, gives the new ones. The rows stay
+    sorted, so the table padded from them with fill ``n`` (the track count) is
+    folded as it is (:func:`~disptrack.engine.fold_rows`), and no row is
+    built: the pass picks its runs and builds only those
+    (:meth:`_Folded.with_rows`), renumbered once, as its one state.
+    Renumbering keeps the ids' order, so folding on the incoming ids gives
+    the same rows, in the same order, with the same sums. ``len(out.hypotheses)``
+    is the number of folded rows. With no victim, returns ``state`` itself.
     """
     if not victims.any():
         return state
-    n = len(state.tracks)
-    pad = padded_rows(state.indptr, state.indices, n)
-    pad[np.append(victims, True)[pad]] = n
-    return _Folded(state.scan, state.tracks, *fold_rows(pad, state.weights, n))
+    pad = padded_rows(*_without(state.indptr, state.indices, victims), len(state.tracks))
+    return _Folded(state.scan, state.tracks, pad, *fold_rows(pad, state.weights))
+
+
+def _without(indptr: np.ndarray, indices: np.ndarray, dropped: np.ndarray):
+    """The CSR rows with the ids flagged in ``dropped`` left out: ``(indptr, indices)``.
+    Each new offset is the running count of the kept entries at the old one; the
+    counts are freed on return, before the fold."""
+    kept = (~dropped).take(indices)
+    ends = np.zeros(len(kept) + 1, dtype=PTR_DTYPE)
+    kept.cumsum(dtype=PTR_DTYPE, out=ends[1:])
+    return ends[indptr], indices[kept]
 
 
 def prune_by_presence(state: FilterState, threshold: float) -> FilterState:
@@ -149,8 +184,8 @@ def prune_by_existence(
     removal then applies to the folded weights; it does not renormalize the
     survivors (the weights sum back to one at the next update), and tracks
     orphaned by it are dropped. The heaviest hypothesis (canonically
-    earliest among equals) always survives. The tracks are renumbered once,
-    after both removals.
+    earliest among equals) always survives. Only the surviving folded rows
+    are built, and the tracks are renumbered once, after both removals.
     """
     _check_threshold(presence_threshold, "presence threshold")
     _check_threshold(track_threshold, "track existence threshold")
@@ -174,8 +209,9 @@ def cap_counts(
 
     Ties at the cut break by canonical path (respectively hypothesis) order,
     keeping the canonically earliest. Same marginalization and orphan rules
-    as the threshold prunes; hypothesis weights are not renormalized. The
-    tracks are renumbered once, after both caps.
+    as the threshold prunes; hypothesis weights are not renormalized. Only
+    the rows both caps keep are built, and the tracks are renumbered once,
+    after both caps.
     """
     for cap, name in ((max_tracks, "max_tracks"), (max_hypotheses, "max_hypotheses")):
         if cap is not None:
@@ -386,7 +422,12 @@ def merge_tracks(state: FilterState, d_threshold: float) -> FilterState:
     rows = _merged(dists.presence, alpha, a, b, means, covs)
     dists = Mixtures.concat(dists, rows).take(src[ids])
     tracks = TrackTable([paths[i] for i in ids.tolist()], tracks.displayed[ids], dists)
-    indptr, indices, weights = fold_rows(pad, state.weights, len(ids))
+    # Relabelling may leave a row's ids out of order; a table already in order is not
+    # sorted (column by column: numpy is slow along a short axis).
+    if any((pad[:, j] < pad[:, j - 1]).any() for j in range(1, pad.shape[1])):
+        pad.sort(axis=1)
+    first, weights = fold_rows(pad, state.weights)
+    indptr, indices = unpadded_rows(pad, first, len(ids))
     return FilterState.from_table(state.scan, tracks, indptr, indices, weights)
 
 

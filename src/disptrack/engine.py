@@ -62,8 +62,9 @@ over rows no other job writes; the main thread and a worker thread per further
 usable CPU (``_CPUS``), at most one thread per job, take the jobs in turn, and
 the subtract-and-exp and the divide of the normalisation run over ``_BLOCK``-row
 blocks the same way. Every row takes the same operations in the same order
-whatever the thread count, so the bytes do not depend on it, and an update of
-one block starts no thread. The threads cut wall time, not CPU time. Once
+whatever the thread count, so the bytes do not depend on it. A phase of one
+job, or any phase on one CPU, is its jobs called in turn on the main thread,
+with no queue and no thread. The threads cut wall time, not CPU time. Once
 each prior track is in a row and can be missed, some row holds every child;
 otherwise (``p_s`` = ``p_d`` = 1, or a track no row holds, which only
 ``FilterState(...)`` makes) the children no row holds are dropped after
@@ -228,13 +229,21 @@ def _take_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
 
 def padded_rows(indptr: np.ndarray, indices: np.ndarray, fill: int) -> np.ndarray:
     """The CSR rows as one fresh 2-D int32 array, short rows filled with ``fill``; with
-    ``fill`` above every id, the table a pass edits and hands to :func:`fold_rows`."""
+    ``fill`` above every id, the table a pass folds (:func:`fold_rows`)."""
     lengths = indptr[1:] - indptr[:-1]
     out = np.empty((len(lengths), int(lengths.max(initial=0))), dtype=ID_DTYPE)
     out.fill(fill)
     # Row k of the lookup flags the first k cells: one gather along the long axis.
     out[np.tri(out.shape[1] + 1, out.shape[1], -1, dtype=bool).take(lengths, axis=0)] = indices
     return out
+
+
+def unpadded_rows(pad: np.ndarray, rows: np.ndarray, fill: int):
+    """Rows ``rows`` of a padded table, in that order, as CSR: ``(indptr, indices)``,
+    the cells holding ``fill`` left out and the ids as ``ID_DTYPE``."""
+    picked = pad.take(rows, axis=0)
+    held = picked != fill
+    return row_offsets(held.sum(axis=1)), picked[held]
 
 
 def _row_runs(pad: np.ndarray):
@@ -251,27 +260,43 @@ def _row_runs(pad: np.ndarray):
     return order, starts, label
 
 
-def fold_rows(pad: np.ndarray, weights: np.ndarray, fill: int):
-    """Merge the rows of a padded table that hold the same ids, adding their weights.
+def fold_rows(pad: np.ndarray, weights: np.ndarray):
+    """Group the rows of a padded table that hold the same ids, adding their weights.
 
-    Row ``r`` of ``pad`` holds the ids of row ``r``; every other cell holds
-    ``fill``, which is above every id, so a cell overwritten with ``fill``
-    leaves its row. ``pad`` may be sorted in place: rows out of order, as
-    overwriting or relabelling leaves them, are sorted, and a table already
-    in order is not. Merged rows keep the position of their first
-    occurrence, weights added in table order. Returns ``(indptr, indices,
-    weights)``, the ids as ``ID_DTYPE``.
+    Each row of ``pad`` holds its ids in increasing order, then the fill,
+    which is above every id. Returns each group's first row, in table order,
+    and the group's weight, added in table order. No row is built: a pass
+    picks its rows from these and builds only those (:func:`unpadded_rows`).
     """
-    # Column by column: numpy is slow along a short axis, and one row out of order will do.
-    if any((pad[:, j] < pad[:, j - 1]).any() for j in range(1, pad.shape[1])):
-        pad.sort(axis=1)
     order, starts, run = _row_runs(pad)
     first = order[starts]  # each run's earliest row
     by_first = first.argsort()
-    folded = np.bincount(run, weights=weights)[by_first]
-    uniq = pad.take(first[by_first], axis=0)
-    held = uniq != fill
-    return row_offsets(held.sum(axis=1)), uniq[held], folded.astype(float, copy=False)
+    return first[by_first], np.bincount(run, weights=weights)[by_first].astype(float, copy=False)
+
+
+def _top_rows(weights: np.ndarray, k: int, tied_rows, fill: int) -> np.ndarray:
+    """The ``k`` heaviest of ``weights``' rows, ties at the cut broken toward canonical order.
+
+    Canonical hypothesis order is fewest tracks first, then lexicographic
+    ids. Rows above the cut weight come first, in table order, then the
+    tied rows in canonical order. ``tied_rows(tied)`` gives the rows
+    ``tied`` padded with ``fill``, which is above every id: rows of one
+    length then compare as their id tuples. For ``k == 1`` the cut is the
+    maximum, read without the partitioned copy of the weights, and no row
+    lies above it.
+    """
+    if k >= len(weights):
+        return np.arange(len(weights))
+    if k == 1:
+        cut, above = weights.max(), np.empty(0, dtype=np.intp)
+    else:
+        cut = np.partition(weights, len(weights) - k)[len(weights) - k]
+        above = (weights > cut).nonzero()[0]
+    tied = (weights == cut).nonzero()[0]
+    if len(above) + len(tied) > k:
+        pad = tied_rows(tied)
+        tied = tied[np.lexsort((*pad.T[::-1], (pad != fill).sum(axis=1)))]
+    return np.concatenate([above, tied[:k - len(above)]])
 
 
 class TrackTable(Mapping):
@@ -487,24 +512,13 @@ class FilterState:
         return out
 
     def top_rows(self, k: int) -> np.ndarray:
-        """The ``k`` heaviest rows, ties at the cut broken toward canonical order.
+        """The ``k`` heaviest rows, ties at the cut broken toward canonical order (:func:`_top_rows`)."""
+        n = len(self.tracks)
 
-        Canonical hypothesis order is fewest tracks first, then lexicographic
-        ids. Rows above the cut weight come first, in table order, then the
-        tied rows in canonical order. For ``k == 1`` the cut is the maximum,
-        read without the partitioned copy of the weights.
-        """
-        w = self.weights
-        if k >= len(w):
-            return np.arange(len(w))
-        cut = w.max() if k == 1 else np.partition(w, len(w) - k)[len(w) - k]
-        above = (w > cut).nonzero()[0]
-        tied = (w == cut).nonzero()[0]
-        if len(above) + len(tied) > k:
-            indptr, indices = _take_rows(self.indptr, self.indices, tied)
-            pad = padded_rows(indptr, indices, -1)
-            tied = tied[np.lexsort((*pad.T[::-1], np.diff(indptr)))]
-        return np.concatenate([above, tied[:k - len(above)]])
+        def tied_rows(tied):
+            return padded_rows(*_take_rows(self.indptr, self.indices, tied), n)
+
+        return _top_rows(self.weights, k, tied_rows, n)
 
     def with_rows(self, keep: np.ndarray) -> "FilterState":
         """Only the rows flagged in ``keep`` (order and weights kept) and the tracks they
@@ -727,8 +741,13 @@ def _broadcast(ids, logw, prior, first, pats, tail, child, logl):
 
 def _run(jobs) -> None:
     """Run each job once. The main thread and ``min(_CPUS, len(jobs)) - 1`` worker
-    threads each take the next job until none is left, so one job or one CPU starts
-    no thread. The jobs must write disjoint memory; the first error is raised here."""
+    threads each take the next job until none is left; with one job or one CPU the
+    main thread calls them in turn, with no queue and no thread. The jobs must write
+    disjoint memory; the first error is raised here."""
+    if min(_CPUS, len(jobs)) <= 1:
+        for job in jobs:
+            job()
+        return
     todo, failed, workers = deque(jobs), [], []
 
     def drain():
@@ -919,7 +938,7 @@ def _write(plan: _Plan, state: FilterState) -> FilterState:
 
     blocks = [(lo, min(lo + _BLOCK, end)) for begin, end in spans for lo in range(begin, end, _BLOCK)]
     _run(jobs + [partial(write_rows, lo, hi) for lo, hi in blocks])
-    top = float(np.max(weights))
+    top = float(weights.max())
     if top == NEG_INF:
         raise DegenerateUpdateError("all association weights are zero")
     parts = [weights[lo:lo + _BLOCK] for lo in range(0, rows, _BLOCK)]

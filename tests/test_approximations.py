@@ -44,7 +44,7 @@ from disptrack.approximations import (
     mahalanobis_sq,
 )
 from disptrack.estimation import extract_tracks
-from disptrack.engine import ID_DTYPE, PTR_DTYPE, TrackTable, row_offsets
+from disptrack.engine import ID_DTYPE, PTR_DTYPE, TrackTable, id_dtype, row_offsets, unpadded_rows
 from disptrack.models import Mixtures, _derived, mixture_moments, moment_match
 
 from helpers import (
@@ -54,6 +54,7 @@ from helpers import (
     obs,
     reference_fold_rows,
     reference_merge_tracks,
+    reference_top_rows,
     sensor_1d,
     unit_dist,
 )
@@ -185,9 +186,12 @@ class TestPruneByExistence:
 
 
 def marginalized(state, victims):
-    """``_marginalize``'s folded table as a state over the incoming track ids."""
+    """``_marginalize``'s folded table, every run built, as a state over the incoming track ids."""
     out = _marginalize(state, victims)
-    return out if out is state else FilterState.from_table(*out)
+    if out is state:
+        return state
+    indptr, indices = unpadded_rows(out.pad, out.first, len(out.tracks))
+    return FilterState.from_table(out.scan, out.tracks, indptr, indices, out.weights)
 
 
 def renumbered(state):
@@ -223,6 +227,15 @@ def cluttered_updates():
         runner.filter_scans(cfg, simulate(cfg)[1])
     assert len(states) == 25
     return states
+
+
+def counted_builds(built):
+    """``unpadded_rows`` that appends the number of rows it builds to ``built``."""
+    def unpadded_rows(pad, rows, fill, step=approximations.unpadded_rows):
+        built.append(len(rows))
+        return step(pad, rows, fill)
+
+    return unpadded_rows
 
 
 class TestOneFoldPrune:
@@ -266,10 +279,11 @@ class TestOneFoldPrune:
             [track(P1, 0.01), track(P2), track(P3)],
             [((P1, P3), 0.5), ((P2,), 0.01), ((P3,), 0.39), ((), 0.1)],
         )
-        folds = []
+        folds, built = [], []
         monkeypatch.setattr(
             approximations, "fold_rows", lambda *a, step=approximations.fold_rows: folds.append(1) or step(*a)
         )
+        monkeypatch.setattr(approximations, "unpadded_rows", counted_builds(built))
         cfg = ApproximationConfig(
             presence_threshold=0.05, track_existence_threshold=0.05, hyp_existence_threshold=1e-3
         )
@@ -279,7 +293,9 @@ class TestOneFoldPrune:
         ):
             out = prune()
             assert len(folds) == 1
+            assert built == [len(out.weights)]  # one build, of the kept rows
             folds.clear()
+            built.clear()
             assert set(out.tracks) == {P3}
             assert {h.tracks: h.weight for h in out.hypotheses} == {
                 (P3,): pytest.approx(0.89, abs=1e-15),
@@ -287,12 +303,18 @@ class TestOneFoldPrune:
             }
 
     def test_prune_folds_at_most_once_per_scan(self, monkeypatch, cluttered_updates):
+        # Only the folded rows that pass the hypothesis threshold are built:
+        # one build per fold, of exactly the rows the prune returns.
         cfg = load_config(CLUTTERED).approx
-        folds = []
-        monkeypatch.setattr(
-            approximations, "fold_rows", lambda *a, step=approximations.fold_rows: folds.append(1) or step(*a)
-        )
-        both = 0
+        folds, built = [], []
+        def fold_rows(pad, weights, step=approximations.fold_rows):
+            first, folded_weights = step(pad, weights)
+            folds.append(len(first))
+            return first, folded_weights
+
+        monkeypatch.setattr(approximations, "fold_rows", fold_rows)
+        monkeypatch.setattr(approximations, "unpadded_rows", counted_builds(built))
+        both = folded = kept = 0
         for state in cluttered_updates:
             low = state.tracks.dists.presence < cfg.presence_threshold
             rare = state.existence() < cfg.track_existence_threshold
@@ -302,8 +324,13 @@ class TestOneFoldPrune:
             )
             assert len(folds) == (low | rare).any()
             assert len(out.tracks) <= len(state.tracks) - (low | rare).sum()
+            assert built == [len(out.weights)] * len(folds)
+            folded += sum(folds)
+            kept += sum(built)
             folds.clear()
+            built.clear()
         assert both > 0
+        assert kept < folded / 2, (kept, folded)
 
     def test_marginalize_keeps_survivors_existence(self, cluttered_updates):
         # Removing a track deletes it from every row and merges the rows that
@@ -350,32 +377,172 @@ def victim_tables(draw):
 @example(([[], []], np.array([True])))  # no entries
 @example(([], np.array([True])))  # no rows
 def test_marginalize_matches_row_by_row_reference(table):
-    # Overwriting the victims' cells in the padded table and folding it gives
-    # the rows with the victims' ids dropped one by one, folded by np.unique.
+    # Dropping the victims' ids from the CSR rows, padding what is left and
+    # folding it gives the rows with the victims' ids dropped one by one,
+    # folded by np.unique. The padded table holds no victim and is in order
+    # as padded, so no cell is overwritten and no row sorted; the record
+    # counts its folded rows, as perfbench's tracer reads them.
     rows, victims = table
+    state = table_state(rows, victims, 1.0 / np.arange(1, len(rows) + 1))  # inexact: the sums' order shows
+    folded = _marginalize(state, victims)
+    out = marginalized(state, victims)
+    if not victims.any():
+        assert folded is state and out is state
+        return
+    kept = [[i for i in r if not victims[i]] for r in rows]
+    indptr, indices, weights = reference_fold_rows(
+        row_offsets(np.array([len(r) for r in kept], dtype=np.int64)),
+        np.array([i for r in kept for i in r], dtype=ID_DTYPE),
+        state.weights,
+    )
+    n = len(victims)
+    assert not victims[folded.pad[folded.pad != n]].any()
+    assert np.array_equal(np.sort(folded.pad, axis=1), folded.pad)
+    assert len(folded.hypotheses) == len(weights)
+    assert out.tracks is state.tracks
+    assert out.indptr.tobytes() == indptr.astype(PTR_DTYPE).tobytes()
+    assert out.indices.tobytes() == indices.astype(state.indices.dtype).tobytes()
+    assert out.weights.tobytes() == weights.astype(float).tobytes()
+
+
+def table_state(rows, victims, weights):
+    """Sorted id rows over one track per victim flag, the victims at presence 0.01 and
+    the others at 1, as a state."""
     paths = [path(0, (0, k)) for k in range(len(victims))]
-    weights = 1.0 / np.arange(1, len(rows) + 1)  # inexact: the sums' order shows
-    state = FilterState.from_table(
+    return FilterState.from_table(
         0,
-        TrackTable.of({p: track(p) for p in paths}),
+        TrackTable.of({p: track(p, 0.01 if v else 1.0) for p, v in zip(paths, victims.tolist())}),
         row_offsets(np.array([len(r) for r in rows], dtype=np.int64)),
         [i for r in rows for i in r],
         weights,
     )
-    out = marginalized(state, victims)
-    if not victims.any():
-        assert out is state
-        return
-    kept = [[i for i in r if not victims[i]] for r in rows]
-    indptr, indices, folded = reference_fold_rows(
-        row_offsets(np.array([len(r) for r in kept], dtype=np.int64)),
-        np.array([i for r in kept for i in r], dtype=ID_DTYPE),
+
+
+def built_then_picked(state, victims, pick):
+    """A pass the build-everything way: every row with the victims' ids dropped, folded
+    by ``reference_fold_rows``, then the rows ``pick(folded state)`` flags, the tracks
+    they hold renumbered. Returns the paths and the stored bytes of the table. With
+    no victim and every row picked, the pass is the identity."""
+    keep = ~victims[state.indices]
+    row = np.arange(len(state.weights)).repeat(np.diff(state.indptr))
+    indptr, indices, weights = reference_fold_rows(
+        row_offsets(np.bincount(row[keep], minlength=len(state.weights))),
+        state.indices[keep].astype(ID_DTYPE),
+        state.weights,
+    )
+    folded = FilterState.from_table(state.scan, state.tracks, indptr, indices, weights.astype(float))
+    flags = pick(folded)
+    if not victims.any() and flags.all():
+        return state.tracks.paths, state.indptr.tobytes(), state.indices.tobytes(), state.weights.tobytes()
+    picked = [folded.indices[folded.indptr[r]:folded.indptr[r + 1]].tolist() for r in np.flatnonzero(flags)]
+    held = sorted({i for r in picked for i in r})
+    rank = {t: k for k, t in enumerate(held)}
+    return (
+        [state.tracks.paths[t] for t in held],
+        row_offsets(np.array([len(r) for r in picked], dtype=np.int64)).astype(PTR_DTYPE).tobytes(),
+        np.array([rank[i] for r in picked for i in r], dtype=id_dtype(len(held))).tobytes(),
+        folded.weights[flags].tobytes(),
+    )
+
+
+@st.composite
+def pass_tables(draw):
+    """``victim_tables()`` with its rows made distinct, as a state's rows are, and
+    weights from a few values, so that rows and folded rows tie; with a hypothesis
+    threshold, a track cap and a hypothesis cap."""
+    rows, victims = draw(victim_tables())
+    rows = [list(r) for r in dict.fromkeys(map(tuple, rows))]
+    values = st.sampled_from([0.0, 0.1, 0.125, 0.25, 1 / 3, 0.5])
+    weights = draw(st.lists(values, min_size=len(rows), max_size=len(rows)))
+    threshold = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]))
+    max_tracks = draw(st.none() | st.integers(1, len(victims)))
+    max_hypotheses = draw(st.none() | st.integers(1, len(rows) + 1))
+    return rows, victims, weights, threshold, max_tracks, max_hypotheses
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pass_tables())
+# Ties at the hypothesis cap's cut, before and after a fold.
+@example(([[0], [1], [0, 1], [2], []], np.array([False, False, False]), [0.25] * 5, 0.0, None, 2))
+@example(([[0, 3], [1], [3], [2]], np.array([False, False, False, True]), [0.25] * 4, 0.0, 3, 2))
+# No folded row reaches the hypothesis threshold: the heaviest survives.
+@example(([[0, 1], [1], [0]], np.array([True, False]), [0.25, 0.25, 0.125], 1.0, None, None))
+@example(([[0], [1]], np.array([False, False]), [0.25, 0.25], 1.0, None, None))
+@example(([], np.array([True]), [], 0.5, 1, 1))  # no rows
+def test_prune_and_cap_match_the_build_everything_reference(table):
+    # The prune and the cap build only the folded rows they keep; their
+    # states must equal, byte for byte, folding every row, picking, then
+    # renumbering.
+    rows, victims, weights, threshold, max_tracks, max_hypotheses = table
+    state = table_state(rows, victims, np.array(weights, dtype=float))
+
+    def over_threshold(folded):
+        flags = folded.weights >= threshold
+        if not flags.any():
+            flags[reference_top_rows(folded, 1)] = True
+        return flags
+
+    def under_cap(folded):
+        flags = np.ones(len(folded.weights), dtype=bool)
+        if max_hypotheses is not None and len(folded.weights) > max_hypotheses:
+            flags[:] = False
+            flags[reference_top_rows(folded, max_hypotheses)] = True
+        return flags
+
+    capped = np.zeros(len(victims), dtype=bool)
+    if max_tracks is not None and len(victims) > max_tracks:
+        capped[np.argsort(-state.existence(), kind="stable")[max_tracks:]] = True
+    for out, ref in (
+        (prune_by_existence(state, 0.0, threshold, presence_threshold=0.5),
+         built_then_picked(state, victims, over_threshold)),
+        (cap_counts(state, max_tracks, max_hypotheses), built_then_picked(state, capped, under_cap)),
+    ):
+        assert out.tracks.paths == ref[0]
+        assert out.indptr.tobytes() == ref[1]
+        assert out.indices.tobytes() == ref[2]
+        assert out.weights.tobytes() == ref[3]
+
+
+def test_prune_builds_only_the_rows_it_keeps():
+    # Every subset of 17 tracks, plus 2,000 of them with an 18th track, the
+    # victim, added: 133,072 distinct rows that fold to 131,072, of which the
+    # hypothesis threshold keeps 600 (0.45 %). Under tracemalloc the prune
+    # must peak below building its whole folded table, which it used to do:
+    # measured on this table, the prune peaked at 31.1 MB against 31.1 MB for
+    # the full build (ratio 1.00) when it built every folded row, and at
+    # 22.5 MB against 27.8 MB (ratio 0.81) once it builds only the rows it keeps.
+    import tracemalloc
+
+    k = 17
+    rng = np.random.default_rng(0)
+    masks = np.concatenate([np.arange(1 << k), np.sort(rng.choice(1 << k, 2000, replace=False)) | (1 << k)])
+    bits = (masks[:, None] >> np.arange(k + 1)) & 1
+    lengths = bits.sum(axis=1)
+    bits, lengths = bits[np.lexsort((masks, lengths))], np.sort(lengths)  # canonical row order
+    weights = np.full(len(masks), 1e-9)
+    weights[rng.choice(len(masks), 600, replace=False)] = 1e-3
+    victims = np.arange(k + 1) == k
+    paths = [path(0, (0, i)) for i in range(k + 1)]
+    state = FilterState.from_table(
+        0,
+        TrackTable.of({p: track(p, 0.01 if v else 1.0) for p, v in zip(paths, victims.tolist())}),
+        row_offsets(lengths),
+        bits.nonzero()[1],
         weights,
     )
-    assert out.tracks is state.tracks
-    assert out.indptr.tobytes() == indptr.astype(PTR_DTYPE).tobytes()
-    assert out.indices.tobytes() == indices.astype(state.indices.dtype).tobytes()
-    assert out.weights.tobytes() == folded.astype(float).tobytes()
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    out, pruned = peak(lambda: prune_by_existence(state, 0.0, 1e-4, presence_threshold=0.5))
+    full, built = peak(lambda: marginalized(state, victims))
+    assert len(state.weights) >= 100_000 and len(out.weights) <= 0.01 * len(full.weights)
+    assert pruned < 0.9 * built, (pruned, built)
 
 
 def test_each_pass_builds_its_table_once(monkeypatch, cluttered_updates):
